@@ -343,14 +343,16 @@ def _solve_full_stats(b, level, xstar, ystar, options):
     problem = build_primal(b, level, xstar, ystar)
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
-    blocks = (
-        _affine_repair(problem, sol) if math.isfinite(g) else sol.primal_blocks
-    )
-    ncomp = 4 * b.mx * b.my
-    expr = BellExpression(
-        mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
-        coeffs=sol.dual_vector[:ncomp], offset=g - sol.dual_objective,
-    )
+    if math.isfinite(g):
+        blocks = _affine_repair(problem, sol)
+        expr = BellExpression(
+            mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
+            coeffs=sol.dual_vector[:4 * b.mx * b.my],
+            offset=g - sol.dual_objective,
+        )
+    else:
+        blocks = sol.primal_blocks
+        expr = None
     weights = {
         (a, bb): float(blocks[i][0, 0]) for i, (a, bb) in enumerate(OUTCOME_PAIRS)
     }
@@ -367,7 +369,9 @@ def guessing_probability(
 ) -> GuessReport:
     """Bound Eve's guessing probability from the full behavior. The Bell
     expression is read off the behavior-row dual multipliers; rows removed
-    as linearly dependent keep multiplier zero, so the offset is zero."""
+    as linearly dependent keep multiplier zero, so the offset is zero. An
+    infeasible (for instance signalling) behavior gets G = NaN and no
+    expression."""
     report, _ = _solve_full_stats(b, level, xstar, ystar, options)
     return report
 

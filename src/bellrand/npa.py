@@ -17,7 +17,7 @@ Letters are (party, input) pairs, party 0 = Alice, 1 = Bob, inputs 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,12 +78,6 @@ def monomials(level: int, mx: int, my: int) -> list[Monomial]:
                     nxt.append(r)
         frontier = nxt
     return sorted(seen, key=lambda w: (len(w), w))
-
-
-def monomial_str(word: Monomial) -> str:
-    if not word:
-        return "1"
-    return "".join(f"{'AB'[p]}{i}" for p, i in word)
 
 
 @dataclass(frozen=True)
@@ -186,14 +180,3 @@ def behavior_map(structure: MomentStructure, mx: int, my: int) -> dict:
             f"({mx},{my}): {exc}"
         ) from exc
     return out
-
-
-def dump_structure(structure: MomentStructure) -> str:
-    """Debug listing: one line per entry, `i j moment_id reduced_word`."""
-    lines = []
-    e = structure.entry_to_moment
-    for i in range(structure.dim):
-        for j in range(structure.dim):
-            mid = int(e[i, j])
-            lines.append(f"{i} {j} {mid} {monomial_str(structure.moment_words[mid])}")
-    return "\n".join(lines) + "\n"

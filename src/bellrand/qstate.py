@@ -133,9 +133,6 @@ class MeasurementSet:
             raise ValueError(f"input {x} out of range for party {party}")
         return projector(angles[x - 1], outcome)
 
-    def observable(self, party: int, x: int) -> np.ndarray:
-        return self.projector(party, x, +1) - self.projector(party, x, -1)
-
 
 def canonical_settings() -> MeasurementSet:
     """Settings that certify two bits from the maximally entangled state.

@@ -31,8 +31,6 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpstrf
 
-from . import numerics
-
 log = logging.getLogger(__name__)
 
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -141,10 +139,6 @@ class SdpProblem:
             _entries_dense(e, n) for e, n in zip(self.objective, self.block_orders)
         ]
 
-    def constraint_dense(self, j: int) -> list[np.ndarray]:
-        row, _ = self.constraints[j]
-        return [_entries_dense(e, n) for e, n in zip(row, self.block_orders)]
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -152,7 +146,6 @@ class SolveOptions:
     feas_tol: float = 1e-8
     max_iterations: int = 200
     step_fraction: float = 0.98
-    debug: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,72 +162,18 @@ class SdpSolution:
     removed_rows: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    primal_residual: float
-    dual_slack_max_eig: float
-    gap: float
-    min_block_eigenvalues: tuple[float, ...]
-
-
-def residuals(problem: SdpProblem, solution: SdpSolution) -> ResidualReport:
-    """Feasibility diagnostics of a (problem, solution) pair, in problem units."""
-    xs = solution.primal_blocks
-    y = solution.dual_vector
-    prim = 0.0
-    for j, (row, b) in enumerate(problem.constraints):
-        val = sum(
-            float(np.sum(_entries_dense(e, n) * x))
-            for e, n, x in zip(row, problem.block_orders, xs)
-        )
-        prim = max(prim, abs(val - b))
-    slack_eig = -math.inf
-    min_eigs = []
-    for i, n in enumerate(problem.block_orders):
-        acc = _entries_dense(problem.objective[i], n)
-        for j, (row, _) in enumerate(problem.constraints):
-            if row[i][0].size:
-                acc -= y[j] * _entries_dense(row[i], n)
-        slack_eig = max(slack_eig, float(np.linalg.eigvalsh(acc).max()))
-        min_eigs.append(float(np.linalg.eigvalsh(xs[i]).min()))
-    gap = solution.dual_objective - solution.primal_objective
-    return ResidualReport(prim, slack_eig, gap, tuple(min_eigs))
-
-
-def problem_to_text(problem: SdpProblem) -> str:
-    """Plain-text dump: header `nblocks orders... nconstraints`, then entries
-    `constraint_index block i j value` with 1-based blocks/indices, i <= j,
-    constraint index 0 for the objective."""
-    lines = [
-        " ".join(
-            [str(len(problem.block_orders))]
-            + [str(n) for n in problem.block_orders]
-            + [str(problem.n_constraints)]
-        )
-    ]
-    def emit(idx, row):
-        for blk, (p, q, v) in enumerate(row):
-            for a, b, c in zip(p, q, v):
-                lines.append(f"{idx} {blk + 1} {a + 1} {b + 1} {c:.17g}")
-    emit(0, problem.objective)
-    for j, (row, rhs) in enumerate(problem.constraints):
-        lines.append(f"rhs {j + 1} {rhs:.17g}")
-        emit(j + 1, row)
-    return "\n".join(lines) + "\n"
-
-
 def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
 def _chol(m: np.ndarray) -> np.ndarray:
-    """Cholesky with one jitter retry; raises NotPositiveDefiniteError."""
+    """Cholesky with one jitter retry; raises LinAlgError if that fails too."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         n = m.shape[0]
         jitter = 1e-14 * max(1.0, np.trace(m) / max(n, 1))
-        return numerics.cholesky(m + jitter * np.eye(n))
+        return np.linalg.cholesky(m + jitter * np.eye(n))
 
 
 def _max_step(chol_l: np.ndarray, direction: np.ndarray) -> float:
@@ -447,15 +386,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             + abs(sum(float(np.sum(r * x)) for r, x in zip(rd, xs)))
         ) * unit_scale
 
-        if opts.debug:
-            ident = dobj_hat - pobj_hat - (
-                float(y @ rp) + mu * ntot
-                + sum(float(np.sum(r * x)) for r, x in zip(rd, xs))
-            )
-            assert abs(ident) <= 1e-7 * (1 + abs(pobj_hat) + abs(dobj_hat)), ident
-            if rp_true <= 1e-10 and rd_true <= 1e-10:
-                assert dobj_true >= pobj_true - 1e-9 * (1 + abs(pobj_true))
-
         obj_scale = 1.0 + abs(pobj_true) + abs(dobj_true)
         err = max(rp_true, rd_true, abs(gap_true) / obj_scale, bias_true / obj_scale)
         converged = (
@@ -490,25 +420,21 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             break
 
         # Nesterov-Todd scaling per block
-        gfac, ginv, sig, lx, lz = [], [], [], [], []
         try:
-            for i, n in enumerate(orders):
-                lxi = _chol(xs[i])
-                lzi = _chol(zs[i])
-                u, s_i, vt = np.linalg.svd(lzi.T @ lxi)
-                s_i = np.maximum(s_i, 1e-150)
-                g = lxi @ vt.T / np.sqrt(s_i)
-                gi = (np.sqrt(s_i)[:, None] * vt) @ solve_triangular(
-                    lxi, np.eye(n), lower=True
-                )
-                gfac.append(g)
-                ginv.append(gi)
-                sig.append(s_i)
-                lx.append(lxi)
-                lz.append(lzi)
-        except numerics.NotPositiveDefiniteError:
+            lx = [_chol(x) for x in xs]
+            lz = [_chol(z) for z in zs]
+        except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        gfac, ginv, sig = [], [], []
+        for i, n in enumerate(orders):
+            _, s_i, vt = np.linalg.svd(lz[i].T @ lx[i])
+            s_i = np.maximum(s_i, 1e-150)
+            gfac.append(lx[i] @ vt.T / np.sqrt(s_i))
+            ginv.append((np.sqrt(s_i)[:, None] * vt) @ solve_triangular(
+                lx[i], np.eye(n), lower=True
+            ))
+            sig.append(s_i)
 
         for local in range(mk):
             for i, fp, fq, fv in pre.row_blocks[local]:

@@ -6,7 +6,6 @@ audit every instance the suite produced.
 """
 
 import math
-import pathlib
 
 import numpy as np
 
@@ -272,43 +271,3 @@ def test_criterion_10_solver_unit_suite():
         f"three SDP unit examples at 1e-7 plus rescaling and block-"
         f"permutation invariances ({sum(checks)}/{len(checks)} checks)",
     )
-
-
-def test_emit_reference_curves():
-    # companion data for the optimized-randomness and CHSH-comparison
-    # figures; written for inspection, values not asserted here
-    outdir = pathlib.Path(__file__).resolve().parent.parent / "figures"
-    outdir.mkdir(exist_ok=True)
-
-    lines = ["v,theta,hmin"]
-    for v in (0.99, 1.0):
-        for theta in np.linspace(math.pi / 16, math.pi / 4, 5):
-            res = seesaw.optimize(
-                qstate.make_state(v, float(theta)), level=2, epsilon=1e-4,
-                n_starts=3, seed=0, max_iterations=30,
-            )
-            lines.append(f"{v:.6g},{float(theta):.6g},{res.best_report.hmin:.6g}")
-    theta_curve = outdir / "optimized_vs_theta.csv"
-    theta_curve.write_text("\n".join(lines) + "\n")
-
-    lines = ["v,chsh,hmin_full,hmin_chsh_only"]
-    for v in np.linspace(0.75, 1.0, 9):
-        v = float(v)
-        b = qstate.behavior(
-            qstate.make_state(v, math.pi / 4),
-            qstate.chsh_optimal_settings(math.pi / 4),
-        )
-        full = guessprob.guessing_probability(b, level=2)
-        value = qstate.chsh_value(b)
-        chsh_only = guessprob.bell_constrained_bound(
-            guessprob.chsh_coefficients(), [value], 2, 2, level=2
-        )
-        lines.append(
-            f"{v:.6g},{value:.8g},{full.hmin:.6g},{chsh_only.hmin:.6g}"
-        )
-    chsh_curve = outdir / "full_vs_chsh_constraint.csv"
-    chsh_curve.write_text("\n".join(lines) + "\n")
-
-    print(f"INFO curves: wrote {theta_curve} and {chsh_curve}")
-    assert theta_curve.stat().st_size > 0
-    assert chsh_curve.stat().st_size > 0

@@ -35,6 +35,19 @@ def test_certify_from_behavior_file(tmp_path):
     assert 0.25 <= float(fields["G"]) <= 1.0
 
 
+def test_certify_signalling_behavior_file(tmp_path):
+    b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    p = b.probs.copy()
+    p[qstate.component_index(1, 1, 1, 1, 2, 2)] += 1e-3
+    p[qstate.component_index(1, -1, 1, 1, 2, 2)] -= 1e-3
+    src = tmp_path / "behavior.csv"
+    out = tmp_path / "report.txt"
+    src.write_text(behavior_to_csv(qstate.Behavior(2, 2, p)))
+    code = cli.main(["certify", "--behavior", str(src), "--out", str(out)])
+    assert code == 2
+    assert parse_report(out.read_text())["status"] == "infeasible"
+
+
 def test_certify_writes_stdout(capsys):
     code = cli.main(
         ["certify", "--v", "0.9", "--level", "1", "--alice", "0,1.5707963",
@@ -85,6 +98,15 @@ def test_bellbound_infeasible_value(capsys):
     code = cli.main(["bellbound", "--value", "3.0"])
     assert code == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_bellbound_dependent_operators_infeasible(capsys):
+    # --beta 0 makes the tilted operator equal CHSH, so the values conflict
+    code = cli.main(
+        ["bellbound", "--value", "2.5", "--beta", "0", "--ibeta-value", "2.6"]
+    )
+    assert code == 2
+    assert "infeasible at this level" in capsys.readouterr().err
 
 
 def test_bellbound_requires_an_operator(capsys):

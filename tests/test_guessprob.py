@@ -206,6 +206,50 @@ def test_operator_value_shape_checks():
         guessprob.bell_constrained_bound(np.zeros(7), [2.0], 2, 2)
 
 
+def signalling_behavior():
+    # moving 1e-3 from p(+,-|1,1) to p(+,+|1,1) keeps every block normalized
+    # but makes Bob's y = 1 marginal depend on x by 2e-3
+    b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    p = b.probs.copy()
+    p[component_index(1, 1, 1, 1, 2, 2)] += 1e-3
+    p[component_index(1, -1, 1, 1, 2, 2)] -= 1e-3
+    return qstate.Behavior(2, 2, p)
+
+
+def test_signalling_behavior_infeasible():
+    b = signalling_behavior()
+    assert abs(b.no_signaling_defect() - 2e-3) <= 1e-12
+    report = guessprob.guessing_probability(b, level=2)
+    assert report.status == "infeasible"
+    assert math.isnan(report.guessing_probability)
+    assert report.bell_expression is None
+
+
+def test_dependent_operators_equal_values():
+    # the tilted operator at beta = 0 is CHSH itself
+    chsh = guessprob.chsh_coefficients()
+    tilted = guessprob.ibeta_coefficients(0.0)
+    assert np.array_equal(tilted, chsh)
+    alone = guessprob.bell_constrained_bound(chsh, [2.5], 2, 2, level=2)
+    both = guessprob.bell_constrained_bound(
+        np.vstack([tilted, chsh]), [2.5, 2.5], 2, 2, level=2
+    )
+    assert alone.status == both.status == "optimal"
+    assert abs(alone.guessing_probability - 0.79673198) <= 1e-6
+    assert abs(both.guessing_probability - alone.guessing_probability) <= 1e-9
+
+
+def test_dependent_operators_unequal_values_infeasible():
+    chsh = guessprob.chsh_coefficients()
+    report = guessprob.bell_constrained_bound(
+        np.vstack([guessprob.ibeta_coefficients(0.0), chsh]), [2.5, 2.6],
+        2, 2, level=2,
+    )
+    assert report.status == "infeasible"
+    assert math.isnan(report.guessing_probability)
+    assert report.bell_expression is None
+
+
 def test_chsh_coefficients_match_correlator_form():
     coeffs = guessprob.chsh_coefficients()
     b = behavior(make_state(0.8, 0.6), chsh_optimal_settings(0.6))

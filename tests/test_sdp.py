@@ -163,28 +163,17 @@ def test_entry_accumulation_and_validation():
         sdp.SdpProblem((0,), [None], [])
 
 
-def test_problem_to_text_layout():
-    problem = sdp.SdpProblem(
-        block_orders=(2,),
-        objective=[[(0, 1, 1.0)]],
-        constraints=[([np.eye(2)], 1.0)],
-    )
-    lines = sdp.problem_to_text(problem).strip().splitlines()
-    assert lines[0] == "1 2 1"
-    assert lines[1] == "0 1 1 2 1"
-    assert lines[2] == "rhs 1 1"
-    assert lines[3] == "1 1 1 1 1"
-    assert lines[4] == "1 1 2 2 1"
-
-
 def test_residual_report_on_solution():
     problem = trace_one_problem()
     sol = solve_ok(problem)
-    rep = sdp.residuals(problem, sol)
-    assert rep.primal_residual < 1e-7
-    assert rep.dual_slack_max_eig < 1e-6
-    assert abs(rep.gap) < 1e-6
-    assert min(rep.min_block_eigenvalues) > -1e-8
+    x = sol.primal_blocks[0]
+    c = problem.objective_dense()[0]
+    (y,) = sol.dual_vector
+    # tr X = 1, the dual slack y I - C is PSD, no duality gap, X is PSD
+    assert abs(np.trace(x) - 1.0) < 1e-7
+    assert np.linalg.eigvalsh(c - y * np.eye(2)).max() < 1e-6
+    assert abs(sol.dual_objective - sol.primal_objective) < 1e-6
+    assert np.linalg.eigvalsh(x).min() > -1e-8
 
 
 @settings(max_examples=20, deadline=None)
