@@ -5,8 +5,9 @@ operator values), optimize (see-saw over settings), sweep (grid over state
 parameters with optimized settings), tomography (state-constrained bounds).
 Configuration comes from defaults, then a flat key=value file given with
 --config, then command-line flags, later sources winning. All grids are
-validated before any solve; identical configuration (including seed)
-produces byte-identical output files.
+validated before any solve. Identical configuration (including seed) run
+at the same BLAS thread count produces byte-identical output files; a
+different thread count can change the last digits.
 
 Exit codes: 0 success, 1 input error, 2 solver failure.
 """
@@ -102,6 +103,13 @@ class RunConfig:
         for key in ("v_grid", "theta_grid"):
             if key in s and len(s[key]) == 0:
                 raise ValueError(f"{key.replace('_', '-')} is empty")
+        for v in s.get("v_grid") or ():
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"v-grid value {v} outside [0, 1]")
+        for theta in s.get("theta_grid") or ():
+            # same slack as qstate.make_state, so pi/4 itself passes
+            if not 0.0 <= theta <= math.pi / 4 + 1e-12:
+                raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:

@@ -16,6 +16,25 @@ dependent rows before iterating; removed rows keep a zero dual multiplier
 in the reported solution. Everything is deterministic for fixed inputs and
 options.
 
+The Schur complement M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b> (W_b the
+Nesterov-Todd scaling of block b) is block-arrow. A row whose coefficients
+live in one block only is that block's own row; every other row is a
+border row. Own rows of different blocks never couple, so with the rows
+ordered block by block and the border last,
+
+    M = [ D_1          C_1^T ]
+        [      ...     ...   ]
+        [          D_k C_k^T ]
+        [ C_1 ... C_k  B     ].
+
+Each block contributes its D_b, C_b and its share of B from one product
+of its sparse rows with the scaled basis G_b (x) G_b, and the system is
+solved with one Cholesky factor per D_b plus one of the border Schur
+complement B - sum_b C_b D_b^-1 C_b^T. In NPA relaxations every
+moment-structure row is an own row and only the behavior, Bell-value and
+normalization rows form the border; a problem without own rows reduces to
+one dense factor of B.
+
 Constraint matrices are stored sparsely as upper-triangle entries
 (i, j, value) where value is the actual matrix element (mirrored at (j, i)).
 """
@@ -25,11 +44,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpstrf, dtrtri, dtrtrs
 
 log = logging.getLogger(__name__)
 
@@ -176,14 +196,118 @@ def _chol(m: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m + jitter * np.eye(n))
 
 
-def _max_step(chol_l: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with M + t*D >= 0, given the Cholesky factor of M."""
-    w = solve_triangular(chol_l, direction, lower=True)
-    w = solve_triangular(chol_l, w.T, lower=True)
+def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
+    """Largest t with M + t*D >= 0, given the inverse Cholesky factor of M."""
+    w = chol_inv @ direction @ chol_inv.T
     lam = float(np.linalg.eigvalsh(_sym(w)).min())
     if lam >= -1e-16:
         return math.inf
     return -1.0 / lam
+
+
+class _BlockRows(NamedTuple):
+    """Kept rows that touch one block, restricted to that block's columns."""
+
+    own: np.ndarray  # kept-row indices of the block's own rows
+    s_own: sp.csr_matrix  # their coefficients, len(own) x n*n
+    bord: np.ndarray  # indices into the border of the border rows touching it
+    s_bord: sp.csr_matrix  # their coefficients, len(bord) x n*n
+    tri: tuple[np.ndarray, np.ndarray, np.ndarray]  # upper triangle, weights
+
+
+def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+    """L^-1 rhs, or L^-T rhs with trans=1, for a lower Cholesky factor L."""
+    return dtrtrs(chol_l, rhs, lower=1, trans=trans)[0]
+
+
+def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
+    """Columns (a, b), a <= b, of kron(g, g), weighted so that the rows of
+    S @ K are the scaled matrices g^T A g in an isometric half-vectorization:
+    dot products of two rows are trace inner products."""
+    a, b, weight = tri
+    n = g.shape[0]
+    outer = np.einsum("pk,qk->pqk", g[:, a] * weight, g[:, b], order="C")
+    return outer.reshape(n * n, -1)
+
+
+class _BlockSchur:
+    """Block-arrow factorization of the Schur complement
+    M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b>, W_b = G_b G_b^T, with ``gfac``
+    the factors G_b. Raises LinAlgError when damping cannot make it
+    positive definite."""
+
+    def __init__(self, pre: _Presolved, gfac):
+        self.border = border = pre.border
+        self.b = np.zeros((border.size, border.size))
+        self.own = []  # (own rows, D_b, C_b) of each block that has own rows
+        for blk, g in zip(pre.blocks, gfac):
+            basis = _scaled_basis(g, blk.tri)
+            v_bord = blk.s_bord @ basis
+            self.b[np.ix_(blk.bord, blk.bord)] += v_bord @ v_bord.T
+            if blk.own.size:
+                v_own = blk.s_own @ basis
+                c = np.zeros((border.size, blk.own.size))
+                c[blk.bord] = v_bord @ v_own.T
+                self.own.append((blk.own, v_own @ v_own.T, c))
+        trace = np.trace(self.b) + sum(np.trace(d) for _, d, _ in self.own)
+        diag_mean = max(float(trace) / len(pre.kept), 1e-300)
+        damp = 0.0
+        for _ in range(6):
+            try:
+                self._factor(damp)
+                return
+            except np.linalg.LinAlgError:
+                damp = diag_mean * (1e-14 if damp == 0.0 else damp / diag_mean * 100)
+        raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+    def _factor(self, damp: float):
+        # L_b L_b^T = D_b + damp I, E_b = L_b^-1 C_b^T,
+        # L L^T = B + damp I - sum_b E_b^T E_b
+        self.l_own, self.e = [], []
+        border_schur = self.b + damp * np.eye(self.border.size)
+        for _, d, c in self.own:
+            l = np.linalg.cholesky(d + damp * np.eye(d.shape[0]))
+            e = _tri_solve(l, c.T)
+            border_schur -= e.T @ e
+            self.l_own.append(l)
+            self.e.append(e)
+        self.l_border = np.linalg.cholesky(border_schur)
+
+    def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rhs)
+        t = rhs[self.border]
+        z = []
+        for (rows, _, _), l, e in zip(self.own, self.l_own, self.e):
+            z.append(_tri_solve(l, rhs[rows]))
+            t = t - e.T @ z[-1]
+        yb = _tri_solve(self.l_border, _tri_solve(self.l_border, t), trans=1)
+        out[self.border] = yb
+        for (rows, _, _), l, e, zb in zip(self.own, self.l_own, self.e, z):
+            out[rows] = _tri_solve(l, zb - e @ yb, trans=1)
+        return out
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        xb = x[self.border]
+        ob = self.b @ xb
+        for rows, d, c in self.own:
+            xo = x[rows]
+            out[rows] = d @ xo + c.T @ xb
+            ob += c @ xo
+        out[self.border] = ob
+        return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        # refined solve: the factorization may be damped or ill-conditioned
+        dy = self._solve_factored(rhs)
+        for _ in range(2):
+            resid = rhs - self._matvec(dy)
+            if float(np.abs(resid).max()) <= 1e-14 * max(
+                1.0, float(np.abs(rhs).max())
+            ):
+                break
+            dy = dy + self._solve_factored(resid)
+        return dy
 
 
 class _Presolved:
@@ -209,10 +333,8 @@ class _Presolved:
 
         # full-entry COO data per nonzero row, row-normalized
         s_rows, s_cols, s_vals = [], [], []
-        per_row_blocks: list[list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]] = []
-        for j in nonzero:
+        for local, j in enumerate(nonzero):
             row, _ = problem.constraints[j]
-            blocks_here = []
             for i in range(nblocks):
                 p, q, v = row[i]
                 if not p.size:
@@ -220,13 +342,9 @@ class _Presolved:
                 off = p != q
                 fp = np.concatenate([p, q[off]])
                 fq = np.concatenate([q, p[off]])
-                fv = np.concatenate([v, v[off]]) / row_norm[j]
-                blocks_here.append((i, fp, fq, fv))
-                flat = offsets[i] + fp * orders[i] + fq
-                s_rows.append(np.full(flat.size, len(per_row_blocks), dtype=int))
-                s_cols.append(flat)
-                s_vals.append(fv)
-            per_row_blocks.append(blocks_here)
+                s_rows.append(np.full(fp.size, local, dtype=int))
+                s_cols.append(offsets[i] + fp * orders[i] + fq)
+                s_vals.append(np.concatenate([v, v[off]]) / row_norm[j])
         mk = len(nonzero)
         s_full = sp.csr_matrix(
             (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
@@ -275,9 +393,26 @@ class _Presolved:
         self.row_scale = row_norm
         self.orders = orders
         self.offsets = offsets
-        self.dim = dim
         self.s = s_full[keep_local] if mk else s_full
-        self.row_blocks = [per_row_blocks[j] for j in keep_local]
+
+        # block-arrow layout of the Schur complement: a kept row touching one
+        # block is that block's own row, every other row is a border row
+        col_block = np.repeat(np.arange(nblocks), [n * n for n in orders])
+        coo = self.s.tocoo()
+        touch = np.zeros((self.s.shape[0], nblocks), dtype=bool)
+        touch[coo.row, col_block[coo.col]] = True
+        single = touch.sum(axis=1) == 1
+        self.border = np.flatnonzero(~single)
+        self.blocks = []
+        for i, n in enumerate(orders):
+            rows_i = self.s[:, offsets[i]:offsets[i + 1]]
+            own = np.flatnonzero(single & touch[:, i])
+            bord = np.flatnonzero(touch[self.border, i])
+            tp, tq = np.triu_indices(n)
+            weight = np.where(tp == tq, 1.0, math.sqrt(2.0))
+            self.blocks.append(_BlockRows(
+                own, rows_i[own], bord, rows_i[self.border[bord]], (tp, tq, weight),
+            ))
 
         cmax = 0.0
         self.c_blocks = []
@@ -344,7 +479,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     zs = [max(10.0, math.sqrt(n)) * np.eye(n) for n in orders]
     y = np.zeros(mk)
 
-    vbuf = np.empty((mk, pre.dim))
     unit_scale = pre.b_scale * pre.c_scale
 
     def vec_all(mats):
@@ -426,53 +560,21 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        lxinv = [dtrtri(l, lower=1)[0] for l in lx]
+        lzinv = [dtrtri(l, lower=1)[0] for l in lz]
         gfac, ginv, sig = [], [], []
-        for i, n in enumerate(orders):
+        for i in range(nblocks):
             _, s_i, vt = np.linalg.svd(lz[i].T @ lx[i])
             s_i = np.maximum(s_i, 1e-150)
             gfac.append(lx[i] @ vt.T / np.sqrt(s_i))
-            ginv.append((np.sqrt(s_i)[:, None] * vt) @ solve_triangular(
-                lx[i], np.eye(n), lower=True
-            ))
+            ginv.append((np.sqrt(s_i)[:, None] * vt) @ lxinv[i])
             sig.append(s_i)
 
-        for local in range(mk):
-            for i, fp, fq, fv in pre.row_blocks[local]:
-                g = gfac[i]
-                contrib = (g[fp].T * fv) @ g[fq]
-                seg = _sym(contrib).ravel()
-                vbuf[local, pre.offsets[i]:pre.offsets[i] + seg.size] = seg
-            touched = {i for i, *_ in pre.row_blocks[local]}
-            for i in range(nblocks):
-                if i not in touched:
-                    vbuf[local, pre.offsets[i]:pre.offsets[i + 1]] = 0.0
-        mmat = vbuf @ vbuf.T
-        diag_mean = max(float(np.trace(mmat)) / mk, 1e-300)
-        factor = None
-        damp = 0.0
-        for attempt in range(6):
-            try:
-                factor = cho_factor(
-                    mmat + damp * np.eye(mk), lower=True, check_finite=False
-                )
-                break
-            except np.linalg.LinAlgError:
-                damp = diag_mean * (1e-14 if damp == 0.0 else damp / diag_mean * 100)
-        if factor is None:
+        try:
+            schur = _BlockSchur(pre, gfac)
+        except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-
-        def schur_solve(rhs):
-            # refined solve: the factorization may be damped or ill-conditioned
-            dy = cho_solve(factor, rhs, check_finite=False)
-            for _ in range(2):
-                resid = rhs - mmat @ dy
-                if float(np.abs(resid).max()) <= 1e-14 * max(
-                    1.0, float(np.abs(rhs).max())
-                ):
-                    break
-                dy = dy + cho_solve(factor, resid, check_finite=False)
-            return dy
 
         def solve_direction(t0):
             inner = [
@@ -482,7 +584,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             rhs = s_mat @ vec_all(
                 [t0[i] - wrdw[i] for i in range(nblocks)]
             ) - rp
-            dy = schur_solve(rhs)
+            dy = schur.solve(rhs)
             daty = unvec(s_mat.T @ dy)
             dz = [daty[i] + rd[i] for i in range(nblocks)]
             dx = [
@@ -494,8 +596,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         # predictor: pure Newton step toward complementarity zero
         t0_aff = [-xs[i] for i in range(nblocks)]
         dx_a, dy_a, dz_a = solve_direction(t0_aff)
-        ap = min(1.0, min(_max_step(lx[i], dx_a[i]) for i in range(nblocks)))
-        ad = min(1.0, min(_max_step(lz[i], dz_a[i]) for i in range(nblocks)))
+        ap = min(1.0, min(_max_step(lxinv[i], dx_a[i]) for i in range(nblocks)))
+        ad = min(1.0, min(_max_step(lzinv[i], dz_a[i]) for i in range(nblocks)))
         mu_aff = sum(
             float(np.sum((xs[i] + ap * dx_a[i]) * (zs[i] + ad * dz_a[i])))
             for i in range(nblocks)
@@ -515,10 +617,10 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         dx, dy, dz = solve_direction(t0)
 
         ap = min(1.0, opts.step_fraction * min(
-            _max_step(lx[i], dx[i]) for i in range(nblocks)
+            _max_step(lxinv[i], dx[i]) for i in range(nblocks)
         ))
         ad = min(1.0, opts.step_fraction * min(
-            _max_step(lz[i], dz[i]) for i in range(nblocks)
+            _max_step(lzinv[i], dz[i]) for i in range(nblocks)
         ))
         if ap < 1e-10 and ad < 1e-10:
             stall += 10

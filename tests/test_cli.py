@@ -164,9 +164,41 @@ def test_sweep_deterministic_and_parallel(tmp_path):
     assert float(high[5]) >= float(high[7]) - 1e-6
 
 
+def test_sweep_tsirelson_row_beats_chsh_bound(tmp_path):
+    # at the pure maximally entangled state the optimized settings certify
+    # at least what the CHSH value alone does, by a margin of a few 1e-4
+    out = tmp_path / "tsirelson.csv"
+    code = cli.main(
+        ["sweep", "--v-grid", "1.0", "--theta-grid", repr(math.pi / 4),
+         "--level", "2", "--starts", "2", "--epsilon", "1e-4", "--jobs", "1",
+         "--out", str(out)]
+    )
+    assert code == 0
+    header, row = out.read_text().strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["status"] == "optimal"
+    assert float(fields["hmin"]) >= float(fields["hmin_chsh"]) - 1e-6
+
+
 def test_sweep_rejects_empty_grid(capsys):
     assert cli.main(["sweep", "--v-grid", ""]) == 1
     assert "v-grid is empty" in capsys.readouterr().err
+
+
+def test_grids_validated_before_any_solve(monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the grid was validated")
+
+    monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
+    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
+    assert cli.main(["sweep", "--v-grid", "0.9,1.5", "--theta-grid", "0.5",
+                     "--level", "2", "--starts", "2"]) == 1
+    assert "v-grid value 1.5" in capsys.readouterr().err
+    assert cli.main(["tomography", "--v-grid", "0.9", "--theta-grid", "0.3,0.9",
+                     "--grid-size", "8"]) == 1
+    assert "theta-grid value 0.9" in capsys.readouterr().err
+    assert cli.main(["sweep", "--v-grid", "0.9", "--theta-grid", "nan"]) == 1
+    assert "theta-grid value nan" in capsys.readouterr().err
 
 
 def test_tomography_outputs_with_plot_companion(tmp_path):

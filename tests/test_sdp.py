@@ -193,3 +193,49 @@ def test_pinned_diagonal_value(n, seed):
     )
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - float(c @ b)) < 1e-6 * (1 + abs(float(c @ b)))
+
+
+def _random_row(rng, orders, blocks):
+    mats = [None] * len(orders)
+    for i in blocks:
+        a = rng.normal(size=(orders[i], orders[i]))
+        mats[i] = a + a.T
+    return mats, float(rng.normal())
+
+
+@pytest.mark.parametrize("with_border", [True, False])
+def test_block_schur_solve_matches_dense(with_border):
+    # own rows in blocks 0 and 1; block 2 has none unless the border is empty
+    rng = np.random.default_rng(7)
+    orders = (3, 2, 1)
+    touched = [(0,), (0,), (0,), (1,), (1,)]
+    if with_border:
+        touched += [(0, 1), (1, 2), (0, 1, 2)]
+    else:
+        touched += [(2,)]
+    problem = sdp.SdpProblem(
+        orders, [None] * 3, [_random_row(rng, orders, t) for t in touched]
+    )
+    pre = sdp._Presolved(problem)
+    assert len(pre.kept) == len(touched)
+    assert [blk.own.size for blk in pre.blocks] == [3, 2, 0 if with_border else 1]
+    assert pre.border.size == (3 if with_border else 0)
+    for _ in range(3):
+        gfac = [
+            rng.normal(size=(n, n)) + n * np.eye(n) for n in orders
+        ]
+        w = [g @ g.T for g in gfac]
+        a = [
+            [sdp._entries_dense(e, n) / pre.row_scale[j]
+             for e, n in zip(problem.constraints[j][0], orders)]
+            for j in pre.kept
+        ]
+        dense = np.array([
+            [sum(np.sum(a[j][b] * (w[b] @ a[k][b] @ w[b])) for b in range(3))
+             for k in range(len(a))]
+            for j in range(len(a))
+        ])
+        rhs = rng.normal(size=len(a))
+        want = np.linalg.solve(dense, rhs)
+        got = sdp._BlockSchur(pre, gfac).solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
