@@ -6,22 +6,25 @@ Eve's guessing probability for the generation pair (x*, y*) is bounded by
         s.t. sum_ab p~_ab = p,   each p~_ab in the level-l relaxed cone,
 
 where the unnormalized sub-behaviors p~_ab are represented by moment-matrix
-blocks, one per outcome pair. The dual multipliers of the behavior-matching
-rows form a Bell expression f with f.p' >= G[p'] for every quantum behavior
-p'; that certificate is what this module reports.
+blocks, one per outcome pair. The matching sum_ab p~_ab = p is posed as
+the (1+mx)(1+my) linearly independent Collins-Gisin rows M p, and signalling
+behaviors are rejected before any solve. The dual multipliers y of these
+rows form a Bell expression f = M^T y with f.p' >= G[p'] for every quantum
+behavior p'; that certificate is what this module reports.
 
 The reported G is the certificate value b.y plus an exactly-measured dual
 feasibility repair term, so it upper-bounds the relaxation optimum (the safe
 direction for randomness bounds) even when the interior-point iteration
 terminates early. Extremal inputs (pure states, maximal Bell values) make
 the primal lose its interior, so the raw solver statuses are mapped to a
-certificate-health status here.
+certificate-health status here. Attack weights are read off the solver's
+primal, which it returns projected onto the matching rows.
 
-Three variants share the machinery: full statistics (match every behavior
-component), Bell-value constrained (match only the values of given Bell
-operators plus normalization), and tomographic (state blocks matching the
-density matrix entrywise, solved on the support of the state where the
-decomposition provably lives).
+Three variants share the machinery: full statistics (match the behavior's
+Collins-Gisin coordinates), Bell-value constrained (match only the values
+of given Bell operators plus normalization), and tomographic (state blocks
+matching the density matrix entrywise, solved on the support of the state
+where the decomposition provably lives).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,76 +114,43 @@ def _clean_weights(raw: dict[tuple[int, int], float]) -> dict[tuple[int, int], f
     return {k: (0.0 if abs(v) < 1e-9 else v) for k, v in raw.items()}
 
 
-def _affine_repair(problem: SdpProblem, sol: SdpSolution) -> list[np.ndarray]:
-    """Least-norm correction of the primal blocks so every kept constraint
-    row holds exactly (rows removed as dependent are consistent and follow).
-    The correction has the size of the solver's matching residual, so the
-    attack it encodes stays PSD to that accuracy."""
-    removed = set(sol.removed_rows)
-    kept = [j for j in range(problem.n_constraints) if j not in removed]
-    if not kept:
-        return [x.copy() for x in sol.primal_blocks]
-    dims = problem.block_orders
-    starts = np.concatenate(([0], np.cumsum([n * (n + 1) // 2 for n in dims])))
-    total = int(starts[-1])
-    root2 = math.sqrt(2.0)
+class _Layout(NamedTuple):
+    structure: npa.MomentStructure
+    cg_pos: tuple[tuple[int, int], ...]  # representative entry of each CG moment
+    to_cg: np.ndarray  # M, behavior -> Collins-Gisin coordinates
+    from_cg: np.ndarray  # R, with R M p = p on no-signaling behaviors p
+    structural: tuple  # per-block equalities tying duplicate moment entries
 
-    def svec_index(blk, p_, q_):
-        # packed upper-triangle index, row-major, within block blk
-        n = dims[blk]
-        return starts[blk] + p_ * n - p_ * (p_ - 1) // 2 + (q_ - p_)
 
-    xvec = np.zeros(total)
-    for blk, x in enumerate(sol.primal_blocks):
-        n = dims[blk]
-        iu = np.triu_indices(n)
-        v = x[iu].copy()
-        v[iu[0] != iu[1]] *= root2
-        xvec[starts[blk]:starts[blk + 1]] = v
-
-    rows = np.zeros((len(kept), total))
-    b = np.zeros(len(kept))
-    for r_idx, j in enumerate(kept):
-        mats, rhs = problem.constraints[j]
-        b[r_idx] = rhs
-        for blk in range(len(dims)):
-            p_, q_, v_ = mats[blk]
-            if p_.size:
-                w = np.where(p_ == q_, v_, root2 * v_)
-                rows[r_idx, svec_index(blk, p_, q_)] += w
-    gram = rows @ rows.T
-    gram += 1e-14 * np.trace(gram) / len(kept) * np.eye(len(kept))
-    for _ in range(2):
-        resid = rows @ xvec - b
-        xvec -= rows.T @ np.linalg.solve(gram, resid)
-    out = []
-    for blk, n in enumerate(dims):
-        v = xvec[starts[blk]:starts[blk + 1]].copy()
-        iu = np.triu_indices(n)
-        v[iu[0] != iu[1]] /= root2
-        m = np.zeros((n, n))
-        m[iu] = v
-        m = m + m.T - np.diag(np.diag(m))
-        out.append(m)
-    return out
+def _collins_gisin(mx: int, my: int):
+    """Collins-Gisin moment words (identity, A_x, B_y, A_x B_y) and the
+    matrix M that reads their values off a flat behavior: the normalization
+    and the +1 marginals averaged over the other party's inputs, and
+    p(+,+|x,y)."""
+    xs, ys = range(1, mx + 1), range(1, my + 1)
+    words = [npa.IDENTITY, *(((0, x),) for x in xs), *(((1, y),) for y in ys)]
+    words += [((0, x), (1, y)) for x in xs for y in ys]
+    m = np.zeros((len(words), 4 * mx * my))
+    for (a, b, x, y) in components(mx, my):
+        # rows of the identity, A_x, B_y and A_x B_y
+        rows = [0, x, mx + y, mx + my + (x - 1) * my + y]
+        weights = [1.0 / (mx * my), (a == 1) / my, (b == 1) / mx, a == b == 1]
+        m[rows, component_index(a, b, x, y, mx, my)] = weights
+    return tuple(words), m
 
 
 @lru_cache(maxsize=32)
-def _moment_layout(level: int, mx: int, my: int):
-    """Cached per-scenario assembly data: moment structure, anchored behavior
-    combos, and the per-block structural equality rows."""
-    basis = npa.monomials(level, mx, my)
-    structure = npa.moment_structure(basis)
-    bmap = npa.behavior_map(structure, mx, my)
-
-    def anchor(combo):
-        out = []
+def _moment_layout(level: int, mx: int, my: int) -> _Layout:
+    structure = npa.moment_structure(npa.monomials(level, mx, my))
+    words, to_cg = _collins_gisin(mx, my)
+    mids = [structure.moment_of(w) for w in words]
+    column = {mid: k for k, mid in enumerate(mids)}
+    from_cg = np.zeros((4 * mx * my, len(words)))
+    for key, combo in npa.behavior_map(structure, mx, my).items():
         for mid, coeff in combo:
-            i, j = structure.representative[mid]
-            out.append((i, j, coeff if i == j else coeff / 2.0))
-        return tuple(out)
-
-    anchored = {key: anchor(combo) for key, combo in bmap.items()}
+            from_cg[component_index(*key, mx, my), column[mid]] += coeff
+    to_cg.setflags(write=False)
+    from_cg.setflags(write=False)
     structural = []
     for mid in range(structure.moment_count):
         positions = structure.positions(mid)
@@ -189,11 +160,24 @@ def _moment_layout(level: int, mx: int, my: int):
             structural.append(
                 ((ri, rj, rv), (i, j, -(1.0 if i == j else 0.5)))
             )
-    return structure, anchored, tuple(structural)
+    cg_pos = tuple(structure.representative[mid] for mid in mids)
+    return _Layout(structure, cg_pos, to_cg, from_cg, tuple(structural))
 
 
-def _block_objective(anchored, xstar: int, ystar: int):
-    return [anchored[(a, b, xstar, ystar)] for a, b in OUTCOME_PAIRS]
+def _cg_entries(layout: _Layout, weights) -> tuple:
+    """Block entries whose inner product with a moment matrix is
+    sum_k weights[k] * (Collins-Gisin moment k)."""
+    return tuple(
+        (i, j, w if i == j else w / 2.0)
+        for (i, j), w in zip(layout.cg_pos, weights) if w != 0.0
+    )
+
+
+def _block_objective(layout: _Layout, mx: int, my: int, xstar: int, ystar: int):
+    return [
+        _cg_entries(layout, layout.from_cg[component_index(a, b, xstar, ystar, mx, my)])
+        for a, b in OUTCOME_PAIRS
+    ]
 
 
 def _structural_rows(structural, nblocks: int):
@@ -214,19 +198,19 @@ def _check_generation(mx: int, my: int, xstar: int, ystar: int):
 
 
 def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
-    """Full-statistics program: behavior-matching rows (one per component,
-    in component order) followed by the structural moment equalities."""
+    """Full-statistics program: one behavior-matching row per Collins-Gisin
+    moment, anchored at its representative entry in every block, with
+    right-hand side M p, followed by the structural moment equalities."""
     _check_generation(b.mx, b.my, xstar, ystar)
-    structure, anchored, structural = _moment_layout(level, b.mx, b.my)
-    dim = structure.dim
-    constraints = []
-    for (a, bb, x, y) in components(b.mx, b.my):
-        entries = anchored[(a, bb, x, y)]
-        constraints.append(([entries] * 4, b.prob(a, bb, x, y)))
-    constraints.extend(_structural_rows(structural, 4))
+    layout = _moment_layout(level, b.mx, b.my)
+    constraints = [
+        ([_cg_entries(layout, row)] * 4, float(rhs))
+        for row, rhs in zip(np.eye(len(layout.cg_pos)), layout.to_cg @ b.probs)
+    ]
+    constraints.extend(_structural_rows(layout.structural, 4))
     return SdpProblem(
-        block_orders=(dim,) * 4,
-        objective=_block_objective(anchored, xstar, ystar),
+        block_orders=(layout.structure.dim,) * 4,
+        objective=_block_objective(layout, b.mx, b.my, xstar, ystar),
         constraints=constraints,
     )
 
@@ -280,16 +264,17 @@ def _operator_range(entries, level: int, mx: int, my: int, options):
 
     Single normalized moment block; diagonal moments are bounded by one, so
     the block trace is at most dim and the dual certificate bounds apply."""
-    structure, _, structural = _moment_layout(level, mx, my)
+    layout = _moment_layout(level, mx, my)
+    dim = layout.structure.dim
     cons = [((((0, 0, 1.0),),), 1.0)]
-    cons.extend(_structural_rows(structural, 1))
+    cons.extend(_structural_rows(layout.structural, 1))
     bounds = []
     for sign in (1.0, -1.0):
         obj = tuple((i, j, sign * v) for (i, j, v) in entries)
-        problem = SdpProblem((structure.dim,), [obj], cons)
+        problem = SdpProblem((dim,), [obj], cons)
         sol = solve(problem, options)
         defect = _dual_slack_defect(problem, sol)
-        bounds.append(sign * (sol.dual_objective + defect * structure.dim))
+        bounds.append(sign * (sol.dual_objective + defect * dim))
     return bounds[1], bounds[0]
 
 
@@ -339,20 +324,32 @@ def _report(sol, g, defect, status, level, xstar, ystar, expr, weights):
     )
 
 
+def _rejected(level: int, xstar: int, ystar: int) -> GuessReport:
+    """Report for an instance found infeasible before any solve."""
+    nan, inf = math.nan, math.inf
+    return GuessReport(
+        guessing_probability=nan, hmin=nan, level=level, xstar=xstar,
+        ystar=ystar, status="infeasible",
+        attack_weights=dict.fromkeys(OUTCOME_PAIRS, nan), bell_expression=None,
+        iterations=0, gap=inf, primal_residual=inf, dual_residual=inf,
+        certificate_defect=inf,
+    )
+
+
 def _solve_full_stats(b, level, xstar, ystar, options):
     problem = build_primal(b, level, xstar, ystar)
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
+    expr = None
     if math.isfinite(g):
-        blocks = _affine_repair(problem, sol)
+        # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
+        to_cg = _moment_layout(level, b.mx, b.my).to_cg
         expr = BellExpression(
             mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
-            coeffs=sol.dual_vector[:4 * b.mx * b.my],
+            coeffs=to_cg.T @ sol.dual_vector[:to_cg.shape[0]],
             offset=g - sol.dual_objective,
         )
-    else:
-        blocks = sol.primal_blocks
-        expr = None
+    blocks = sol.primal_blocks
     weights = {
         (a, bb): float(blocks[i][0, 0]) for i, (a, bb) in enumerate(OUTCOME_PAIRS)
     }
@@ -367,11 +364,17 @@ def guessing_probability(
     ystar: int = 1,
     options: SolveOptions | None = None,
 ) -> GuessReport:
-    """Bound Eve's guessing probability from the full behavior. The Bell
-    expression is read off the behavior-row dual multipliers; rows removed
-    as linearly dependent keep multiplier zero, so the offset is zero. An
-    infeasible (for instance signalling) behavior gets G = NaN and no
+    """Bound Eve's guessing probability from the full behavior, matched in
+    its Collins-Gisin coordinates M p; the Bell expression is f = M^T y.
+    A behavior whose marginals or normalizations depend on the other
+    party's input by more than ``qstate.SIGNALING_INPUT_TOL`` is reported
+    infeasible without a solve. Infeasible instances get G = NaN and no
     expression."""
+    _check_generation(b.mx, b.my, xstar, ystar)
+    sums = b.probs.reshape(4, b.mx * b.my).sum(axis=0)
+    signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
+    if signaling > qstate.SIGNALING_INPUT_TOL:
+        return _rejected(level, xstar, ystar)
     report, _ = _solve_full_stats(b, level, xstar, ystar, options)
     return report
 
@@ -380,17 +383,12 @@ def reconstructed_behavior(
     b: Behavior, level: int, xstar: int, ystar: int,
     options: SolveOptions | None = None,
 ) -> tuple[GuessReport, np.ndarray]:
-    """Solve and also rebuild sum_ab p~_ab componentwise from the blocks."""
+    """Solve and also rebuild sum_ab p~_ab componentwise from the blocks'
+    Collins-Gisin moments."""
     report, blocks = _solve_full_stats(b, level, xstar, ystar, options)
-    _, anchored, _ = _moment_layout(level, b.mx, b.my)
-    total = np.zeros(4 * b.mx * b.my)
-    for (a, bb, x, y) in components(b.mx, b.my):
-        k = component_index(a, bb, x, y, b.mx, b.my)
-        for blk in range(4):
-            xmat = blocks[blk]
-            for (i, j, v) in anchored[(a, bb, x, y)]:
-                total[k] += v * xmat[i, j] * (1.0 if i == j else 2.0)
-    return report, total
+    layout = _moment_layout(level, b.mx, b.my)
+    rows, cols = np.array(layout.cg_pos).T
+    return report, layout.from_cg @ sum(x[rows, cols] for x in blocks)
 
 
 def chsh_coefficients(mx: int = 2, my: int = 2) -> np.ndarray:
@@ -426,7 +424,11 @@ def bell_constrained_bound(
     is one coefficient vector or a sequence of them; the program fixes
     sum_ab expr.p~_ab = value for each, plus normalization sum_ab q_ab = 1.
     The reported Bell expression recombines the operator multipliers, with
-    the normalization multiplier (plus any repair) as offset."""
+    the normalization multiplier (plus any repair) as offset.
+
+    An operator dependent on normalization and earlier operators is not
+    posed and keeps multiplier zero; if its value disagrees, the instance
+    is reported infeasible without a solve."""
     _check_generation(mx, my, xstar, ystar)
     exprs = np.atleast_2d(np.asarray(exprs, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -436,28 +438,29 @@ def bell_constrained_bound(
         raise ValueError(
             f"operator coefficients must have length {4 * mx * my}"
         )
-    structure, anchored, structural = _moment_layout(level, mx, my)
-    dim = structure.dim
+    layout = _moment_layout(level, mx, my)
+    # normalization, then the operators, in Collins-Gisin coordinates
+    rows = np.vstack([np.eye(1, len(layout.cg_pos)), exprs @ layout.from_cg])
+    vals = np.concatenate([[1.0], values])
+    keep = [0]
+    for k in range(1, len(rows)):
+        if np.linalg.matrix_rank(rows[keep + [k]]) > len(keep):
+            keep.append(k)
+    lam = np.linalg.lstsq(rows[keep].T, rows.T, rcond=None)[0]
+    if np.any(np.abs(vals[keep] @ lam - vals) > 1e-7 * (1.0 + np.abs(vals))):
+        return _rejected(level, xstar, ystar)
+    ops = [k - 1 for k in keep[1:]]
+    op_entries = [_cg_entries(layout, rows[k]) for k in keep[1:]]
 
-    constraints = []
-    op_entries = []
-    for row_c, val in zip(exprs, values):
-        acc: dict[tuple[int, int], float] = {}
-        for (a, b, x, y) in components(mx, my):
-            coeff = row_c[component_index(a, b, x, y, mx, my)]
-            if coeff == 0.0:
-                continue
-            for (i, j, v) in anchored[(a, b, x, y)]:
-                acc[(i, j)] = acc.get((i, j), 0.0) + coeff * v
-        entries = tuple((i, j, v) for (i, j), v in sorted(acc.items()))
-        op_entries.append(entries)
-        constraints.append(([entries] * 4, float(val)))
-    constraints.append(([((0, 0, 1.0),)] * 4, 1.0))
-    constraints.extend(_structural_rows(structural, 4))
+    constraints = [
+        ([entries] * 4, float(values[k])) for entries, k in zip(op_entries, ops)
+    ]
+    constraints.append(([_cg_entries(layout, rows[0])] * 4, 1.0))
+    constraints.extend(_structural_rows(layout.structural, 4))
 
     problem = SdpProblem(
-        block_orders=(dim,) * 4,
-        objective=_block_objective(anchored, xstar, ystar),
+        block_orders=(layout.structure.dim,) * 4,
+        objective=_block_objective(layout, mx, my, xstar, ystar),
         constraints=constraints,
     )
     sol = solve(problem, options)
@@ -465,25 +468,23 @@ def bell_constrained_bound(
     if status not in ("optimal", "infeasible"):
         # a diverged solve on a value outside the relaxation's reach is an
         # infeasible instance; confirm against the certified operator range
-        for entries, val in zip(op_entries, values):
+        for entries, val in zip(op_entries, values[ops]):
             lo, hi = _operator_range(entries, level, mx, my, options)
             tol = 1e-6 * (1.0 + abs(float(val)))
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
                 break
-    nops = exprs.shape[0]
+    nops = len(ops)
+    expr = None
     if math.isfinite(g):
-        blocks = _affine_repair(problem, sol)
-        coeffs = sol.dual_vector[:nops] @ exprs
+        coeffs = sol.dual_vector[:nops] @ exprs[ops]
         offset = float(sol.dual_vector[nops]) + (g - sol.dual_objective)
         expr = BellExpression(
             mx=mx, my=my, xstar=xstar, ystar=ystar, coeffs=coeffs, offset=offset,
         )
-    else:
-        blocks = sol.primal_blocks
-        expr = None
     weights = {
-        (a, b): float(blocks[i][0, 0]) for i, (a, b) in enumerate(OUTCOME_PAIRS)
+        (a, b): float(sol.primal_blocks[i][0, 0])
+        for i, (a, b) in enumerate(OUTCOME_PAIRS)
     }
     return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
 
@@ -527,11 +528,9 @@ def tomographic_guessing(
     )
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, 1.0)
-    blocks = (
-        _affine_repair(problem, sol) if math.isfinite(g) else sol.primal_blocks
-    )
     weights = {
-        (a, b): float(np.trace(blocks[i])) for i, (a, b) in enumerate(OUTCOME_PAIRS)
+        (a, b): float(np.trace(sol.primal_blocks[i]))
+        for i, (a, b) in enumerate(OUTCOME_PAIRS)
     }
     return _report(sol, g, defect, status, 0, 1, 1, None, weights)
 

@@ -26,6 +26,8 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
+# a behavior this far from no-signaling has no quantum model: infeasible
+SIGNALING_INPUT_TOL = 1e-7
 NO_SIGNALING_TOL = 1e-9
 ENTRY_TOL = 1e-10
 

@@ -11,10 +11,11 @@ whose dual is
 The implementation is an infeasible-start path follower with Nesterov-Todd
 scaling (the symmetric form of the Newton direction) and a Mehrotra-style
 predictor-corrector, damped by a fraction-to-boundary factor. Constraint
-rows are normalized and a pivoted-Cholesky rank check removes linearly
-dependent rows before iterating; removed rows keep a zero dual multiplier
-in the reported solution. Everything is deterministic for fixed inputs and
-options.
+rows are normalized and all-zero rows get a zero dual multiplier. There is
+no rank check: the nonzero rows must be linearly independent. Unless the
+result is infeasible, the returned primal is projected onto {A(X) = b}
+through the Schur complement below at W = I. Everything is deterministic
+for fixed inputs and options.
 
 The Schur complement M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b> (W_b the
 Nesterov-Todd scaling of block b) is block-arrow. A row whose coefficients
@@ -48,8 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpstrf, dtrtri, dtrtrs
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 log = logging.getLogger(__name__)
 
@@ -100,12 +100,6 @@ def _entries_dense(entries: Entries, order: int) -> np.ndarray:
     m[p, q] = v
     m[q, p] = v
     return m
-
-
-def _entries_fnorm2(entries: Entries) -> float:
-    p, q, v = entries
-    off = p != q
-    return float(np.sum(v * v) + np.sum(v[off] * v[off]))
 
 
 @dataclass(frozen=True)
@@ -217,6 +211,8 @@ class _BlockRows(NamedTuple):
 
 def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 rhs, or L^-T rhs with trans=1, for a lower Cholesky factor L."""
+    if not chol_l.size:  # an empty border; LAPACK rejects order 0 with a message
+        return rhs
     return dtrtrs(chol_l, rhs, lower=1, trans=trans)[0]
 
 
@@ -311,7 +307,10 @@ class _BlockSchur:
 
 
 class _Presolved:
-    """Scaled, rank-reduced form of a problem, plus the undo factors."""
+    """Scaled form of a problem, plus the undo factors. Rows are normalized
+    to unit Frobenius norm; all-zero rows are ``removed`` (inconsistent if
+    their right-hand side is not zero). Precondition, not checked: the
+    nonzero rows are linearly independent."""
 
     def __init__(self, problem: SdpProblem):
         orders = problem.block_orders
@@ -319,81 +318,37 @@ class _Presolved:
         offsets = np.concatenate([[0], np.cumsum([n * n for n in orders])])
         dim = int(offsets[-1])
 
+        # one COO of every row's entries in both triangles, unnormalized
         m = problem.n_constraints
-        row_norm = np.empty(m)
-        for j, (row, _) in enumerate(problem.constraints):
-            row_norm[j] = math.sqrt(sum(_entries_fnorm2(e) for e in row))
+        entries = [e for row, _ in problem.constraints for e in row]
+        sizes = [e[0].size for e in entries]
+        r = np.repeat(np.arange(m).repeat(nblocks), sizes)
+        blk = np.repeat(np.tile(np.arange(nblocks), m), sizes)
+        p, q, v = (
+            np.concatenate([e[k] for e in entries] + [_EMPTY[k]]) for k in range(3)
+        )
+        off = p != q
+        r, blk, p, q, v = (
+            np.concatenate([a, b[off]])
+            for a, b in ((r, r), (blk, blk), (p, q), (q, p), (v, v))
+        )
+        row_norm = np.sqrt(np.bincount(r, weights=v * v, minlength=m))
         b = problem.rhs
 
         zero_rows = [j for j in range(m) if row_norm[j] == 0.0]
         self.inconsistent_zero = [j for j in zero_rows if abs(b[j]) > 1e-12]
-        nonzero = [j for j in range(m) if row_norm[j] > 0.0]
         if zero_rows:
             log.info("presolve: dropping all-zero constraint rows %s", zero_rows)
-
-        # full-entry COO data per nonzero row, row-normalized
-        s_rows, s_cols, s_vals = [], [], []
-        for local, j in enumerate(nonzero):
-            row, _ = problem.constraints[j]
-            for i in range(nblocks):
-                p, q, v = row[i]
-                if not p.size:
-                    continue
-                off = p != q
-                fp = np.concatenate([p, q[off]])
-                fq = np.concatenate([q, p[off]])
-                s_rows.append(np.full(fp.size, local, dtype=int))
-                s_cols.append(offsets[i] + fp * orders[i] + fq)
-                s_vals.append(np.concatenate([v, v[off]]) / row_norm[j])
-        mk = len(nonzero)
-        s_full = sp.csr_matrix(
-            (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
-            shape=(mk, dim),
-        ) if mk else sp.csr_matrix((0, dim))
-
-        # rank-revealing pass on the Gram matrix of the normalized rows
-        removed: list[int] = []
-        keep_local = list(range(mk))
-        if mk:
-            gram = np.asarray((s_full @ s_full.T).todense())
-            c, piv, rank, info = dpstrf(gram, lower=1)
-            if info < 0:
-                raise RuntimeError(f"pivoted Cholesky failed with info={info}")
-            piv = np.asarray(piv, dtype=int) - 1
-            if rank < mk:
-                keep_local = sorted(piv[:rank].tolist())
-                dropped_local = sorted(piv[rank:].tolist())
-                removed = [nonzero[j] for j in dropped_local]
-                log.info(
-                    "presolve: removed %d dependent constraint rows %s",
-                    len(removed), removed,
-                )
-                # dependent rows must carry consistent right-hand sides
-                s_keep = s_full[keep_local]
-                gram_kk = np.asarray((s_keep @ s_keep.T).todense())
-                factor = cho_factor(gram_kk + 1e-12 * np.eye(len(keep_local)))
-                bn = b[nonzero] / row_norm[nonzero]
-                self.inconsistent_dependent = []
-                for jl in dropped_local:
-                    cross = np.asarray(
-                        (s_keep @ s_full[jl].T).todense()
-                    ).ravel()
-                    lam = cho_solve(factor, cross)
-                    recon = float(lam @ bn[keep_local])
-                    if abs(recon - bn[jl]) > 1e-7 * (1.0 + abs(bn[jl])):
-                        self.inconsistent_dependent.append(nonzero[jl])
-            else:
-                self.inconsistent_dependent = []
-        else:
-            self.inconsistent_dependent = []
-
-        kept = [nonzero[j] for j in keep_local]
+        kept = [j for j in range(m) if row_norm[j] > 0.0]
+        order_of = np.asarray(orders)[blk]
+        self.s = sp.csr_matrix(
+            (v / row_norm[r], (r, offsets[blk] + p * order_of + q)), shape=(m, dim)
+        )[kept]
         self.kept = kept
-        self.removed = tuple(sorted(removed + zero_rows))
+        self.removed = tuple(zero_rows)
         self.row_scale = row_norm
         self.orders = orders
         self.offsets = offsets
-        self.s = s_full[keep_local] if mk else s_full
 
         # block-arrow layout of the Schur complement: a kept row touching one
         # block is that block's own row, every other row is a border row
@@ -414,12 +369,9 @@ class _Presolved:
                 own, rows_i[own], bord, rows_i[self.border[bord]], (tp, tq, weight),
             ))
 
-        cmax = 0.0
-        self.c_blocks = []
-        for i, n in enumerate(orders):
-            cd = _entries_dense(problem.objective[i], n)
-            cmax = max(cmax, float(np.abs(cd).max()) if cd.size else 0.0)
-            self.c_blocks.append(cd)
+        self.c_blocks = [
+            _entries_dense(e, n) for e, n in zip(problem.objective, orders)
+        ]
         self.c_scale = max(1.0, math.sqrt(sum(
             float(np.sum(cd * cd)) for cd in self.c_blocks)))
         self.c_hat = [cd / self.c_scale for cd in self.c_blocks]
@@ -429,7 +381,6 @@ class _Presolved:
         self.b_hat = bn / self.b_scale
         self.b_true = b
         self.b_max = float(np.abs(b).max()) if b.size else 0.0
-        self.c_max = cmax
 
 
 def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
@@ -440,11 +391,28 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     nblocks = len(orders)
     ntot = sum(orders)
 
+    def vec_all(mats):
+        return np.concatenate([m.ravel() for m in mats])
+
+    def unvec(v):
+        out = []
+        for i, n in enumerate(orders):
+            out.append(_sym(v[pre.offsets[i]:pre.offsets[i] + n * n].reshape(n, n)))
+        return out
+
     def finish(xs_hat, y_hat, status, iters, gap, rp, rd):
+        if status != "infeasible":
+            # least-norm projection onto A(X) = b; the Gram matrix of the
+            # rows is the Schur complement at W = I
+            gram = _BlockSchur(pre, [np.eye(n) for n in orders])
+            for _ in range(2):
+                resid = pre.s @ vec_all(xs_hat) - pre.b_hat
+                xs_hat = [
+                    x - d for x, d in zip(xs_hat, unvec(pre.s.T @ gram.solve(resid)))
+                ]
         xs = tuple(_sym(x) * pre.b_scale for x in xs_hat)
         y = np.zeros(problem.n_constraints)
-        for local, j in enumerate(pre.kept):
-            y[j] = y_hat[local] * pre.c_scale / pre.row_scale[j]
+        y[pre.kept] = y_hat * pre.c_scale / pre.row_scale[pre.kept]
         pobj = sum(float(np.sum(c * x)) for c, x in zip(pre.c_blocks, xs))
         dobj = float(y @ pre.b_true)
         return SdpSolution(
@@ -460,9 +428,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             removed_rows=pre.removed,
         )
 
-    if pre.inconsistent_zero or pre.inconsistent_dependent:
-        bad = sorted(pre.inconsistent_zero + pre.inconsistent_dependent)
-        log.info("presolve: inconsistent constraint rows %s", bad)
+    if pre.inconsistent_zero:
+        log.info("presolve: inconsistent constraint rows %s", pre.inconsistent_zero)
         return finish(
             [np.eye(n) for n in orders], np.zeros(len(pre.kept)),
             "infeasible", 0, math.inf, math.inf, math.inf,
@@ -480,15 +447,6 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     y = np.zeros(mk)
 
     unit_scale = pre.b_scale * pre.c_scale
-
-    def vec_all(mats):
-        return np.concatenate([m.ravel() for m in mats])
-
-    def unvec(v):
-        out = []
-        for i, n in enumerate(orders):
-            out.append(_sym(v[pre.offsets[i]:pre.offsets[i] + n * n].reshape(n, n)))
-        return out
 
     status = "max_iterations"
     it = 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellrand import guessprob, qstate
+from bellrand import guessprob, qstate, sdp, seesaw
 from bellrand.guessprob import OUTCOME_PAIRS
 from bellrand.qstate import (
     MeasurementSet,
@@ -65,12 +65,23 @@ def interior_report(interior_behavior):
 
 
 def test_primal_structure_level_two(phi_plus_behavior):
-    problem = guessprob.build_primal(phi_plus_behavior, 2, 1, 1)
+    b = phi_plus_behavior
+    problem = guessprob.build_primal(b, 2, 1, 1)
     assert problem.block_orders == (13, 13, 13, 13)
-    # behavior-matching rows first, in component order
-    assert np.allclose(problem.rhs[:16], phi_plus_behavior.probs)
-    assert np.all(problem.rhs[16:] == 0.0)
-    assert problem.n_constraints > 16
+    # the 9 Collins-Gisin rows come first: normalization, Alice's and Bob's
+    # +1 marginals, then p(+,+|x,y), each one entry in every block
+    cg = [1.0]
+    cg += [b.prob(1, 1, x, 1) + b.prob(1, -1, x, 1) for x in (1, 2)]
+    cg += [b.prob(1, 1, 1, y) + b.prob(-1, 1, 1, y) for y in (1, 2)]
+    cg += [b.prob(1, 1, x, y) for x in (1, 2) for y in (1, 2)]
+    assert np.allclose(problem.rhs[:9], cg, rtol=0.0, atol=1e-12)
+    for row, _ in problem.constraints[:9]:
+        assert [entries[0].size for entries in row] == [1, 1, 1, 1]
+    # then the structural rows, each inside one block
+    assert np.all(problem.rhs[9:] == 0.0)
+    assert problem.n_constraints > 9
+    for row, _ in problem.constraints[9:]:
+        assert sum(entries[0].size > 0 for entries in row) == 1
 
 
 def test_generation_setting_validated(phi_plus_behavior):
@@ -206,23 +217,124 @@ def test_operator_value_shape_checks():
         guessprob.bell_constrained_bound(np.zeros(7), [2.0], 2, 2)
 
 
-def signalling_behavior():
-    # moving 1e-3 from p(+,-|1,1) to p(+,+|1,1) keeps every block normalized
-    # but makes Bob's y = 1 marginal depend on x by 2e-3
+def signalling_behavior(shift=1e-3):
+    # moving `shift` from p(+,-|1,1) to p(+,+|1,1) keeps every block
+    # normalized but makes Bob's y = 1 marginal depend on x by 2 * shift
     b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
     p = b.probs.copy()
-    p[component_index(1, 1, 1, 1, 2, 2)] += 1e-3
-    p[component_index(1, -1, 1, 1, 2, 2)] -= 1e-3
+    p[component_index(1, 1, 1, 1, 2, 2)] += shift
+    p[component_index(1, -1, 1, 1, 2, 2)] -= shift
     return qstate.Behavior(2, 2, p)
 
 
+def signalling_behavior_2x3():
+    # Alice's x = 1 marginal moves up at y = 2 and down at y = 3, so its
+    # average over y, and with it every Collins-Gisin coordinate, is unchanged
+    b = behavior(make_state(0.9, math.pi / 8), seesaw.initial_settings(2, 3))
+    p = b.probs.copy()
+    for y, shift in ((2, 1e-3), (3, -1e-3)):
+        p[component_index(1, 1, 1, y, 2, 3)] += shift
+        p[component_index(-1, 1, 1, y, 2, 3)] -= shift
+    return qstate.Behavior(2, 3, p)
+
+
 def test_signalling_behavior_infeasible():
-    b = signalling_behavior()
-    assert abs(b.no_signaling_defect() - 2e-3) <= 1e-12
+    for b, defect in (
+        (signalling_behavior(), 2e-3), (signalling_behavior_2x3(), 4e-3)
+    ):
+        assert abs(b.no_signaling_defect() - defect) <= 1e-12
+        report = guessprob.guessing_probability(b, level=2)
+        assert report.status == "infeasible"
+        assert math.isnan(report.guessing_probability)
+        assert report.bell_expression is None
+
+
+def test_unequal_normalizations_infeasible():
+    # p(+,+|1,1) and p(-,-|1,1) raised by 5e-4: no marginal correlator
+    # moves, but the (1,1) block sums to 1 + 1e-3
+    b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    p = b.probs.copy()
+    p[component_index(1, 1, 1, 1, 2, 2)] += 5e-4
+    p[component_index(-1, -1, 1, 1, 2, 2)] += 5e-4
+    b = qstate.Behavior(2, 2, p)
+    assert b.no_signaling_defect() <= 1e-15
     report = guessprob.guessing_probability(b, level=2)
     assert report.status == "infeasible"
-    assert math.isnan(report.guessing_probability)
     assert report.bell_expression is None
+
+
+def test_rounding_level_signalling_still_solved():
+    b = signalling_behavior(5e-10)
+    assert abs(b.no_signaling_defect() - 1e-9) <= 1e-12
+    report = guessprob.guessing_probability(b, level=2)
+    assert report.status == "optimal"
+    assert abs(report.bell_expression.value(b) - report.guessing_probability) <= 1e-6
+
+
+def test_certificate_2x3_at_generation_pair_two_three():
+    b = behavior(make_state(0.9, math.pi / 8), seesaw.initial_settings(2, 3))
+    report = guessprob.guessing_probability(b, level=2, xstar=2, ystar=3)
+    assert report.status == "optimal"
+    check_report_invariants(report, b)
+    verdict = guessprob.verify_bell_expression(
+        report.bell_expression, samples=100, seed=0
+    )
+    assert verdict.violations == 0
+    assert verdict.worst_margin >= -1e-6
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    # every (problem, solution) pair the guessing-probability programs make
+    seen = []
+
+    def recording(problem, options=None):
+        sol = sdp.solve(problem, options)
+        seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(guessprob, "solve", recording)
+    return seen
+
+
+def _full_statistics(mx, my, level):
+    b = behavior(make_state(0.9, 0.5), seesaw.initial_settings(mx, my))
+    return lambda: guessprob.guessing_probability(b, level=level)
+
+
+PROGRAMS = {
+    "full-2x2-L1": _full_statistics(2, 2, 1),
+    "full-2x2-L2": _full_statistics(2, 2, 2),
+    "full-2x2-L3": _full_statistics(2, 2, 3),
+    "full-2x3-L2": _full_statistics(2, 3, 2),
+    "full-3x3-L2": _full_statistics(3, 3, 2),
+    "chsh": lambda: guessprob.bell_constrained_bound(
+        guessprob.chsh_coefficients(), [2.5], 2, 2, level=2
+    ),
+    "chsh-and-tilted": lambda: guessprob.bell_constrained_bound(
+        np.vstack([guessprob.chsh_coefficients(), guessprob.ibeta_coefficients(0.5)]),
+        [2.5, 2.6], 2, 2, level=2,
+    ),
+    "tomographic": lambda: guessprob.tomographic_guessing(
+        make_state(0.9, 0.5), 0.7, 1.9
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_rows_independent_and_primal_on_rows(name, solves):
+    # every posed row is kept, and the returned primal meets every row
+    report = PROGRAMS[name]()
+    assert report.status == "optimal"
+    assert solves
+    for problem, sol in solves:
+        assert sol.removed_rows == ()
+        for row, rhs in problem.constraints:
+            value = sum(
+                float(np.sum(v * x[p, q] * np.where(p == q, 1.0, 2.0)))
+                for (p, q, v), x in zip(row, sol.primal_blocks)
+            )
+            assert abs(value - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
 
 def test_dependent_operators_equal_values():
