@@ -336,27 +336,6 @@ def _rejected(level: int, xstar: int, ystar: int) -> GuessReport:
     )
 
 
-def _solve_full_stats(b, level, xstar, ystar, options):
-    problem = build_primal(b, level, xstar, ystar)
-    sol = solve(problem, options)
-    g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
-    expr = None
-    if math.isfinite(g):
-        # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
-        to_cg = _moment_layout(level, b.mx, b.my).to_cg
-        expr = BellExpression(
-            mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
-            coeffs=to_cg.T @ sol.dual_vector[:to_cg.shape[0]],
-            offset=g - sol.dual_objective,
-        )
-    blocks = sol.primal_blocks
-    weights = {
-        (a, bb): float(blocks[i][0, 0]) for i, (a, bb) in enumerate(OUTCOME_PAIRS)
-    }
-    report = _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
-    return report, blocks
-
-
 def guessing_probability(
     b: Behavior,
     level: int = 2,
@@ -375,20 +354,23 @@ def guessing_probability(
     signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
     if signaling > qstate.SIGNALING_INPUT_TOL:
         return _rejected(level, xstar, ystar)
-    report, _ = _solve_full_stats(b, level, xstar, ystar, options)
-    return report
-
-
-def reconstructed_behavior(
-    b: Behavior, level: int, xstar: int, ystar: int,
-    options: SolveOptions | None = None,
-) -> tuple[GuessReport, np.ndarray]:
-    """Solve and also rebuild sum_ab p~_ab componentwise from the blocks'
-    Collins-Gisin moments."""
-    report, blocks = _solve_full_stats(b, level, xstar, ystar, options)
-    layout = _moment_layout(level, b.mx, b.my)
-    rows, cols = np.array(layout.cg_pos).T
-    return report, layout.from_cg @ sum(x[rows, cols] for x in blocks)
+    problem = build_primal(b, level, xstar, ystar)
+    sol = solve(problem, options)
+    g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
+    expr = None
+    if math.isfinite(g):
+        # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
+        to_cg = _moment_layout(level, b.mx, b.my).to_cg
+        expr = BellExpression(
+            mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
+            coeffs=to_cg.T @ sol.dual_vector[:to_cg.shape[0]],
+            offset=g - sol.dual_objective,
+        )
+    weights = {
+        (a, bb): float(sol.primal_blocks[i][0, 0])
+        for i, (a, bb) in enumerate(OUTCOME_PAIRS)
+    }
+    return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
 
 
 def chsh_coefficients(mx: int = 2, my: int = 2) -> np.ndarray:

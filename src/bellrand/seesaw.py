@@ -2,12 +2,14 @@
 
 Outer loop per start: solve the guessing-probability program at the current
 measurements, read off the Bell expression f, then move the measurements to
-minimize f.p. The inner minimization is exact for rank-one qubit
-projectors: with one side fixed, the objective is linear in each remaining
-projector, so the optimal projector is the minimal-eigenvalue eigenprojector
-of a 2x2 partial-trace operator. Sides alternate until the objective stops
-moving, the outer loop stops when the certified g improves by at most
-epsilon, and the whole procedure restarts from several initial settings.
+minimize f.p. The inner minimization is exact for planar qubit settings:
+for a real state, each measured probability is affine in each party's Bloch
+direction through the state's local Bloch vectors and its x-z correlation
+matrix, so with one side fixed f.p is a constant plus one linear term per
+remaining direction, minimized by the normalized negative of its
+coefficient. Sides alternate until the objective stops moving, the outer
+loop stops when the certified g improves by at most epsilon, and the whole
+procedure restarts from several initial settings.
 
 Only local optimality is guaranteed; results carry the full trajectory and
 the number of starts so plateaus are auditable.
@@ -24,13 +26,15 @@ from scipy.optimize import minimize
 
 from . import qstate
 from .guessprob import BellExpression, GuessReport, guessing_probability, tomographic_guessing
-from .qstate import DensityMatrix, MeasurementSet, component_index
+from .qstate import DensityMatrix, MeasurementSet
 from .sdp import SolveOptions
 
 logger = logging.getLogger(__name__)
 
 _INNER_TOL = 1e-10
 _INNER_CAP = 200
+# I, sigma_x, sigma_z: the planar part of the Pauli basis
+_PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
 
 
 @dataclass(frozen=True)
@@ -43,46 +47,20 @@ class OptResult:
     start_trajectories: tuple[tuple[float, ...], ...]
 
 
-def _angle_of_min_eigenprojector(delta: np.ndarray, previous: float) -> float:
-    """Angle whose projector spans the minimal eigenvector of a real
-    symmetric 2x2 operator; ties keep the previous angle."""
-    cz = 0.5 * (delta[0, 0] - delta[1, 1])
-    cx = delta[0, 1]
-    norm = math.hypot(cz, cx)
-    if norm <= 1e-14 * max(1.0, abs(np.trace(delta))):
-        return previous
-    phi = math.atan2(-cx, -cz)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    return phi
+def _lift(angles) -> np.ndarray:
+    """Rows (1, sin phi, cos phi): the identity and planar Bloch parts."""
+    return np.array([(1.0, math.sin(phi), math.cos(phi)) for phi in angles])
 
 
-def _objective(f: BellExpression, state: DensityMatrix, meas: MeasurementSet) -> float:
-    return f.value(qstate.behavior(state, meas))
-
-
-def _side_pass(f, rho4, own_angles, other_projs, own_is_alice):
-    """One exact minimization sweep over one party's settings."""
-    new_angles = []
-    for x, angle in enumerate(own_angles, start=1):
-        deltas = []
-        for a in (1, -1):
-            k = np.zeros((2, 2))
-            for y, projs in enumerate(other_projs, start=1):
-                for b, pb in zip((1, -1), projs):
-                    if own_is_alice:
-                        c = f.coeffs[component_index(a, b, x, y, f.mx, f.my)]
-                    else:
-                        c = f.coeffs[component_index(b, a, y, x, f.mx, f.my)]
-                    if c != 0.0:
-                        k += c * pb
-            if own_is_alice:
-                r = np.einsum("ikjl,lk->ij", rho4, k)
-            else:
-                r = np.einsum("kilj,lk->ij", rho4, k)
-            deltas.append(r)
-        new_angles.append(_angle_of_min_eigenprojector(deltas[0] - deltas[1], angle))
-    return tuple(new_angles)
+def _best_angles(coeffs: np.ndarray, previous, tie: float) -> tuple[float, ...]:
+    """Angles minimizing each row's (1, n).coeffs over unit n = (sin, cos);
+    a row whose Bloch part is within tie of zero keeps its previous angle."""
+    out = []
+    for (_, gs, gc), phi in zip(coeffs, previous):
+        if math.hypot(gs, gc) > tie:
+            phi = math.atan2(-gs, -gc) % (2.0 * math.pi)
+        out.append(phi)
+    return tuple(out)
 
 
 def update_measurements(
@@ -90,28 +68,36 @@ def update_measurements(
 ) -> MeasurementSet:
     """Minimize f.p over planar measurements by exact alternating updates.
 
-    With Bob fixed, Alice input x contributes tr[pi_x^+ (R_x^+ - R_x^-)]
-    plus a constant, R_x^a = Tr_B[rho (I x sum_by f(a,b,x,y) pi_y^b)], so
-    the optimal projector is the minimal eigenprojector of the difference.
-    Degenerate differences keep the previous projector. The result never
-    increases f.p."""
+    Let C_ij = tr[rho (s_i x s_j)] over s = (I, sigma_x, sigma_z): C_00 = 1,
+    the rest of row 0 and column 0 are the local Bloch vectors, and the
+    lower 2x2 block is the x-z correlation matrix T. For a real state and
+    planar settings, p(a,b|x,y) = (1, a n_x) C (1, b m_y) / 4 with
+    n = (sin, cos) of the angle. Collapsing f into its per-(x, y) sums
+    over outcomes weighted by 1, a, b and ab gives
+    f.p = sum_xy (1, n_x) K_xy (1, m_y) plus the offset. With Bob fixed this
+    is a constant plus sum_x n_x.g_x, so the best n_x is -g_x/|g_x|; Bob's
+    update is symmetric and runs last. An angle whose g_x is negligible
+    keeps its previous value. The result never increases f.p."""
     if (len(meas.alice_angles), len(meas.bob_angles)) != (f.mx, f.my):
         raise ValueError("measurement count does not match the Bell expression")
-    rho4 = state.entries.reshape(2, 2, 2, 2)
-    alice = tuple(meas.alice_angles)
-    bob = tuple(meas.bob_angles)
-    value = _objective(f, state, MeasurementSet(alice, bob))
+    rho = state.entries
+    bloch = np.array(
+        [[np.trace(rho @ np.kron(p, q)) for q in _PAULIS] for p in _PAULIS]
+    )
+    # rows: outcome -1 then +1; columns: weight 1, then the outcome itself
+    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
+    coeffs = f.coeffs.reshape(2, 2, f.mx, f.my)
+    sums = np.einsum("abxy,ai,bj->xyij", coeffs, signs, signs)
+    k = sums[:, :, [0, 1, 1]][:, :, :, [0, 1, 1]] * bloch / 4.0
+    # a g_x below this is rounding noise of the terms that form it
+    tie = 1e-14 * max(1.0, float(np.abs(k).sum()))
+    alice, bob = meas.alice_angles, meas.bob_angles
+    value = float(np.einsum("xyij,xi,yj->", k, _lift(alice), _lift(bob)))
     for _ in range(_INNER_CAP):
-        bob_projs = [
-            (qstate.projector(beta, 1), qstate.projector(beta, -1)) for beta in bob
-        ]
-        alice = _side_pass(f, rho4, alice, bob_projs, own_is_alice=True)
-        alice_projs = [
-            (qstate.projector(alpha, 1), qstate.projector(alpha, -1))
-            for alpha in alice
-        ]
-        bob = _side_pass(f, rho4, bob, alice_projs, own_is_alice=False)
-        new_value = _objective(f, state, MeasurementSet(alice, bob))
+        alice = _best_angles(np.einsum("xyij,yj->xi", k, _lift(bob)), alice, tie)
+        h = np.einsum("xyij,xi->yj", k, _lift(alice))
+        bob = _best_angles(h, bob, tie)
+        new_value = float(np.sum(h * _lift(bob)))
         if value - new_value <= _INNER_TOL:
             break
         value = new_value
@@ -150,9 +136,12 @@ def optimize(
     Each start alternates: certify g at the current settings, stop when the
     improvement g0 - g1 drops to epsilon (g0 starts at 1 so locally
     reproducible behaviors stop immediately), otherwise move the settings
-    against the certificate's Bell expression. A start whose solve does not
-    come back clean is abandoned and logged. starts_used counts the starts
-    that produced at least one certified value."""
+    against the certificate's Bell expression. A solve that does not come
+    back clean stops its start and is logged. Each start keeps its last
+    certified report together with the settings it was certified at, so
+    best_meas reproduces best_report even when a start ends on its
+    iteration cap or on a failed solve. starts_used counts the starts that
+    produced at least one certified value."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if n_starts < 1:
@@ -173,18 +162,18 @@ def optimize(
     for s_idx, meas in enumerate(starts):
         prev_g = 1.0
         traj: list[float] = []
-        report = None
+        certified = None
         converged = False
         for _ in range(max_iterations):
             b = qstate.behavior(state, meas)
             rep = guessing_probability(b, level, xstar, ystar, options)
             if rep.status != "optimal":
                 logger.warning(
-                    "start %d abandoned: solver status %s", s_idx, rep.status
+                    "start %d stopped after %d certified values: solver status %s",
+                    s_idx, len(traj), rep.status,
                 )
-                report = None
                 break
-            report = rep
+            certified = (rep, meas)
             traj.append(rep.guessing_probability)
             if prev_g - rep.guessing_probability <= epsilon:
                 converged = True
@@ -192,15 +181,15 @@ def optimize(
             prev_g = rep.guessing_probability
             meas = update_measurements(rep.bell_expression, state, meas)
         all_traj.append(tuple(traj))
-        if report is None:
+        if certified is None:
             continue
         starts_used += 1
-        key = report.guessing_probability
-        if best is None or key < best[0]:
-            best = (key, meas, report, tuple(traj), converged)
+        report, at = certified
+        if best is None or report.guessing_probability < best[0].guessing_probability:
+            best = (report, at, tuple(traj), converged)
     if best is None:
         raise RuntimeError("every start failed to certify a bound")
-    _, meas, report, traj, converged = best
+    report, meas, traj, converged = best
     return OptResult(
         best_meas=meas,
         best_report=report,

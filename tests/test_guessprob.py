@@ -139,9 +139,14 @@ def test_level_three_not_looser(interior_behavior, interior_report):
     )
 
 
-def test_reconstruction_matches_input(interior_behavior):
-    report, total = guessprob.reconstructed_behavior(interior_behavior, 2, 1, 1)
+def test_reconstruction_matches_input(interior_behavior, solves):
+    # sum_ab p~_ab rebuilt from the blocks' Collins-Gisin moments
+    report = guessprob.guessing_probability(interior_behavior, level=2)
     assert report.status == "optimal"
+    [(_, sol)] = solves
+    layout = guessprob._moment_layout(2, 2, 2)
+    rows, cols = np.array(layout.cg_pos).T
+    total = layout.from_cg @ sum(x[rows, cols] for x in sol.primal_blocks)
     assert np.max(np.abs(total - interior_behavior.probs)) <= 1e-7
 
 

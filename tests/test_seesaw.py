@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -76,6 +77,37 @@ def test_update_constant_on_white_noise(seed):
     assert abs(f.value(behavior(state, out)) - before) <= 1e-12
 
 
+@pytest.mark.parametrize("rank", (4, 1))
+@pytest.mark.parametrize("mx,my", [(mx, my) for mx in (1, 2, 3) for my in (1, 2, 3)])
+def test_update_exact_on_general_real_states(mx, my, rank):
+    # random real states of full rank or rank one, random f; the update
+    # must not raise f.p, and Bob's pass, which runs last, must leave each
+    # Bob angle optimal given the returned Alice angles
+    rng = np.random.default_rng([mx, my, rank])
+    a = rng.normal(size=(4, rank))
+    state = qstate.DensityMatrix(a @ a.T / np.sum(a * a))
+    f = BellExpression(mx, my, 1, 1, rng.uniform(-1.0, 1.0, 4 * mx * my))
+    meas = MeasurementSet(
+        tuple(rng.uniform(0.0, 2.0 * math.pi, mx)),
+        tuple(rng.uniform(0.0, 2.0 * math.pi, my)),
+    )
+    out = seesaw.update_measurements(f, state, meas)
+    reached = behavior(state, out)
+    value = f.value(reached)
+    assert value <= f.value(behavior(state, meas)) + 1e-12
+    # one behavior with Bob measuring every grid angle gives f.p with Bob's
+    # input y moved to each of them: swap input y's terms for the grid's
+    grid = tuple(np.arange(720) * (2.0 * math.pi / 720))
+    swept = behavior(state, MeasurementSet(out.alice_angles, grid))
+    swept = swept.probs.reshape(2, 2, mx, len(grid))
+    coeffs = f.coeffs.reshape(2, 2, mx, my)
+    at = reached.probs.reshape(2, 2, mx, my)
+    for y in range(my):
+        own = np.sum(coeffs[..., y] * at[..., y])
+        moved = value - own + np.einsum("abx,abxg->g", coeffs[..., y], swept)
+        assert moved.min() >= value - 1e-12
+
+
 def test_optimize_parameter_validation():
     state = make_state(0.9, math.pi / 4)
     with pytest.raises(ValueError, match="epsilon"):
@@ -94,6 +126,43 @@ def test_optimize_local_state_stops_immediately():
     assert len(result.trajectory) == 1
     assert abs(result.best_report.guessing_probability - 1.0) <= 1e-6
     assert result.best_report.hmin == 0.0
+
+
+def test_iteration_cap_reports_certified_settings():
+    # the cap ends the start after one more settings update; best_meas must
+    # be the settings at which best_report was certified
+    state = make_state(0.9, math.pi / 4)
+    result = seesaw.optimize(
+        state, level=2, epsilon=1e-4, n_starts=1, seed=3, max_iterations=2
+    )
+    again = guessprob.guessing_probability(behavior(state, result.best_meas), level=2)
+    assert (
+        abs(again.guessing_probability - result.best_report.guessing_probability)
+        <= 1e-6
+    )
+
+
+def test_failed_solve_keeps_certified_values(monkeypatch):
+    # the third solve fails: the start stops there but keeps its second
+    # certified report and the settings it was made at
+    state = make_state(0.9, math.pi / 4)
+    seen = []
+
+    def third_fails(b, *args):
+        if len(seen) == 2:
+            rep = dataclasses.replace(seen[-1][1], status="numerical_failure")
+        else:
+            rep = guessprob.guessing_probability(b, *args)
+        seen.append((b, rep))
+        return rep
+
+    monkeypatch.setattr(seesaw, "guessing_probability", third_fails)
+    result = seesaw.optimize(state, level=1, n_starts=1)
+    assert len(seen) == 3
+    assert result.starts_used == 1
+    assert not result.converged
+    assert result.best_report is seen[1][1]
+    assert np.array_equal(behavior(state, result.best_meas).probs, seen[1][0].probs)
 
 
 @pytest.fixture(scope="module")
