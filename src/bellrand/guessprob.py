@@ -38,7 +38,7 @@ import numpy as np
 
 from . import npa, qstate
 from .qstate import Behavior, DensityMatrix, MeasurementSet, component_index, components
-from .sdp import SdpProblem, SdpSolution, SolveOptions, solve
+from .sdp import SdpProblem, SdpSolution, SolveOptions, _row_entries, solve
 
 # block order: a-major, -1 before +1
 OUTCOME_PAIRS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -216,18 +216,14 @@ def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
 
 
 def _dual_combination(problem: SdpProblem, y: np.ndarray) -> list[np.ndarray]:
-    """Dense blocks of A*(y) = sum_j y_j A_j."""
-    out = []
-    for blk, n in enumerate(problem.block_orders):
-        z = np.zeros((n, n))
-        for j, (row, _) in enumerate(problem.constraints):
-            p_, q_, v_ = row[blk]
-            if p_.size and y[j] != 0.0:
-                np.add.at(z, (p_, q_), y[j] * v_)
-                off = p_ != q_
-                np.add.at(z, (q_[off], p_[off]), y[j] * v_[off])
-        out.append(z)
-    return out
+    """Dense blocks of A*(y) = sum_j y_j A_j, scattered in one pass over the
+    entries of the unnormalized problem."""
+    rows, cols, vals, offsets = _row_entries(problem)
+    flat = np.bincount(cols, weights=y[rows] * vals, minlength=offsets[-1])
+    return [
+        z.reshape(n, n)
+        for z, n in zip(np.split(flat, offsets[1:-1]), problem.block_orders)
+    ]
 
 
 def _dual_slack_defect(problem: SdpProblem, sol: SdpSolution) -> float:

@@ -29,12 +29,17 @@ ordered block by block and the border last,
         [ C_1 ... C_k  B     ].
 
 Each block contributes its D_b, C_b and its share of B from one product
-of its sparse rows with the scaled basis G_b (x) G_b, and the system is
-solved with one Cholesky factor per D_b plus one of the border Schur
-complement B - sum_b C_b D_b^-1 C_b^T. In NPA relaxations every
-moment-structure row is an own row and only the behavior, Bell-value and
-normalization rows form the border; a problem without own rows reduces to
-one dense factor of B.
+of its rows with the scaled basis G_b (x) G_b, and the system is solved
+with one Cholesky factor per D_b plus one of the border Schur complement
+B - sum_b C_b D_b^-1 C_b^T. In NPA relaxations every moment-structure row
+is an own row and only the behavior, Bell-value and normalization rows
+form the border; a problem without own rows, such as the tomographic
+program, reduces to one dense factor of B.
+
+Iterates are held per group, a maximal run of consecutive blocks of one
+order n, as one (k, n, n) stack: each step makes one stacked numpy call per
+group, not per block (NPA and tomographic programs are one group of four).
+A group's columns of the vectorized primal are contiguous, in block order.
 
 Constraint matrices are stored sparsely as upper-triangle entries
 (i, j, value) where value is the actual matrix element (mirrored at (j, i)).
@@ -42,6 +47,7 @@ Constraint matrices are stored sparsely as upper-triangle entries
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -176,37 +182,52 @@ class SdpSolution:
     removed_rows: tuple[int, ...]
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + _t(m)) / 2.0
 
 
 def _chol(m: np.ndarray) -> np.ndarray:
-    """Cholesky with one jitter retry; raises LinAlgError if that fails too."""
+    """Stacked Cholesky; a failing matrix gets one jitter retry, then raises."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
+        if m.ndim > 2:
+            return np.stack([_chol(a) for a in m])
         n = m.shape[0]
         jitter = 1e-14 * max(1.0, np.trace(m) / max(n, 1))
         return np.linalg.cholesky(m + jitter * np.eye(n))
 
 
+def _inner(xs, zs) -> float:
+    """Sum of <X_b, Z_b> over the blocks of stacks, added in block order."""
+    return sum(float(v) for x, z in zip(xs, zs) for v in np.sum(x * z, axis=(1, 2)))
+
+
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with M + t*D >= 0, given the inverse Cholesky factor of M."""
-    w = chol_inv @ direction @ chol_inv.T
+    """Largest t with M + t*D >= 0 for every matrix of a stack, given the
+    inverse Cholesky factors of the M."""
+    w = chol_inv @ direction @ _t(chol_inv)
     lam = float(np.linalg.eigvalsh(_sym(w)).min())
     if lam >= -1e-16:
         return math.inf
     return -1.0 / lam
 
 
-class _BlockRows(NamedTuple):
-    """Kept rows that touch one block, restricted to that block's columns."""
+class _Group(NamedTuple):
+    """A maximal run of k consecutive blocks of order n; a (k, n, n) stack
+    raveled is its slice ``cols`` of the vectorized primal."""
 
-    own: np.ndarray  # kept-row indices of the block's own rows
-    s_own: sp.csr_matrix  # their coefficients, len(own) x n*n
-    bord: np.ndarray  # indices into the border of the border rows touching it
-    s_bord: sp.csr_matrix  # their coefficients, len(bord) x n*n
+    k: int
+    n: int
+    cols: slice
     tri: tuple[np.ndarray, np.ndarray, np.ndarray]  # upper triangle, weights
+    bord: tuple  # block-diagonal border coefficients per run of blocks
+    own: tuple  # per block: own-row indices and their coefficients, or None
 
 
 def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -217,34 +238,37 @@ def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarra
 
 
 def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
-    """Columns (a, b), a <= b, of kron(g, g), weighted so that the rows of
-    S @ K are the scaled matrices g^T A g in an isometric half-vectorization:
-    dot products of two rows are trace inner products."""
+    """Columns (a, b), a <= b, of kron(g, g) for each g of a stack, weighted
+    so that the rows of S @ K are the scaled matrices g^T A g in an isometric
+    half-vectorization: dot products of two rows are trace inner products.
+    The stack's bases are stacked row-wise, matching block-diagonal S."""
     a, b, weight = tri
-    n = g.shape[0]
-    outer = np.einsum("pk,qk->pqk", g[:, a] * weight, g[:, b], order="C")
-    return outer.reshape(n * n, -1)
+    k, n = g.shape[:2]
+    outer = np.einsum("kpt,kqt->kpqt", g[:, :, a] * weight, g[:, :, b], order="C")
+    return outer.reshape(k * n * n, -1)
 
 
 class _BlockSchur:
     """Block-arrow factorization of the Schur complement
     M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b>, W_b = G_b G_b^T, with ``gfac``
-    the factors G_b. Raises LinAlgError when damping cannot make it
-    positive definite."""
+    the factors G_b as one (k, n, n) stack per group. Border rows meet a
+    group's stacked bases in one product; own rows stay sparse per block.
+    Raises LinAlgError when damping cannot make M positive definite."""
 
     def __init__(self, pre: _Presolved, gfac):
         self.border = border = pre.border
         self.b = np.zeros((border.size, border.size))
         self.own = []  # (own rows, D_b, C_b) of each block that has own rows
-        for blk, g in zip(pre.blocks, gfac):
-            basis = _scaled_basis(g, blk.tri)
-            v_bord = blk.s_bord @ basis
-            self.b[np.ix_(blk.bord, blk.bord)] += v_bord @ v_bord.T
-            if blk.own.size:
-                v_own = blk.s_own @ basis
-                c = np.zeros((border.size, blk.own.size))
-                c[blk.bord] = v_bord @ v_own.T
-                self.own.append((blk.own, v_own @ v_own.T, c))
+        for grp, g in zip(pre.groups, gfac):
+            step = grp.k // len(grp.bord)
+            for lo, s_bord in zip(range(0, grp.k, step), grp.bord):
+                basis = _scaled_basis(g[lo:lo + step], grp.tri)
+                v_bord = (s_bord @ basis).reshape(step, border.size, basis.shape[1])
+                self.b += (v_bord @ _t(v_bord)).sum(axis=0)
+                rows, s_own = grp.own[lo]
+                if rows.size:  # then the product covered block lo alone
+                    v_own = s_own @ basis
+                    self.own.append((rows, v_own @ v_own.T, v_bord[0] @ v_own.T))
         trace = np.trace(self.b) + sum(np.trace(d) for _, d, _ in self.own)
         diag_mean = max(float(trace) / len(pre.kept), 1e-300)
         damp = 0.0
@@ -306,32 +330,41 @@ class _BlockSchur:
         return dy
 
 
+def _row_entries(problem: SdpProblem):
+    """Every constraint entry in both triangles, unnormalized: row indices,
+    columns of the vectorized primal and values, entries of one column in row
+    order; and each block's first column."""
+    orders = problem.block_orders
+    nblocks = len(orders)
+    offsets = np.concatenate([[0], np.cumsum([n * n for n in orders])])
+    m = problem.n_constraints
+    entries = [e for row, _ in problem.constraints for e in row]
+    sizes = [e[0].size for e in entries]
+    r = np.repeat(np.arange(m).repeat(nblocks), sizes)
+    blk = np.repeat(np.tile(np.arange(nblocks), m), sizes)
+    p, q, v = (
+        np.concatenate([e[k] for e in entries] + [_EMPTY[k]]) for k in range(3)
+    )
+    off = p != q
+    r, blk, p, q, v = (
+        np.concatenate([a, b[off]])
+        for a, b in ((r, r), (blk, blk), (p, q), (q, p), (v, v))
+    )
+    return r, offsets[blk] + p * np.asarray(orders)[blk] + q, v, offsets
+
+
 class _Presolved:
     """Scaled form of a problem, plus the undo factors. Rows are normalized
     to unit Frobenius norm; all-zero rows are ``removed`` (inconsistent if
     their right-hand side is not zero). Precondition, not checked: the
-    nonzero rows are linearly independent."""
+    nonzero rows are linearly independent. ``c_hat``, the scaled objective,
+    has one stack per group."""
 
     def __init__(self, problem: SdpProblem):
         orders = problem.block_orders
         nblocks = len(orders)
-        offsets = np.concatenate([[0], np.cumsum([n * n for n in orders])])
-        dim = int(offsets[-1])
-
-        # one COO of every row's entries in both triangles, unnormalized
         m = problem.n_constraints
-        entries = [e for row, _ in problem.constraints for e in row]
-        sizes = [e[0].size for e in entries]
-        r = np.repeat(np.arange(m).repeat(nblocks), sizes)
-        blk = np.repeat(np.tile(np.arange(nblocks), m), sizes)
-        p, q, v = (
-            np.concatenate([e[k] for e in entries] + [_EMPTY[k]]) for k in range(3)
-        )
-        off = p != q
-        r, blk, p, q, v = (
-            np.concatenate([a, b[off]])
-            for a, b in ((r, r), (blk, blk), (p, q), (q, p), (v, v))
-        )
+        r, col, v, offsets = _row_entries(problem)
         row_norm = np.sqrt(np.bincount(r, weights=v * v, minlength=m))
         b = problem.rhs
 
@@ -340,41 +373,56 @@ class _Presolved:
         if zero_rows:
             log.info("presolve: dropping all-zero constraint rows %s", zero_rows)
         kept = [j for j in range(m) if row_norm[j] > 0.0]
-        order_of = np.asarray(orders)[blk]
         self.s = sp.csr_matrix(
-            (v / row_norm[r], (r, offsets[blk] + p * order_of + q)), shape=(m, dim)
+            (v / row_norm[r], (r, col)), shape=(m, int(offsets[-1]))
         )[kept]
+        self.st = self.s.T.tocsr()
         self.kept = kept
         self.removed = tuple(zero_rows)
         self.row_scale = row_norm
-        self.orders = orders
-        self.offsets = offsets
-
-        # block-arrow layout of the Schur complement: a kept row touching one
-        # block is that block's own row, every other row is a border row
-        col_block = np.repeat(np.arange(nblocks), [n * n for n in orders])
-        coo = self.s.tocoo()
-        touch = np.zeros((self.s.shape[0], nblocks), dtype=bool)
-        touch[coo.row, col_block[coo.col]] = True
-        single = touch.sum(axis=1) == 1
-        self.border = np.flatnonzero(~single)
-        self.blocks = []
-        for i, n in enumerate(orders):
-            rows_i = self.s[:, offsets[i]:offsets[i + 1]]
-            own = np.flatnonzero(single & touch[:, i])
-            bord = np.flatnonzero(touch[self.border, i])
-            tp, tq = np.triu_indices(n)
-            weight = np.where(tp == tq, 1.0, math.sqrt(2.0))
-            self.blocks.append(_BlockRows(
-                own, rows_i[own], bord, rows_i[self.border[bord]], (tp, tq, weight),
-            ))
 
         self.c_blocks = [
             _entries_dense(e, n) for e, n in zip(problem.objective, orders)
         ]
         self.c_scale = max(1.0, math.sqrt(sum(
             float(np.sum(cd * cd)) for cd in self.c_blocks)))
-        self.c_hat = [cd / self.c_scale for cd in self.c_blocks]
+
+        # block-arrow layout of the Schur complement: a kept row touching one
+        # block is that block's own row, every other row is a border row
+        col_block = np.repeat(np.arange(nblocks), np.diff(offsets))
+        coo = self.s.tocoo()
+        touch = np.zeros((self.s.shape[0], nblocks), dtype=bool)
+        touch[coo.row, col_block[coo.col]] = True
+        single = touch.sum(axis=1) == 1
+        self.border = np.flatnonzero(~single)
+        # the border rows block-diagonally: row b*nb + i is border row i
+        # restricted to block b, so that one product serves a run of blocks
+        nb, sel = self.border.size, ~single[coo.row]
+        bd = sp.csr_matrix((coo.data[sel], (
+            col_block[coo.col[sel]] * nb + np.cumsum(~single)[coo.row[sel]] - 1,
+            coo.col[sel],
+        )), shape=(nblocks * nb, self.s.shape[1]))
+        self.groups, self.c_hat = [], []
+        start = 0
+        for n, run in itertools.groupby(orders):
+            k = len(list(run))
+            cols = slice(int(offsets[start]), int(offsets[start + k]))
+            own = []
+            for i in range(start, start + k):
+                rows = np.flatnonzero(single & touch[:, i])
+                own.append((rows, self.s[rows][:, offsets[i]:offsets[i + 1]]
+                            if rows.size else None))
+            # own rows come with large scaled bases: one block per product
+            step = 1 if any(rows.size for rows, _ in own) else k
+            bord = tuple(
+                bd[i * nb:(i + step) * nb, offsets[i]:offsets[i + step]]
+                for i in range(start, start + k, step)
+            )
+            tp, tq = np.triu_indices(n)
+            weight = np.where(tp == tq, 1.0, math.sqrt(2.0))
+            self.groups.append(_Group(k, n, cols, (tp, tq, weight), bord, tuple(own)))
+            self.c_hat.append(np.stack(self.c_blocks[start:start + k]) / self.c_scale)
+            start += k
 
         bn = b[kept] / row_norm[kept] if kept else np.empty(0)
         self.b_scale = max(1.0, float(np.linalg.norm(bn)) if bn.size else 0.0)
@@ -387,30 +435,27 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     """Run the interior-point method on ``problem``."""
     opts = options or SolveOptions()
     pre = _Presolved(problem)
-    orders = pre.orders
-    nblocks = len(orders)
-    ntot = sum(orders)
+    groups = pre.groups
+    ntot = sum(problem.block_orders)
+    eyes = [np.tile(np.eye(g.n), (g.k, 1, 1)) for g in groups]
 
-    def vec_all(mats):
-        return np.concatenate([m.ravel() for m in mats])
+    def vec_all(stacks):
+        return np.concatenate([m.ravel() for m in stacks])
 
     def unvec(v):
-        out = []
-        for i, n in enumerate(orders):
-            out.append(_sym(v[pre.offsets[i]:pre.offsets[i] + n * n].reshape(n, n)))
-        return out
+        return [_sym(v[g.cols].reshape(g.k, g.n, g.n)) for g in groups]
 
     def finish(xs_hat, y_hat, status, iters, gap, rp, rd):
         if status != "infeasible":
             # least-norm projection onto A(X) = b; the Gram matrix of the
             # rows is the Schur complement at W = I
-            gram = _BlockSchur(pre, [np.eye(n) for n in orders])
+            gram = _BlockSchur(pre, eyes)
             for _ in range(2):
                 resid = pre.s @ vec_all(xs_hat) - pre.b_hat
                 xs_hat = [
-                    x - d for x, d in zip(xs_hat, unvec(pre.s.T @ gram.solve(resid)))
+                    x - d for x, d in zip(xs_hat, unvec(pre.st @ gram.solve(resid)))
                 ]
-        xs = tuple(_sym(x) * pre.b_scale for x in xs_hat)
+        xs = tuple(x for stack in xs_hat for x in _sym(stack) * pre.b_scale)
         y = np.zeros(problem.n_constraints)
         y[pre.kept] = y_hat * pre.c_scale / pre.row_scale[pre.kept]
         pobj = sum(float(np.sum(c * x)) for c, x in zip(pre.c_blocks, xs))
@@ -431,7 +476,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     if pre.inconsistent_zero:
         log.info("presolve: inconsistent constraint rows %s", pre.inconsistent_zero)
         return finish(
-            [np.eye(n) for n in orders], np.zeros(len(pre.kept)),
+            eyes, np.zeros(len(pre.kept)),
             "infeasible", 0, math.inf, math.inf, math.inf,
         )
     if not pre.kept:
@@ -442,8 +487,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     b_hat = pre.b_hat
     c_hat = pre.c_hat
 
-    xs = [max(10.0, math.sqrt(n)) * np.eye(n) for n in orders]
-    zs = [max(10.0, math.sqrt(n)) * np.eye(n) for n in orders]
+    xs = zs = [max(10.0, math.sqrt(g.n)) * e for g, e in zip(groups, eyes)]
     y = np.zeros(mk)
 
     unit_scale = pre.b_scale * pre.c_scale
@@ -456,11 +500,11 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     for it in range(1, opts.max_iterations + 1):
         xvec = vec_all(xs)
         rp = b_hat - s_mat @ xvec
-        aty = unvec(s_mat.T @ y)
-        rd = [aty[i] - c_hat[i] - zs[i] for i in range(nblocks)]
-        mu = sum(float(np.sum(x * z)) for x, z in zip(xs, zs)) / ntot
+        aty = unvec(pre.st @ y)
+        rd = [a - c - z for a, c, z in zip(aty, c_hat, zs)]
+        mu = _inner(xs, zs) / ntot
 
-        pobj_hat = sum(float(np.sum(c * x)) for c, x in zip(c_hat, xs))
+        pobj_hat = _inner(c_hat, xs)
         dobj_hat = float(y @ b_hat)
         pobj_true = pobj_hat * unit_scale
         dobj_true = dobj_hat * unit_scale
@@ -468,14 +512,12 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         rp_true = float(np.max(
             np.abs(rp) * pre.b_scale * pre.row_scale[pre.kept]
         )) if mk else 0.0
-        rd_true = max(
-            float(np.abs(r).max()) if r.size else 0.0 for r in rd
-        ) * pre.c_scale
+        rd_true = max(float(np.abs(r).max()) for r in rd) * pre.c_scale
         gap_true = (mu * ntot) * unit_scale
         # objective bias carried by residuals against possibly large duals
         bias_true = (
             abs(float(y @ rp))
-            + abs(sum(float(np.sum(r * x)) for r, x in zip(rd, xs)))
+            + abs(_inner(rd, xs))
         ) * unit_scale
 
         obj_scale = 1.0 + abs(pobj_true) + abs(dobj_true)
@@ -487,10 +529,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             and bias_true <= 10.0 * opts.gap_tol * obj_scale
         )
         if best is None or err < best[0]:
-            best = (
-                err, [x.copy() for x in xs], y.copy(),
-                gap_true, rp_true, rd_true, converged,
-            )
+            best = (err, xs, y, gap_true, rp_true, rd_true, converged)
             stall = 0
         else:
             stall += 1
@@ -511,22 +550,24 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status = "numerical_failure"
             break
 
-        # Nesterov-Todd scaling per block
+        # Nesterov-Todd scaling, one stacked call per group
         try:
             lx = [_chol(x) for x in xs]
             lz = [_chol(z) for z in zs]
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        lxinv = [dtrtri(l, lower=1)[0] for l in lx]
-        lzinv = [dtrtri(l, lower=1)[0] for l in lz]
+        # dtrtri per block (a stacked inverse is slower here), each inverse kept
+        # column-major as returned: the layout picks the BLAS kernel's rounding
+        lxinv = [_t(np.array([dtrtri(l, lower=1)[0].T for l in ls])) for ls in lx]
+        lzinv = [_t(np.array([dtrtri(l, lower=1)[0].T for l in ls])) for ls in lz]
         gfac, ginv, sig = [], [], []
-        for i in range(nblocks):
-            _, s_i, vt = np.linalg.svd(lz[i].T @ lx[i])
-            s_i = np.maximum(s_i, 1e-150)
-            gfac.append(lx[i] @ vt.T / np.sqrt(s_i))
-            ginv.append((np.sqrt(s_i)[:, None] * vt) @ lxinv[i])
-            sig.append(s_i)
+        for l_x, l_z, l_xinv in zip(lx, lz, lxinv):
+            _, s_g, vt = np.linalg.svd(_t(l_z) @ l_x)
+            s_g = np.maximum(s_g, 1e-150)
+            gfac.append(l_x @ _t(vt) / np.sqrt(s_g)[:, None, :])
+            ginv.append((np.sqrt(s_g)[:, :, None] * vt) @ l_xinv)
+            sig.append(s_g)
 
         try:
             schur = _BlockSchur(pre, gfac)
@@ -535,57 +576,46 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             break
 
         def solve_direction(t0):
-            inner = [
-                gfac[i].T @ rd[i] @ gfac[i] for i in range(nblocks)
-            ]
-            wrdw = [gfac[i] @ inner[i] @ gfac[i].T for i in range(nblocks)]
-            rhs = s_mat @ vec_all(
-                [t0[i] - wrdw[i] for i in range(nblocks)]
-            ) - rp
+            wrdw = [g @ (_t(g) @ r @ g) @ _t(g) for g, r in zip(gfac, rd)]
+            rhs = s_mat @ vec_all([t - w for t, w in zip(t0, wrdw)]) - rp
             dy = schur.solve(rhs)
-            daty = unvec(s_mat.T @ dy)
-            dz = [daty[i] + rd[i] for i in range(nblocks)]
+            dz = [a + r for a, r in zip(unvec(pre.st @ dy), rd)]
             dx = [
-                _sym(t0[i] - gfac[i] @ (gfac[i].T @ dz[i] @ gfac[i]) @ gfac[i].T)
-                for i in range(nblocks)
+                _sym(t - g @ (_t(g) @ d @ g) @ _t(g))
+                for t, g, d in zip(t0, gfac, dz)
             ]
             return dx, dy, dz
 
+        def step(chol_inv, dirs):
+            return min(_max_step(l, d) for l, d in zip(chol_inv, dirs))
+
         # predictor: pure Newton step toward complementarity zero
-        t0_aff = [-xs[i] for i in range(nblocks)]
-        dx_a, dy_a, dz_a = solve_direction(t0_aff)
-        ap = min(1.0, min(_max_step(lxinv[i], dx_a[i]) for i in range(nblocks)))
-        ad = min(1.0, min(_max_step(lzinv[i], dz_a[i]) for i in range(nblocks)))
-        mu_aff = sum(
-            float(np.sum((xs[i] + ap * dx_a[i]) * (zs[i] + ad * dz_a[i])))
-            for i in range(nblocks)
-        ) / ntot
+        dx_a, dy_a, dz_a = solve_direction([-x for x in xs])
+        ap = min(1.0, step(lxinv, dx_a))
+        ad = min(1.0, step(lzinv, dz_a))
+        mu_aff = _inner([x + ap * dx for x, dx in zip(xs, dx_a)],
+                        [z + ad * dz for z, dz in zip(zs, dz_a)]) / ntot
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector with the second-order term in the scaled space
         t0 = []
-        for i, n in enumerate(orders):
-            dxh = ginv[i] @ dx_a[i] @ ginv[i].T
-            dzh = gfac[i].T @ dz_a[i] @ gfac[i]
-            hcorr = _sym(dxh @ dzh)
-            rc = -hcorr
-            np.fill_diagonal(rc, rc.diagonal() + sigma * mu - sig[i] ** 2)
-            denom = (sig[i][:, None] + sig[i][None, :]) / 2.0
-            t0.append(gfac[i] @ (rc / denom) @ gfac[i].T)
+        for g, gi, s_g, dxa, dza in zip(gfac, ginv, sig, dx_a, dz_a):
+            dxh = gi @ dxa @ _t(gi)
+            dzh = _t(g) @ dza @ g
+            rc = -_sym(dxh @ dzh)
+            diag = np.arange(s_g.shape[1])
+            rc[:, diag, diag] = rc[:, diag, diag] + sigma * mu - s_g ** 2
+            denom = (s_g[:, :, None] + s_g[:, None, :]) / 2.0
+            t0.append(g @ (rc / denom) @ _t(g))
         dx, dy, dz = solve_direction(t0)
 
-        ap = min(1.0, opts.step_fraction * min(
-            _max_step(lxinv[i], dx[i]) for i in range(nblocks)
-        ))
-        ad = min(1.0, opts.step_fraction * min(
-            _max_step(lzinv[i], dz[i]) for i in range(nblocks)
-        ))
+        ap = min(1.0, opts.step_fraction * step(lxinv, dx))
+        ad = min(1.0, opts.step_fraction * step(lzinv, dz))
         if ap < 1e-10 and ad < 1e-10:
             stall += 10
             continue
-        for i in range(nblocks):
-            xs[i] = _sym(xs[i] + ap * dx[i])
-            zs[i] = _sym(zs[i] + ad * dz[i])
+        xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
+        zs = [_sym(z + ad * d) for z, d in zip(zs, dz)]
         y = y + ad * dy
 
     if status == "optimal":

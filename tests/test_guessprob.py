@@ -367,6 +367,29 @@ def test_dependent_operators_unequal_values_infeasible():
     assert report.bell_expression is None
 
 
+def test_dual_combination_matches_direct_sum():
+    # sparse random rows over three blocks, some blocks untouched by a row
+    rng = np.random.default_rng(5)
+    orders = (3, 1, 2)
+    cons = []
+    for _ in range(6):
+        mats = []
+        for n in orders:
+            a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
+            mats.append(a + a.T if rng.random() < 0.8 else None)
+        cons.append((mats, float(rng.normal())))
+    problem = sdp.SdpProblem(orders, [None] * 3, cons)
+    y = rng.normal(size=len(cons))
+    got = guessprob._dual_combination(problem, y)
+    assert [z.shape for z in got] == [(n, n) for n in orders]
+    for b, n in enumerate(orders):
+        want = sum(
+            y[j] * sdp._entries_dense(row[b], n)
+            for j, (row, _) in enumerate(problem.constraints)
+        )
+        assert np.abs(got[b] - want).max() <= 1e-12
+
+
 def test_chsh_coefficients_match_correlator_form():
     coeffs = guessprob.chsh_coefficients()
     b = behavior(make_state(0.8, 0.6), chsh_optimal_settings(0.6))

@@ -79,6 +79,35 @@ def test_row_rescaling_rescales_dual():
     assert abs(b.dual_vector[0] - a.dual_vector[0] / 10.0) < 1e-7
 
 
+def _permuted(problem, perm):
+    """The same program with its blocks listed in the order ``perm``."""
+    objective = problem.objective_dense()
+    return sdp.SdpProblem(
+        [problem.block_orders[i] for i in perm],
+        [objective[i] for i in perm],
+        [
+            ([sdp._entries_dense(mats[i], problem.block_orders[i]) for i in perm], rhs)
+            for mats, rhs in problem.constraints
+        ],
+    )
+
+
+def _unique_optimum_problem(orders, seed):
+    # tr X_i fixed for all but the last block, tr of the sum fixed by one
+    # border row: each X_i is t_i v v^T for the top eigenvector v of C_i
+    rng = np.random.default_rng(seed)
+    obj = []
+    for n in orders:
+        a = rng.normal(size=(n, n))
+        obj.append(a + a.T)
+    cons = [
+        ([np.eye(n) if j == i else None for j, n in enumerate(orders)], 0.2 + 0.1 * i)
+        for i in range(len(orders) - 1)
+    ]
+    cons.append(([np.eye(n) for n in orders], 1.0))
+    return sdp.SdpProblem(orders, obj, cons)
+
+
 def test_block_permutation_invariance():
     obj = [np.diag([1.0, 0.0]), np.array([[2.0]])]
     cons = [
@@ -96,6 +125,18 @@ def test_block_permutation_invariance():
     assert abs(a.primal_objective - b.primal_objective) < 1e-7
     assert np.allclose(a.primal_blocks[0], b.primal_blocks[1], atol=1e-6)
     assert np.allclose(a.primal_blocks[1], b.primal_blocks[0], atol=1e-6)
+    # equal orders that are not adjacent (three groups against two), and a
+    # group of two whose blocks trade places
+    for orders, perm in (((2, 1, 2), (0, 2, 1)), ((2, 2, 1), (2, 1, 0))):
+        problem = _unique_optimum_problem(orders, seed=sum(orders))
+        a = solve_ok(problem)
+        b = solve_ok(_permuted(problem, perm))
+        assert abs(a.primal_objective - b.primal_objective) < 1e-7
+        for sol, order in ((a, orders), (b, [orders[i] for i in perm])):
+            assert isinstance(sol.primal_blocks, tuple)
+            assert [x.shape for x in sol.primal_blocks] == [(n, n) for n in order]
+        for k, i in enumerate(perm):
+            assert np.allclose(a.primal_blocks[i], b.primal_blocks[k], atol=1e-6)
 
 
 def test_negative_diagonal_is_infeasible():
@@ -183,9 +224,37 @@ def _random_row(rng, orders, blocks):
     return mats, float(rng.normal())
 
 
+def _check_schur_against_dense(problem, pre, rng):
+    orders = problem.block_orders
+    a = [
+        [sdp._entries_dense(e, n) / pre.row_scale[j]
+         for e, n in zip(problem.constraints[j][0], orders)]
+        for j in pre.kept
+    ]
+    for _ in range(3):
+        gfac = [
+            rng.normal(size=(g.k, g.n, g.n)) + g.n * np.eye(g.n) for g in pre.groups
+        ]
+        w = [g @ g.T for stack in gfac for g in stack]
+        dense = np.array([
+            [sum(np.sum(a[j][b] * (w[b] @ a[k][b] @ w[b])) for b in range(len(orders)))
+             for k in range(len(a))]
+            for j in range(len(a))
+        ])
+        rhs = rng.normal(size=len(a))
+        want = np.linalg.solve(dense, rhs)
+        got = sdp._BlockSchur(pre, gfac).solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _own_sizes(pre):
+    return [rows.size for g in pre.groups for rows, _ in g.own]
+
+
 @pytest.mark.parametrize("with_border", [True, False])
 def test_block_schur_solve_matches_dense(with_border):
-    # own rows in blocks 0 and 1; block 2 has none unless the border is empty
+    # orders (3, 2, 1) are three singleton groups; own rows in blocks 0 and
+    # 1, block 2 has none unless the border is empty
     rng = np.random.default_rng(7)
     orders = (3, 2, 1)
     touched = [(0,), (0,), (0,), (1,), (1,)]
@@ -198,24 +267,26 @@ def test_block_schur_solve_matches_dense(with_border):
     )
     pre = sdp._Presolved(problem)
     assert len(pre.kept) == len(touched)
-    assert [blk.own.size for blk in pre.blocks] == [3, 2, 0 if with_border else 1]
+    assert [(g.k, g.n) for g in pre.groups] == [(1, 3), (1, 2), (1, 1)]
+    assert _own_sizes(pre) == [3, 2, 0 if with_border else 1]
     assert pre.border.size == (3 if with_border else 0)
-    for _ in range(3):
-        gfac = [
-            rng.normal(size=(n, n)) + n * np.eye(n) for n in orders
-        ]
-        w = [g @ g.T for g in gfac]
-        a = [
-            [sdp._entries_dense(e, n) / pre.row_scale[j]
-             for e, n in zip(problem.constraints[j][0], orders)]
-            for j in pre.kept
-        ]
-        dense = np.array([
-            [sum(np.sum(a[j][b] * (w[b] @ a[k][b] @ w[b])) for b in range(3))
-             for k in range(len(a))]
-            for j in range(len(a))
-        ])
-        rhs = rng.normal(size=len(a))
-        want = np.linalg.solve(dense, rhs)
-        got = sdp._BlockSchur(pre, gfac).solve(rhs)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    _check_schur_against_dense(problem, pre, rng)
+
+
+@pytest.mark.parametrize("with_own", [True, False])
+def test_block_schur_stack_matches_dense(with_own):
+    # one group of four blocks of order 3, with border rows and, as in NPA
+    # relaxations, own rows in every block; or, as in the tomographic
+    # program, border rows alone
+    rng = np.random.default_rng(11)
+    orders = (3, 3, 3, 3)
+    own = [(0,), (0,), (1,), (2,), (2,), (2,), (3,)] if with_own else []
+    border = [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3), (0, 2), (0, 1, 2, 3)]
+    problem = sdp.SdpProblem(
+        orders, [None] * 4, [_random_row(rng, orders, t) for t in own + border]
+    )
+    pre = sdp._Presolved(problem)
+    assert [(g.k, g.n) for g in pre.groups] == [(4, 3)]
+    assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
+    assert pre.border.size == len(border)
+    _check_schur_against_dense(problem, pre, rng)
