@@ -4,10 +4,12 @@ Subcommands: certify (bound from a behavior), bellbound (bound from Bell
 operator values), optimize (see-saw over settings), sweep (grid over state
 parameters with optimized settings), tomography (state-constrained bounds).
 Configuration comes from defaults, then a flat key=value file given with
---config, then command-line flags, later sources winning. All grids are
-validated before any solve. Identical configuration (including seed) run
-at the same BLAS thread count produces byte-identical output files; a
-different thread count can change the last digits.
+--config, then command-line flags, later sources winning. A config key
+that no subcommand knows is an input error; keys of other subcommands are
+ignored. All grids and counts are validated before any solve. Identical
+configuration (including seed) run at the same BLAS thread count produces
+byte-identical output files; a different thread count can change the last
+digits.
 
 Exit codes: 0 success, 1 input error, 2 solver failure.
 """
@@ -92,6 +94,10 @@ class RunConfig:
             raise ValueError("starts must be >= 1")
         if s.get("jobs", 1) < 1:
             raise ValueError("jobs must be >= 1")
+        if s.get("max_iterations", 1) < 1:
+            raise ValueError("max-iterations must be >= 1")
+        if s.get("map_grid", 1) < 1:
+            raise ValueError("map-grid must be >= 1")
         if s.get("mx", 1) < 1 or s.get("my", 1) < 1:
             raise ValueError("scenario needs at least one input per side")
         if not s.get("behavior"):
@@ -162,6 +168,8 @@ def _merge(args: argparse.Namespace, keys) -> RunConfig:
         for k, val in filecfg.items():
             if k in keys:
                 merged[k] = val
+            elif k not in _KNOWN_KEYS:
+                raise ValueError(f"unknown config key {k!r}")
     for k in keys:
         val = getattr(args, k, None)
         if val is not None:
@@ -453,6 +461,9 @@ _EXTRA_KEYS = {
     "tomography": ("v_grid", "theta_grid", "grid_size", "angle_map",
                    "map_grid", "out"),
 }
+
+# keys of other subcommands are ignored in a config file, others rejected
+_KNOWN_KEYS = set(_DEFAULTS).union(*_EXTRA_KEYS.values())
 
 _COMMANDS = {
     "certify": cmd_certify,

@@ -35,10 +35,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import npa, qstate
 from .qstate import Behavior, DensityMatrix, MeasurementSet, component_index, components
-from .sdp import SdpProblem, SdpSolution, SolveOptions, _row_entries, solve
+from .sdp import SdpProblem, SdpSolution, SolveOptions, solve
 
 # block order: a-major, -1 before +1
 OUTCOME_PAIRS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -116,10 +117,17 @@ def _clean_weights(raw: dict[tuple[int, int], float]) -> dict[tuple[int, int], f
 
 class _Layout(NamedTuple):
     structure: npa.MomentStructure
-    cg_pos: tuple[tuple[int, int], ...]  # representative entry of each CG moment
+    cg: sp.csr_matrix  # reads each Collins-Gisin moment off a block
     to_cg: np.ndarray  # M, behavior -> Collins-Gisin coordinates
     from_cg: np.ndarray  # R, with R M p = p on no-signaling behaviors p
-    structural: tuple  # per-block equalities tying duplicate moment entries
+    structural: sp.csr_matrix  # equalities tying duplicate moment entries
+
+
+def _reader(n: int, i, j) -> sp.csr_matrix:
+    """Rows over the row-major vectorization of a symmetric n x n block,
+    row k reading the entry (i[k], j[k]): 1/2 at (i, j) and 1/2 at (j, i)."""
+    rows, cols = np.tile(np.arange(len(i)), 2), np.concatenate([i * n + j, j * n + i])
+    return sp.csr_matrix((np.full(cols.size, 0.5), (rows, cols)), shape=(len(i), n * n))
 
 
 def _collins_gisin(mx: int, my: int):
@@ -151,43 +159,49 @@ def _moment_layout(level: int, mx: int, my: int) -> _Layout:
             from_cg[component_index(*key, mx, my), column[mid]] += coeff
     to_cg.setflags(write=False)
     from_cg.setflags(write=False)
-    structural = []
-    for mid in range(structure.moment_count):
-        positions = structure.positions(mid)
-        ri, rj = positions[0]
-        rv = 1.0 if ri == rj else 0.5
-        for (i, j) in positions[1:]:
-            structural.append(
-                ((ri, rj, rv), (i, j, -(1.0 if i == j else 0.5)))
-            )
-    cg_pos = tuple(structure.representative[mid] for mid in mids)
-    return _Layout(structure, cg_pos, to_cg, from_cg, tuple(structural))
+    # Collins-Gisin moments are read at their representative entries, and
+    # every other upper-triangle entry equals its moment's representative:
+    # one structural row per such entry, by moment, then row-major
+    n = structure.dim
+    rep_i, rep_j = np.array(structure.representative).T
+    cg = _reader(n, rep_i[mids], rep_j[mids])
+    iu, ju = np.triu_indices(n)
+    mid = structure.entry_to_moment[iu, ju]
+    later = np.argsort(mid, kind="stable")
+    later = later[(iu[later] != rep_i[mid[later]]) | (ju[later] != rep_j[mid[later]])]
+    structural = (
+        _reader(n, rep_i[mid[later]], rep_j[mid[later]])
+        - _reader(n, iu[later], ju[later])
+    )
+    return _Layout(structure, cg, to_cg, from_cg, structural)
 
 
-def _cg_entries(layout: _Layout, weights) -> tuple:
-    """Block entries whose inner product with a moment matrix is
-    sum_k weights[k] * (Collins-Gisin moment k)."""
-    return tuple(
-        (i, j, w if i == j else w / 2.0)
-        for (i, j), w in zip(layout.cg_pos, weights) if w != 0.0
+def _npa_problem(layout: _Layout, shared, rhs, objective) -> SdpProblem:
+    """NPA relaxation with one moment block per row of ``objective``: the
+    ``shared`` rows are posed on the sum of the blocks with right-hand sides
+    ``rhs``, then each structural equality on each block in turn. ``shared``
+    and ``objective`` are in Collins-Gisin coordinates."""
+    k, n = len(objective), layout.structure.dim
+    st = layout.structural.tocoo()
+    blk = np.arange(k)[:, None]
+    structural = sp.csr_matrix((
+        np.tile(st.data, k),
+        ((st.row * k + blk).ravel(), (st.col + blk * n * n).ravel()),
+    ), shape=(st.shape[0] * k, k * n * n))
+    a = sp.vstack([sp.hstack([sp.csr_matrix(shared @ layout.cg)] * k), structural])
+    return SdpProblem(
+        block_orders=(n,) * k,
+        objective=[(c @ layout.cg).reshape(n, n) for c in objective],
+        a=a,
+        rhs=np.concatenate([rhs, np.zeros(structural.shape[0])]),
     )
 
 
 def _block_objective(layout: _Layout, mx: int, my: int, xstar: int, ystar: int):
-    return [
-        _cg_entries(layout, layout.from_cg[component_index(a, b, xstar, ystar, mx, my)])
-        for a, b in OUTCOME_PAIRS
+    # block ab guesses p(a,b|x*,y*), in Collins-Gisin coordinates
+    return layout.from_cg[
+        [component_index(a, b, xstar, ystar, mx, my) for a, b in OUTCOME_PAIRS]
     ]
-
-
-def _structural_rows(structural, nblocks: int):
-    rows = []
-    for entries in structural:
-        for blk in range(nblocks):
-            mats = [None] * nblocks
-            mats[blk] = entries
-            rows.append((mats, 0.0))
-    return rows
 
 
 def _check_generation(mx: int, my: int, xstar: int, ystar: int):
@@ -203,26 +217,21 @@ def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
     right-hand side M p, followed by the structural moment equalities."""
     _check_generation(b.mx, b.my, xstar, ystar)
     layout = _moment_layout(level, b.mx, b.my)
-    constraints = [
-        ([_cg_entries(layout, row)] * 4, float(rhs))
-        for row, rhs in zip(np.eye(len(layout.cg_pos)), layout.to_cg @ b.probs)
-    ]
-    constraints.extend(_structural_rows(layout.structural, 4))
-    return SdpProblem(
-        block_orders=(layout.structure.dim,) * 4,
-        objective=_block_objective(layout, b.mx, b.my, xstar, ystar),
-        constraints=constraints,
+    return _npa_problem(
+        layout, np.eye(len(layout.to_cg)), layout.to_cg @ b.probs,
+        _block_objective(layout, b.mx, b.my, xstar, ystar),
     )
 
 
 def _dual_combination(problem: SdpProblem, y: np.ndarray) -> list[np.ndarray]:
-    """Dense blocks of A*(y) = sum_j y_j A_j, scattered in one pass over the
-    entries of the unnormalized problem."""
-    rows, cols, vals, offsets = _row_entries(problem)
-    flat = np.bincount(cols, weights=y[rows] * vals, minlength=offsets[-1])
+    """Dense blocks of A*(y) = sum_j y_j A_j, each entry summed in row
+    order in one pass over the entries of the unnormalized problem."""
+    a = problem.a.tocoo()
+    flat = np.bincount(a.col, weights=y[a.row] * a.data, minlength=a.shape[1])
+    offsets = np.cumsum([n * n for n in problem.block_orders])
     return [
         z.reshape(n, n)
-        for z, n in zip(np.split(flat, offsets[1:-1]), problem.block_orders)
+        for z, n in zip(np.split(flat, offsets[:-1]), problem.block_orders)
     ]
 
 
@@ -230,9 +239,8 @@ def _dual_slack_defect(problem: SdpProblem, sol: SdpSolution) -> float:
     """Exact feasibility defect of the dual certificate: max over blocks of
     -lambda_min(A*(y) - C), clipped at zero."""
     worst = 0.0
-    cs = problem.objective_dense()
     zs = _dual_combination(problem, sol.dual_vector)
-    for z, c in zip(zs, cs):
+    for z, c in zip(zs, problem.objective):
         worst = max(worst, -float(np.linalg.eigvalsh(z - c).min()))
     return max(worst, 0.0)
 
@@ -255,19 +263,19 @@ def _farkas_infeasible(
     return gain < -(10.0 * eps * trace_cap + 1e-7)
 
 
-def _operator_range(entries, level: int, mx: int, my: int, options):
-    """Certified enclosure of one Bell operator over the level-l moment set.
+def _operator_range(op, level: int, mx: int, my: int, options):
+    """Certified enclosure of one Bell operator, given in Collins-Gisin
+    coordinates, over the level-l moment set.
 
     Single normalized moment block; diagonal moments are bounded by one, so
     the block trace is at most dim and the dual certificate bounds apply."""
     layout = _moment_layout(level, mx, my)
     dim = layout.structure.dim
-    cons = [((((0, 0, 1.0),),), 1.0)]
-    cons.extend(_structural_rows(layout.structural, 1))
     bounds = []
     for sign in (1.0, -1.0):
-        obj = tuple((i, j, sign * v) for (i, j, v) in entries)
-        problem = SdpProblem((dim,), [obj], cons)
+        problem = _npa_problem(
+            layout, np.eye(1, len(op)), [1.0], [sign * np.asarray(op)]
+        )
         sol = solve(problem, options)
         defect = _dual_slack_defect(problem, sol)
         bounds.append(sign * (sol.dual_objective + defect * dim))
@@ -418,7 +426,7 @@ def bell_constrained_bound(
         )
     layout = _moment_layout(level, mx, my)
     # normalization, then the operators, in Collins-Gisin coordinates
-    rows = np.vstack([np.eye(1, len(layout.cg_pos)), exprs @ layout.from_cg])
+    rows = np.vstack([np.eye(1, len(layout.to_cg)), exprs @ layout.from_cg])
     vals = np.concatenate([[1.0], values])
     keep = [0]
     for k in range(1, len(rows)):
@@ -428,26 +436,17 @@ def bell_constrained_bound(
     if np.any(np.abs(vals[keep] @ lam - vals) > 1e-7 * (1.0 + np.abs(vals))):
         return _rejected(level, xstar, ystar)
     ops = [k - 1 for k in keep[1:]]
-    op_entries = [_cg_entries(layout, rows[k]) for k in keep[1:]]
-
-    constraints = [
-        ([entries] * 4, float(values[k])) for entries, k in zip(op_entries, ops)
-    ]
-    constraints.append(([_cg_entries(layout, rows[0])] * 4, 1.0))
-    constraints.extend(_structural_rows(layout.structural, 4))
-
-    problem = SdpProblem(
-        block_orders=(layout.structure.dim,) * 4,
-        objective=_block_objective(layout, mx, my, xstar, ystar),
-        constraints=constraints,
+    problem = _npa_problem(
+        layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
+        _block_objective(layout, mx, my, xstar, ystar),
     )
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
     if status not in ("optimal", "infeasible"):
         # a diverged solve on a value outside the relaxation's reach is an
         # infeasible instance; confirm against the certified operator range
-        for entries, val in zip(op_entries, values[ops]):
-            lo, hi = _operator_range(entries, level, mx, my, options)
+        for k, val in zip(keep[1:], values[ops]):
+            lo, hi = _operator_range(rows[k], level, mx, my, options)
             tol = 1e-6 * (1.0 + abs(float(val)))
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
@@ -465,6 +464,12 @@ def bell_constrained_bound(
         for i, (a, b) in enumerate(OUTCOME_PAIRS)
     }
     return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
+
+
+@lru_cache(maxsize=4)
+def _tomographic_rows(r: int) -> sp.csr_matrix:
+    """Rows reading each upper-triangle entry of rank-r blocks off their sum."""
+    return sp.hstack([_reader(r, *np.triu_indices(r))] * 4, format="csr")
 
 
 def tomographic_guessing(
@@ -493,16 +498,11 @@ def tomographic_guessing(
         ) @ basis
         for a, b in OUTCOME_PAIRS
     ]
-    constraints = []
-    for i in range(r):
-        for j in range(i, r):
-            v = 1.0 if i == j else 0.5
-            entries = ((i, j, v),)
-            constraints.append(([entries] * 4, float(rho_r[i, j])))
     problem = SdpProblem(
         block_orders=(r,) * 4,
         objective=projs,
-        constraints=constraints,
+        a=_tomographic_rows(r),
+        rhs=rho_r[np.triu_indices(r)],
     )
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, 1.0)

@@ -105,16 +105,6 @@ class MomentStructure:
         """Identifier of a word's moment; KeyError if it never occurs."""
         return self.word_to_moment[moment_word(word)]
 
-    def positions(self, mid: int) -> list[tuple[int, int]]:
-        """Upper-triangle entries (i <= j) carrying moment ``mid``."""
-        out = []
-        e = self.entry_to_moment
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if e[i, j] == mid:
-                    out.append((i, j))
-        return out
-
 
 def moment_structure(basis: Sequence[Monomial]) -> MomentStructure:
     basis = tuple(basis)

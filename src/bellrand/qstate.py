@@ -184,6 +184,12 @@ class Behavior:
     def validate(self, entry_tol: float = ENTRY_TOL,
                  norm_tol: float = NORMALIZATION_TOL) -> None:
         p = self.probs
+        finite = np.isfinite(p)
+        if not finite.all():
+            a, b, x, y = list(components(self.mx, self.my))[int(np.argmin(finite))]
+            raise ValueError(
+                f"behavior entry for (a,b,x,y)=({a},{b},{x},{y}) is not finite"
+            )
         if p.min() < -entry_tol or p.max() > 1.0 + entry_tol:
             raise ValueError("behavior entries outside [0, 1]")
         for x in range(1, self.mx + 1):

@@ -41,8 +41,12 @@ order n, as one (k, n, n) stack: each step makes one stacked numpy call per
 group, not per block (NPA and tomographic programs are one group of four).
 A group's columns of the vectorized primal are contiguous, in block order.
 
-Constraint matrices are stored sparsely as upper-triangle entries
-(i, j, value) where value is the actual matrix element (mirrored at (j, i)).
+A problem is given in the solver's own form, as in SeDuMi (Sturm, Optim.
+Methods Softw. 11, 625, 1999): dense objective blocks C_i and one sparse
+matrix A whose row j is A_j over vec(X), each block raveled row-major and
+the blocks concatenated in order (the layout of a group's stack raveled).
+Every row is symmetric within each block, so off-diagonal coefficients
+appear twice; the row norm is the Frobenius norm of the A_{j,i} together.
 """
 
 from __future__ import annotations
@@ -59,105 +63,77 @@ from scipy.linalg.lapack import dtrtri, dtrtrs
 
 log = logging.getLogger(__name__)
 
-Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-_EMPTY = (np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))
-
-
-def _normalize_entries(spec, order: int, what: str) -> Entries:
-    """Canonical upper-triangle entry arrays from a dense matrix or triples."""
-    if spec is None:
-        return _EMPTY
-    acc: dict[tuple[int, int], float] = {}
-    if isinstance(spec, np.ndarray) or (
-        hasattr(spec, "shape") and getattr(spec, "ndim", 0) == 2
-    ):
-        m = np.asarray(spec, dtype=float)
-        if m.shape != (order, order):
-            raise ValueError(f"{what}: expected shape ({order},{order}), got {m.shape}")
-        if m.size and np.max(np.abs(m - m.T)) > 1e-12:
-            raise ValueError(f"{what}: matrix is not symmetric")
-        for i in range(order):
-            for j in range(i, order):
-                if m[i, j] != 0.0:
-                    acc[(i, j)] = m[i, j]
-    else:
-        for item in spec:
-            i, j, v = int(item[0]), int(item[1]), float(item[2])
-            if not (0 <= i < order and 0 <= j < order):
-                raise ValueError(f"{what}: entry ({i},{j}) outside order {order}")
-            key = (i, j) if i <= j else (j, i)
-            acc[key] = acc.get(key, 0.0) + v
-    acc = {k: v for k, v in acc.items() if v != 0.0}
-    if not acc:
-        return _EMPTY
-    keys = sorted(acc)
-    p = np.array([k[0] for k in keys], dtype=int)
-    q = np.array([k[1] for k in keys], dtype=int)
-    v = np.array([acc[k] for k in keys])
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what}: non-finite coefficient")
-    return p, q, v
-
-
-def _entries_dense(entries: Entries, order: int) -> np.ndarray:
-    m = np.zeros((order, order))
-    p, q, v = entries
-    m[p, q] = v
-    m[q, p] = v
-    return m
-
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """One SDP instance. ``objective`` and each constraint's coefficient
-    matrices are given per block, as dense symmetric arrays, as iterables of
-    (i, j, value) triples, or None for zero."""
+    """One SDP instance in vectorized form: ``objective`` holds one dense
+    symmetric array per block (mirrored from its upper triangle), ``a`` one
+    sparse row per constraint over vec(X), symmetric within every block, and
+    row j reads sum_i <A_{j,i}, X_i> = rhs[j]."""
 
     block_orders: tuple[int, ...]
-    objective: tuple[Entries, ...] = field(repr=False)
-    constraints: tuple[tuple[tuple[Entries, ...], float], ...] = field(repr=False)
+    objective: tuple[np.ndarray, ...] = field(repr=False)
+    a: sp.csr_matrix = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
 
-    def __init__(self, block_orders, objective, constraints):
+    def __init__(self, block_orders, objective, a, rhs):
         orders = tuple(int(n) for n in block_orders)
         if not orders or any(n < 1 for n in orders):
             raise ValueError(f"bad block orders {orders}")
-        objective = list(objective)
+        objective = [np.asarray(c, dtype=float) for c in objective]
         if len(objective) != len(orders):
             raise ValueError("objective needs one coefficient matrix per block")
-        obj = tuple(
-            _normalize_entries(spec, n, f"objective block {i}")
-            for i, (spec, n) in enumerate(zip(objective, orders))
-        )
-        cons = []
-        for j, (mats, rhs) in enumerate(constraints):
-            mats = list(mats)
-            if len(mats) != len(orders):
-                raise ValueError(f"constraint {j} needs one matrix per block")
-            row = tuple(
-                _normalize_entries(spec, n, f"constraint {j} block {i}")
-                for i, (spec, n) in enumerate(zip(mats, orders))
+        for i, (c, n) in enumerate(zip(objective, orders)):
+            what = f"objective block {i}"
+            if c.shape != (n, n):
+                raise ValueError(f"{what}: expected shape ({n},{n}), got {c.shape}")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"{what}: non-finite coefficient")
+            if np.max(np.abs(c - c.T)) > 1e-12:
+                raise ValueError(f"{what}: matrix is not symmetric")
+        if not sp.issparse(a):
+            raise TypeError("constraint matrix must be a scipy sparse matrix")
+        offsets = np.cumsum([0] + [n * n for n in orders])
+        if a.shape[1] != offsets[-1]:
+            raise ValueError(
+                f"constraint matrix needs {offsets[-1]} columns, got shape {a.shape}"
             )
-            rhs = float(rhs)
-            if not math.isfinite(rhs):
-                raise ValueError(f"constraint {j}: non-finite right-hand side")
-            cons.append((row, rhs))
+        a = sp.csr_matrix(a, dtype=float, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError("constraint matrix: non-finite coefficient")
+        # each entry (p, q) of a block needs the same value at (q, p)
+        coo = a.tocoo()
+        blk = np.searchsorted(offsets, coo.col, side="right") - 1
+        n = np.asarray(orders)[blk]
+        p, q = divmod(coo.col - offsets[blk], n)
+        key = coo.row.astype(np.int64) * a.shape[1] + coo.col  # sorted
+        want = key + (q - p) * (n - 1)
+        at = np.minimum(np.searchsorted(key, want), key.size - 1)
+        bad = np.flatnonzero((key[at] != want) | (coo.data[at] != coo.data))
+        if bad.size:
+            raise ValueError(
+                f"constraint {coo.row[bad[0]]} is not symmetric in block {blk[bad[0]]}"
+            )
+        b = np.array(rhs, dtype=float)
+        if b.shape != (a.shape[0],):
+            raise ValueError(
+                f"expected {a.shape[0]} right-hand sides, got shape {b.shape}"
+            )
+        if not np.all(np.isfinite(b)):
+            j = int(np.argmin(np.isfinite(b)))
+            raise ValueError(f"constraint {j}: non-finite right-hand side")
         object.__setattr__(self, "block_orders", orders)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", tuple(cons))
+        object.__setattr__(self, "objective", tuple(
+            np.where(np.tri(len(c), k=-1, dtype=bool), c.T, c) for c in objective
+        ))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "rhs", b)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([b for _, b in self.constraints])
-
-    def objective_dense(self) -> list[np.ndarray]:
-        return [
-            _entries_dense(e, n) for e, n in zip(self.objective, self.block_orders)
-        ]
+        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -330,29 +306,6 @@ class _BlockSchur:
         return dy
 
 
-def _row_entries(problem: SdpProblem):
-    """Every constraint entry in both triangles, unnormalized: row indices,
-    columns of the vectorized primal and values, entries of one column in row
-    order; and each block's first column."""
-    orders = problem.block_orders
-    nblocks = len(orders)
-    offsets = np.concatenate([[0], np.cumsum([n * n for n in orders])])
-    m = problem.n_constraints
-    entries = [e for row, _ in problem.constraints for e in row]
-    sizes = [e[0].size for e in entries]
-    r = np.repeat(np.arange(m).repeat(nblocks), sizes)
-    blk = np.repeat(np.tile(np.arange(nblocks), m), sizes)
-    p, q, v = (
-        np.concatenate([e[k] for e in entries] + [_EMPTY[k]]) for k in range(3)
-    )
-    off = p != q
-    r, blk, p, q, v = (
-        np.concatenate([a, b[off]])
-        for a, b in ((r, r), (blk, blk), (p, q), (q, p), (v, v))
-    )
-    return r, offsets[blk] + p * np.asarray(orders)[blk] + q, v, offsets
-
-
 class _Presolved:
     """Scaled form of a problem, plus the undo factors. Rows are normalized
     to unit Frobenius norm; all-zero rows are ``removed`` (inconsistent if
@@ -364,7 +317,10 @@ class _Presolved:
         orders = problem.block_orders
         nblocks = len(orders)
         m = problem.n_constraints
-        r, col, v, offsets = _row_entries(problem)
+        offsets = np.cumsum([0] + [n * n for n in orders])
+        a = problem.a
+        coo = a.tocoo()
+        r, v = coo.row, coo.data
         row_norm = np.sqrt(np.bincount(r, weights=v * v, minlength=m))
         b = problem.rhs
 
@@ -374,16 +330,14 @@ class _Presolved:
             log.info("presolve: dropping all-zero constraint rows %s", zero_rows)
         kept = [j for j in range(m) if row_norm[j] > 0.0]
         self.s = sp.csr_matrix(
-            (v / row_norm[r], (r, col)), shape=(m, int(offsets[-1]))
+            (v / row_norm[r], a.indices, a.indptr), shape=a.shape
         )[kept]
         self.st = self.s.T.tocsr()
         self.kept = kept
         self.removed = tuple(zero_rows)
         self.row_scale = row_norm
 
-        self.c_blocks = [
-            _entries_dense(e, n) for e, n in zip(problem.objective, orders)
-        ]
+        self.c_blocks = problem.objective
         self.c_scale = max(1.0, math.sqrt(sum(
             float(np.sum(cd * cd)) for cd in self.c_blocks)))
 

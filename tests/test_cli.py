@@ -69,6 +69,19 @@ def test_certify_missing_row_names_component(tmp_path, capsys):
     assert "(-1,1,2,2)" in capsys.readouterr().err
 
 
+def test_certify_non_finite_entry_names_component(tmp_path, capsys):
+    lines = interior_csv().strip().splitlines()
+    lines = [
+        "-1,1,2,1,nan" if ln.startswith("-1,1,2,1,") else ln for ln in lines
+    ]
+    src = tmp_path / "behavior.csv"
+    src.write_text("\n".join(lines) + "\n")
+    code = cli.main(["certify", "--behavior", str(src), "--level", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "behavior entry for (a,b,x,y)=(-1,1,2,1) is not finite" in err
+
+
 def test_certify_generation_outside_file_scenario(tmp_path, capsys):
     src = tmp_path / "behavior.csv"
     src.write_text(interior_csv())
@@ -201,6 +214,25 @@ def test_grids_validated_before_any_solve(monkeypatch, capsys):
     assert "theta-grid value nan" in capsys.readouterr().err
 
 
+def test_iteration_and_map_counts_validated_before_any_solve(
+    monkeypatch, capsys, tmp_path
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the settings were validated")
+
+    monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
+    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
+    monkeypatch.setattr(cli, "tomographic_guessing", no_solve)
+    amap = str(tmp_path / "map.csv")
+    for grid in ("0", "-3"):
+        assert cli.main(["tomography", "--v", "0.9", "--grid-size", "8",
+                         "--map-grid", grid, "--angle-map", amap]) == 1
+        assert "map-grid must be >= 1" in capsys.readouterr().err
+    for sub in (["optimize"], ["sweep", "--v-grid", "0.9"]):
+        assert cli.main(sub + ["--level", "1", "--max-iterations", "0"]) == 1
+        assert "max-iterations must be >= 1" in capsys.readouterr().err
+
+
 def test_tomography_outputs_with_plot_companion(tmp_path):
     out = tmp_path / "tomo.csv"
     amap = tmp_path / "map.csv"
@@ -233,6 +265,18 @@ def test_config_file_precedence(tmp_path):
         ["certify", "--config", str(cfg), "--level", "2", "--out", str(out2)]
     ) == 0
     assert parse_report(out2.read_text())["level"] == "2"
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("levle = 1\nv = 0.9\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 1
+    assert "unknown config key 'levle'" in capsys.readouterr().err
+    # a key another subcommand knows is ignored, as before
+    cfg.write_text("level = 1\nv = 0.9\ngrid-size = 8\n")
+    out = tmp_path / "r.txt"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert parse_report(out.read_text())["level"] == "1"
 
 
 def test_rejected_flags_exit_via_argparse():

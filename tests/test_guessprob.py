@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,13 +76,15 @@ def test_primal_structure_level_two(phi_plus_behavior):
     cg += [b.prob(1, 1, 1, y) + b.prob(-1, 1, 1, y) for y in (1, 2)]
     cg += [b.prob(1, 1, x, y) for x in (1, 2) for y in (1, 2)]
     assert np.allclose(problem.rhs[:9], cg, rtol=0.0, atol=1e-12)
-    for row, _ in problem.constraints[:9]:
-        assert [entries[0].size for entries in row] == [1, 1, 1, 1]
+    # each row's blocks, upper triangles only
+    blocks = np.triu(problem.a.toarray().reshape(-1, 4, 13, 13))
+    for row in blocks[:9]:
+        assert [np.count_nonzero(m) for m in row] == [1, 1, 1, 1]
     # then the structural rows, each inside one block
     assert np.all(problem.rhs[9:] == 0.0)
     assert problem.n_constraints > 9
-    for row, _ in problem.constraints[9:]:
-        assert sum(entries[0].size > 0 for entries in row) == 1
+    for row in blocks[9:]:
+        assert sum(np.count_nonzero(m) > 0 for m in row) == 1
 
 
 def test_generation_setting_validated(phi_plus_behavior):
@@ -145,8 +148,7 @@ def test_reconstruction_matches_input(interior_behavior, solves):
     assert report.status == "optimal"
     [(_, sol)] = solves
     layout = guessprob._moment_layout(2, 2, 2)
-    rows, cols = np.array(layout.cg_pos).T
-    total = layout.from_cg @ sum(x[rows, cols] for x in sol.primal_blocks)
+    total = layout.from_cg @ sum(layout.cg @ x.ravel() for x in sol.primal_blocks)
     assert np.max(np.abs(total - interior_behavior.probs)) <= 1e-7
 
 
@@ -334,11 +336,9 @@ def test_rows_independent_and_primal_on_rows(name, solves):
     assert solves
     for problem, sol in solves:
         assert sol.removed_rows == ()
-        for row, rhs in problem.constraints:
-            value = sum(
-                float(np.sum(v * x[p, q] * np.where(p == q, 1.0, 2.0)))
-                for (p, q, v), x in zip(row, sol.primal_blocks)
-            )
+        x = np.concatenate([x.ravel() for x in sol.primal_blocks])
+        for row, rhs in zip(problem.a.toarray(), problem.rhs):
+            value = float(row @ x)
             assert abs(value - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
 
@@ -376,17 +376,19 @@ def test_dual_combination_matches_direct_sum():
         mats = []
         for n in orders:
             a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
-            mats.append(a + a.T if rng.random() < 0.8 else None)
+            mats.append(a + a.T if rng.random() < 0.8 else np.zeros((n, n)))
         cons.append((mats, float(rng.normal())))
-    problem = sdp.SdpProblem(orders, [None] * 3, cons)
+    problem = sdp.SdpProblem(
+        orders,
+        [np.zeros((n, n)) for n in orders],
+        sp.csr_matrix([np.concatenate([m.ravel() for m in mats]) for mats, _ in cons]),
+        [rhs for _, rhs in cons],
+    )
     y = rng.normal(size=len(cons))
     got = guessprob._dual_combination(problem, y)
     assert [z.shape for z in got] == [(n, n) for n in orders]
     for b, n in enumerate(orders):
-        want = sum(
-            y[j] * sdp._entries_dense(row[b], n)
-            for j, (row, _) in enumerate(problem.constraints)
-        )
+        want = sum(y[j] * mats[b] for j, (mats, _) in enumerate(cons))
         assert np.abs(got[b] - want).max() <= 1e-12
 
 

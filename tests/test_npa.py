@@ -94,7 +94,8 @@ def test_positions_cover_upper_triangle():
     structure = npa.moment_structure(npa.monomials(2, 2, 2))
     seen = set()
     for mid in range(structure.moment_count):
-        for pos in structure.positions(mid):
+        # the upper-triangle entries (i <= j) carrying moment mid
+        for pos in zip(*np.nonzero(np.triu(structure.entry_to_moment == mid))):
             assert pos not in seen
             seen.add(pos)
     n = structure.dim
@@ -161,5 +162,5 @@ def test_moment_matrix_of_realization_is_psd():
     assert np.allclose(m, m.T, atol=1e-10)
     assert np.linalg.eigvalsh(m).min() > -1e-10
     for mid in range(structure.moment_count):
-        vals = [m[i, j] for i, j in structure.positions(mid)]
+        vals = m[np.triu(structure.entry_to_moment == mid)]
         assert max(vals) - min(vals) < 1e-10

@@ -1,9 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellrand import sdp
+
+
+def vec(*blocks):
+    """One constraint row over vec(X): the blocks raveled, in block order."""
+    return np.concatenate([np.ravel(b) for b in blocks])
+
+
+def sym(n, *entries):
+    """Symmetric n x n matrix with value v at (i, j) and (j, i)."""
+    m = np.zeros((n, n))
+    for i, j, v in entries:
+        m[i, j] = m[j, i] = v
+    return m
+
+
+def problem_of(orders, objective, rows, rhs):
+    rows = sp.csr_matrix(np.array(rows, ndmin=2))
+    return sdp.SdpProblem(orders, objective, rows, rhs)
 
 
 def solve_ok(problem, **kw):
@@ -14,11 +33,7 @@ def solve_ok(problem, **kw):
 
 def trace_one_problem():
     # maximize <diag(1,0), X> subject to tr X = 1, X >= 0
-    return sdp.SdpProblem(
-        block_orders=(2,),
-        objective=[np.diag([1.0, 0.0])],
-        constraints=[(([np.eye(2)]), 1.0)],
-    )
+    return problem_of((2,), [np.diag([1.0, 0.0])], [vec(np.eye(2))], [1.0])
 
 
 def test_trace_one_extremal():
@@ -36,11 +51,7 @@ def test_solve_without_border_rows_is_silent(capfd):
 
 def test_scalar_equality():
     # maximize x subject to x = 0.3; dual multiplier is 1
-    problem = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[np.array([[1.0]])],
-        constraints=[([np.array([[1.0]])], 0.3)],
-    )
+    problem = problem_of((1,), [np.array([[1.0]])], [[1.0]], [0.3])
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - 0.3) < 1e-7
     assert abs(sol.dual_vector[0] - 1.0) < 1e-6
@@ -48,13 +59,11 @@ def test_scalar_equality():
 
 def test_offdiagonal_objective():
     # maximize X01 + X10 with unit diagonal halves; optimum at rank one
-    problem = sdp.SdpProblem(
-        block_orders=(2,),
-        objective=[[(0, 1, 1.0)]],
-        constraints=[
-            ([[(0, 0, 1.0)]], 0.5),
-            ([[(1, 1, 1.0)]], 0.5),
-        ],
+    problem = problem_of(
+        (2,),
+        [sym(2, (0, 1, 1.0))],
+        [vec(sym(2, (0, 0, 1.0))), vec(sym(2, (1, 1, 1.0)))],
+        [0.5, 0.5],
     )
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - 1.0) < 1e-7
@@ -63,32 +72,28 @@ def test_offdiagonal_objective():
 
 
 def test_row_rescaling_rescales_dual():
-    base = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[np.array([[1.0]])],
-        constraints=[([np.array([[1.0]])], 0.3)],
-    )
-    scaled = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[np.array([[1.0]])],
-        constraints=[([np.array([[10.0]])], 3.0)],
-    )
+    base = problem_of((1,), [np.array([[1.0]])], [[1.0]], [0.3])
+    scaled = problem_of((1,), [np.array([[1.0]])], [[10.0]], [3.0])
     a = solve_ok(base)
     b = solve_ok(scaled)
     assert abs(a.primal_objective - b.primal_objective) < 1e-7
     assert abs(b.dual_vector[0] - a.dual_vector[0] / 10.0) < 1e-7
 
 
+def _block_columns(problem):
+    """The dense rows of ``problem.a`` split into one column range per block."""
+    offsets = np.cumsum([n * n for n in problem.block_orders])
+    return np.split(problem.a.toarray(), offsets[:-1], axis=1)
+
+
 def _permuted(problem, perm):
     """The same program with its blocks listed in the order ``perm``."""
-    objective = problem.objective_dense()
-    return sdp.SdpProblem(
+    cols = _block_columns(problem)
+    return problem_of(
         [problem.block_orders[i] for i in perm],
-        [objective[i] for i in perm],
-        [
-            ([sdp._entries_dense(mats[i], problem.block_orders[i]) for i in perm], rhs)
-            for mats, rhs in problem.constraints
-        ],
+        [problem.objective[i] for i in perm],
+        np.hstack([cols[i] for i in perm]),
+        problem.rhs,
     )
 
 
@@ -100,25 +105,27 @@ def _unique_optimum_problem(orders, seed):
     for n in orders:
         a = rng.normal(size=(n, n))
         obj.append(a + a.T)
-    cons = [
-        ([np.eye(n) if j == i else None for j, n in enumerate(orders)], 0.2 + 0.1 * i)
+    rows = [
+        vec(*(np.eye(n) * (j == i) for j, n in enumerate(orders)))
         for i in range(len(orders) - 1)
     ]
-    cons.append(([np.eye(n) for n in orders], 1.0))
-    return sdp.SdpProblem(orders, obj, cons)
+    rows.append(vec(*(np.eye(n) for n in orders)))
+    rhs = [0.2 + 0.1 * i for i in range(len(orders) - 1)] + [1.0]
+    return problem_of(orders, obj, rows, rhs)
 
 
 def test_block_permutation_invariance():
     obj = [np.diag([1.0, 0.0]), np.array([[2.0]])]
     cons = [
-        ([np.eye(2), None], 1.0),
-        ([None, np.array([[1.0]])], 0.25),
+        ([np.eye(2), np.zeros((1, 1))], 1.0),
+        ([np.zeros((2, 2)), np.array([[1.0]])], 0.25),
     ]
-    forward = sdp.SdpProblem((2, 1), obj, cons)
-    swapped = sdp.SdpProblem(
+    forward = problem_of((2, 1), obj, [vec(*c) for c, _ in cons], [r for _, r in cons])
+    swapped = problem_of(
         (1, 2),
         [obj[1], obj[0]],
-        [([c[1], c[0]], rhs) for c, rhs in cons],
+        [vec(c[1], c[0]) for c, _ in cons],
+        [r for _, r in cons],
     )
     a = solve_ok(forward)
     b = solve_ok(swapped)
@@ -141,11 +148,7 @@ def test_block_permutation_invariance():
 
 def test_negative_diagonal_is_infeasible():
     # X >= 0 scalar cannot equal -1
-    problem = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[np.array([[1.0]])],
-        constraints=[([np.array([[1.0]])], -1.0)],
-    )
+    problem = problem_of((1,), [np.array([[1.0]])], [[1.0]], [-1.0])
     sol = sdp.solve(problem)
     assert sol.status == "infeasible"
 
@@ -159,36 +162,71 @@ def test_iteration_cap_reported():
 
 
 def test_all_zero_rows_rejected():
-    problem = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[np.array([[1.0]])],
-        constraints=[([None], 0.0)],
-    )
+    problem = problem_of((1,), [np.array([[1.0]])], [[0.0]], [0.0])
     with pytest.raises(ValueError, match="independent"):
         sdp.solve(problem)
 
 
-def test_entry_accumulation_and_validation():
-    # repeated triples accumulate; out-of-range and asymmetric inputs fail
-    problem = sdp.SdpProblem(
-        block_orders=(1,),
-        objective=[[(0, 0, 0.5), (0, 0, 0.5)]],
-        constraints=[([[(0, 0, 1.0)]], 0.3)],
+def test_all_zero_row_with_nonzero_rhs_is_infeasible():
+    # 0 = 0.5 cannot hold: the presolve reports it before any iteration
+    problem = problem_of(
+        (2,), [np.eye(2)], [vec(np.eye(2)), np.zeros(4)], [1.0, 0.5]
     )
-    assert problem.objective_dense()[0][0, 0] == 1.0
-    with pytest.raises(ValueError, match="outside"):
-        sdp.SdpProblem((1,), [[(0, 1, 1.0)]], [([None], 0.0)])
-    with pytest.raises(ValueError, match="symmetric"):
-        sdp.SdpProblem((2,), [np.array([[0.0, 1.0], [0.0, 0.0]])], [])
+    sol = sdp.solve(problem)
+    assert sol.status == "infeasible"
+    assert sol.removed_rows == (1,)
+    assert sol.iterations == 0
+
+
+def test_entry_accumulation_and_validation():
+    # repeated entries of the sparse rows accumulate, explicit zeros are
+    # dropped, and the objective is mirrored from its upper triangle
+    problem = sdp.SdpProblem(
+        (2,),
+        [np.array([[1.0, 0.5], [0.5 + 1e-14, 0.0]])],
+        sp.coo_matrix(([0.5, 0.5, 0.0], ([0, 0, 0], [0, 0, 1])), shape=(1, 4)),
+        [0.3],
+    )
+    assert problem.a.toarray().tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert problem.a.nnz == 1
+    assert problem.objective[0][1, 0] == 0.5
+    one = [np.eye(2)]
+    row = sp.csr_matrix(vec(np.eye(2)))
     with pytest.raises(ValueError, match="bad block orders"):
-        sdp.SdpProblem((0,), [None], [])
+        sdp.SdpProblem((0,), [np.zeros((0, 0))], sp.csr_matrix((0, 0)), [])
+    with pytest.raises(ValueError, match="one coefficient matrix per block"):
+        sdp.SdpProblem((2, 1), one, sp.csr_matrix((1, 5)), [0.0])
+    with pytest.raises(ValueError, match="expected shape"):
+        sdp.SdpProblem((2,), [np.eye(3)], row, [1.0])
+    with pytest.raises(ValueError, match="needs 4 columns"):
+        sdp.SdpProblem((2,), one, sp.csr_matrix(np.ones((1, 5))), [1.0])
+    with pytest.raises(TypeError, match="sparse"):
+        sdp.SdpProblem((2,), one, vec(np.eye(2))[None, :], [1.0])
+    with pytest.raises(ValueError, match="objective block 0: matrix is not symmetric"):
+        sdp.SdpProblem((2,), [np.array([[0.0, 1.0], [0.0, 0.0]])], row, [1.0])
+    with pytest.raises(ValueError, match="constraint 1 is not symmetric in block 1"):
+        sdp.SdpProblem(
+            (1, 2), [np.eye(1), np.eye(2)],
+            sp.csr_matrix([vec(1.0, np.eye(2)), vec(0.0, [[0.0, 1.0], [0.0, 0.0]])]),
+            [1.0, 0.0],
+        )
+    with pytest.raises(ValueError, match="constraint 0 is not symmetric in block 0"):
+        sdp.SdpProblem((2,), one, sp.csr_matrix(vec([[0.0, 1.0], [2.0, 0.0]])), [0.0])
+    with pytest.raises(ValueError, match="objective block 0: non-finite"):
+        sdp.SdpProblem((2,), [np.diag([1.0, np.inf])], row, [1.0])
+    with pytest.raises(ValueError, match="constraint matrix: non-finite"):
+        sdp.SdpProblem((2,), one, sp.csr_matrix(vec(np.diag([1.0, np.nan]))), [1.0])
+    with pytest.raises(ValueError, match="constraint 0: non-finite right-hand side"):
+        sdp.SdpProblem((2,), one, row, [np.nan])
+    with pytest.raises(ValueError, match="expected 1 right-hand sides"):
+        sdp.SdpProblem((2,), one, row, [1.0, 2.0])
 
 
 def test_residual_report_on_solution():
     problem = trace_one_problem()
     sol = solve_ok(problem)
     x = sol.primal_blocks[0]
-    c = problem.objective_dense()[0]
+    c = problem.objective[0]
     (y,) = sol.dual_vector
     # tr X = 1, the dual slack y I - C is PSD, no duality gap, X is PSD
     assert abs(np.trace(x) - 1.0) < 1e-7
@@ -207,28 +245,32 @@ def test_pinned_diagonal_value(n, seed):
     rng = np.random.default_rng(seed)
     c = rng.uniform(-1.0, 1.0, size=n)
     b = rng.uniform(0.1, 1.0, size=n)
-    problem = sdp.SdpProblem(
-        block_orders=(n,),
-        objective=[np.diag(c)],
-        constraints=[([[(i, i, 1.0)]], b[i]) for i in range(n)],
+    problem = problem_of(
+        (n,), [np.diag(c)], [vec(sym(n, (i, i, 1.0))) for i in range(n)], b
     )
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - float(c @ b)) < 1e-6 * (1 + abs(float(c @ b)))
 
 
-def _random_row(rng, orders, blocks):
-    mats = [None] * len(orders)
-    for i in blocks:
-        a = rng.normal(size=(orders[i], orders[i]))
-        mats[i] = a + a.T
-    return mats, float(rng.normal())
+def _random_problem(rng, orders, touched):
+    # one random symmetric row per entry of ``touched``, nonzero in the
+    # blocks it lists; a zero objective
+    rows, rhs = [], []
+    for blocks in touched:
+        mats = [np.zeros((n, n)) for n in orders]
+        for i in blocks:
+            a = rng.normal(size=(orders[i], orders[i]))
+            mats[i] = a + a.T
+        rows.append(vec(*mats))
+        rhs.append(float(rng.normal()))
+    return problem_of(orders, [np.zeros((n, n)) for n in orders], rows, rhs)
 
 
 def _check_schur_against_dense(problem, pre, rng):
     orders = problem.block_orders
+    cols = _block_columns(problem)
     a = [
-        [sdp._entries_dense(e, n) / pre.row_scale[j]
-         for e, n in zip(problem.constraints[j][0], orders)]
+        [cols[b][j].reshape(n, n) / pre.row_scale[j] for b, n in enumerate(orders)]
         for j in pre.kept
     ]
     for _ in range(3):
@@ -262,9 +304,7 @@ def test_block_schur_solve_matches_dense(with_border):
         touched += [(0, 1), (1, 2), (0, 1, 2)]
     else:
         touched += [(2,)]
-    problem = sdp.SdpProblem(
-        orders, [None] * 3, [_random_row(rng, orders, t) for t in touched]
-    )
+    problem = _random_problem(rng, orders, touched)
     pre = sdp._Presolved(problem)
     assert len(pre.kept) == len(touched)
     assert [(g.k, g.n) for g in pre.groups] == [(1, 3), (1, 2), (1, 1)]
@@ -282,9 +322,7 @@ def test_block_schur_stack_matches_dense(with_own):
     orders = (3, 3, 3, 3)
     own = [(0,), (0,), (1,), (2,), (2,), (2,), (3,)] if with_own else []
     border = [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3), (0, 2), (0, 1, 2, 3)]
-    problem = sdp.SdpProblem(
-        orders, [None] * 4, [_random_row(rng, orders, t) for t in own + border]
-    )
+    problem = _random_problem(rng, orders, own + border)
     pre = sdp._Presolved(problem)
     assert [(g.k, g.n) for g in pre.groups] == [(4, 3)]
     assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
