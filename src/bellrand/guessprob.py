@@ -24,7 +24,10 @@ Three variants share the machinery: full statistics (match the behavior's
 Collins-Gisin coordinates), Bell-value constrained (match only the values
 of given Bell operators plus normalization), and tomographic (state blocks
 matching the density matrix entrywise, solved on the support of the state
-where the decomposition provably lives).
+where the decomposition provably lives). For a pure state
+rho = lambda |psi><psi| that support is one-dimensional, the blocks are
+weights on a simplex, and the optimum lambda * max_ab <psi|pi_a x pi_b|psi>
+is returned exactly without a solve.
 """
 
 from __future__ import annotations
@@ -483,9 +486,13 @@ def tomographic_guessing(
 
     PSD blocks summing to rho are supported on rho's range, so the program
     is solved in rho's eigenbasis restricted to its support; that keeps the
-    matched state positive definite (interior restored) and is exact. Level
-    is reported as 0 and there is no behavior-space Bell expression (the
-    dual certificate is an operator)."""
+    matched state positive definite (interior restored) and is exact. When
+    the support has rank one (a pure state, rho = lambda |psi><psi|), the
+    blocks are weights x_ab >= 0 summing to lambda and the optimum is
+    G = lambda * max_ab <psi|pi_a x pi_b|psi>, returned exactly with no
+    solve: 0 iterations, zero gap, residuals and defect, and all attack
+    weight on the maximizing pair. Level is reported as 0 and there is no
+    behavior-space Bell expression (the dual certificate is an operator)."""
     rho = state.entries
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-12
@@ -498,6 +505,23 @@ def tomographic_guessing(
         ) @ basis
         for a, b in OUTCOME_PAIRS
     ]
+    if r == 1:
+        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = rho_r: a linear
+        # program over a simplex, maximized at its best vertex; the dual
+        # y = max_ab p_ab is feasible as it stands, so the defect is zero
+        p = [float(q[0, 0]) for q in projs]
+        best = int(np.argmax(p))
+        lam = float(rho_r[0, 0])
+        g = min(max(lam * p[best], 0.25), 1.0)
+        return GuessReport(
+            guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
+            status="optimal",
+            attack_weights={
+                k: lam if i == best else 0.0 for i, k in enumerate(OUTCOME_PAIRS)
+            },
+            bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
+            dual_residual=0.0, certificate_defect=0.0,
+        )
     problem = SdpProblem(
         block_orders=(r,) * 4,
         objective=projs,

@@ -207,13 +207,16 @@ def tomographic_optimize(
     options: SolveOptions | None = None,
 ) -> tuple[float, float, GuessReport]:
     """Scan (alice, bob) angles over [0, pi)^2 for the tomographic program,
-    then refine the best grid point with a simplex search."""
+    then refine the best grid point with a simplex search. The returned
+    report is the one computed when the search evaluated its endpoint."""
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     angles = np.arange(grid_size) * math.pi / grid_size
+    reports: dict[tuple[float, float], GuessReport] = {}
 
     def g_of(v) -> float:
-        rep = tomographic_guessing(state, float(v[0]), float(v[1]), options)
+        pair = (float(v[0]), float(v[1]))
+        rep = reports[pair] = tomographic_guessing(state, *pair, options)
         return rep.guessing_probability
 
     best_pair = None
@@ -230,5 +233,4 @@ def tomographic_optimize(
         options={"xatol": refine_tolerance, "fatol": 1e-12},
     )
     alpha, beta = (float(res.x[0]), float(res.x[1]))
-    report = tomographic_guessing(state, alpha, beta, options)
-    return alpha, beta, report
+    return alpha, beta, reports[alpha, beta]

@@ -434,6 +434,42 @@ def test_tomographic_product_state_endpoints():
     assert abs(aligned.guessing_probability - 1.0) <= 1e-6
 
 
+@settings(max_examples=50, deadline=None)
+@given(theta=thetas, alpha=angles, beta=angles)
+def test_tomographic_pure_state_closed_form(theta, alpha, beta):
+    # a pure state leaves Eve one decomposition: G is the largest outcome
+    # probability, certified exactly with all weight on that outcome pair
+    state = make_state(1.0, theta)
+    probs = {
+        (a, b): float(np.trace(state.entries @ np.kron(
+            qstate.projector(alpha, a), qstate.projector(beta, b)
+        )))
+        for a, b in OUTCOME_PAIRS
+    }
+    report = guessprob.tomographic_guessing(state, alpha, beta)
+    assert abs(report.guessing_probability - max(probs.values())) <= 1e-12
+    assert report.status == "optimal"
+    assert report.iterations == 0
+    assert report.certificate_defect == 0.0
+    assert report.gap == report.primal_residual == report.dual_residual == 0.0
+    [(pair, weight)] = [kv for kv in report.attack_weights.items() if kv[1] != 0.0]
+    assert abs(weight - 1.0) <= 1e-12
+    assert abs(probs[pair] - max(probs.values())) <= 1e-12
+
+
+@pytest.mark.parametrize("theta,alpha,beta", [
+    (0.0, 0.0, 0.0), (0.3, 0.7, 1.9), (math.pi / 8, 0.4, 2.6), (0.6, 1.0, 2.2),
+])
+def test_tomographic_pure_state_continuous_with_full_rank(theta, alpha, beta):
+    # just below v = 1 the state has full rank and is solved iteratively;
+    # the angles give one most likely outcome pair, since a tie (as at
+    # theta = pi/4) lets the blocks mix the tied pairs and gain O(sqrt(1-v))
+    pure = guessprob.tomographic_guessing(make_state(1.0, theta), alpha, beta)
+    mixed = guessprob.tomographic_guessing(make_state(1.0 - 1e-9, theta), alpha, beta)
+    assert mixed.status == "optimal" and mixed.iterations > 0
+    assert abs(pure.guessing_probability - mixed.guessing_probability) <= 1e-6
+
+
 def test_verify_expression_from_solve(phi_plus_report):
     verdict = guessprob.verify_bell_expression(
         phi_plus_report.bell_expression, samples=100, seed=0

@@ -268,3 +268,10 @@ def test_tomographic_optimize_separable_pure():
     )
     assert report.status == "optimal"
     assert abs(report.guessing_probability - 0.25) <= 1e-4
+
+
+def test_tomographic_optimize_reports_its_endpoint():
+    # the report kept from the search is the one a fresh solve gives there
+    state = make_state(0.95, 0.3)
+    alice, bob, report = seesaw.tomographic_optimize(state, grid_size=8)
+    assert report == guessprob.tomographic_guessing(state, alice, bob)
