@@ -3,10 +3,11 @@
 Subcommands: certify (bound from a behavior), bellbound (bound from Bell
 operator values), optimize (see-saw over settings), sweep (grid over state
 parameters with optimized settings), tomography (state-constrained bounds).
-Configuration comes from defaults, then a flat key=value file given with
---config, then command-line flags, later sources winning. A config key
-that no subcommand knows is an input error; keys of other subcommands are
-ignored. All grids and counts are validated before any solve. Identical
+Each option is declared once, as a flag with its type and default.
+Configuration comes from those defaults, then a flat key=value file given
+with --config, then command-line flags, later sources winning. A config
+value goes through its flag's own parser; a config key that no subcommand
+knows is an input error; keys of other subcommands are ignored. All grids and counts are validated before any solve. Identical
 configuration (including seed) run at the same BLAS thread count produces
 byte-identical output files; a different thread count can change the last
 digits.
@@ -20,11 +21,10 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, qstate, seesaw
+from . import qstate, seesaw
 from .guessprob import (
     bell_constrained_bound,
     chsh_coefficients,
@@ -40,82 +40,42 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
 
-_DEFAULTS: dict[str, object] = {
-    "level": 2,
-    "v": 1.0,
-    "theta": math.pi / 4,
-    "mx": 2,
-    "my": 2,
-    "xstar": 1,
-    "ystar": 1,
-    "epsilon": 1e-6,
-    "starts": 8,
-    "seed": 0,
-    "max_iterations": 50,
-    "jobs": 1,
-    "gap_tol": 1e-8,
-    "feas_tol": 1e-8,
-    "grid_size": 12,
-    "map_grid": 24,
-}
 
-_CONVERT = {
-    "level": int, "mx": int, "my": int, "xstar": int, "ystar": int,
-    "starts": int, "seed": int, "max_iterations": int, "jobs": int,
-    "grid_size": int, "map_grid": int,
-    "v": float, "theta": float, "epsilon": float,
-    "gap_tol": float, "feas_tol": float,
-    "value": float, "beta": float, "ibeta_value": float,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged configuration for one subcommand run."""
-
-    subcommand: str
-    settings: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.settings[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def validate(self):
-        s = self.settings
-        if s.get("level") not in (1, 2, 3):
-            raise ValueError("level must be 1, 2, or 3")
-        if not 0.0 <= s.get("v", 1.0) <= 1.0:
-            raise ValueError("v must lie in [0, 1]")
-        if s.get("epsilon", 1.0) <= 0.0:
-            raise ValueError("epsilon must be > 0")
-        if s.get("starts", 1) < 1:
-            raise ValueError("starts must be >= 1")
-        if s.get("jobs", 1) < 1:
-            raise ValueError("jobs must be >= 1")
-        if s.get("max_iterations", 1) < 1:
-            raise ValueError("max-iterations must be >= 1")
-        if s.get("map_grid", 1) < 1:
-            raise ValueError("map-grid must be >= 1")
-        if s.get("mx", 1) < 1 or s.get("my", 1) < 1:
-            raise ValueError("scenario needs at least one input per side")
-        if not s.get("behavior"):
-            # with a behavior file, the scenario comes from the file instead
-            if not (1 <= s.get("xstar", 1) <= s.get("mx", 1)):
-                raise ValueError("xstar outside scenario")
-            if not (1 <= s.get("ystar", 1) <= s.get("my", 1)):
-                raise ValueError("ystar outside scenario")
-        for key in ("v_grid", "theta_grid"):
-            if key in s and len(s[key]) == 0:
-                raise ValueError(f"{key.replace('_', '-')} is empty")
-        for v in s.get("v_grid") or ():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"v-grid value {v} outside [0, 1]")
-        for theta in s.get("theta_grid") or ():
-            # same slack as qstate.make_state, so pi/4 itself passes
-            if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-                raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
+def validate(args: argparse.Namespace):
+    """Reject settings no solve can use, before any solve. Options that the
+    chosen subcommand does not declare are absent from ``args``."""
+    if args.level not in (1, 2, 3):
+        raise ValueError("level must be 1, 2, or 3")
+    if not 0.0 <= args.v <= 1.0:
+        raise ValueError("v must lie in [0, 1]")
+    if args.epsilon <= 0.0:
+        raise ValueError("epsilon must be > 0")
+    if args.starts < 1:
+        raise ValueError("starts must be >= 1")
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError("jobs must be >= 1")
+    if args.max_iterations < 1:
+        raise ValueError("max-iterations must be >= 1")
+    if getattr(args, "map_grid", 1) < 1:
+        raise ValueError("map-grid must be >= 1")
+    if args.mx < 1 or args.my < 1:
+        raise ValueError("scenario needs at least one input per side")
+    if not getattr(args, "behavior", None):
+        # with a behavior file, the scenario comes from the file instead
+        if not (1 <= args.xstar <= args.mx):
+            raise ValueError("xstar outside scenario")
+        if not (1 <= args.ystar <= args.my):
+            raise ValueError("ystar outside scenario")
+    for key in ("v_grid", "theta_grid"):
+        if getattr(args, key, None) == ():
+            raise ValueError(f"{key.replace('_', '-')} is empty")
+    for v in getattr(args, "v_grid", None) or ():
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"v-grid value {v} outside [0, 1]")
+    for theta in getattr(args, "theta_grid", None) or ():
+        # same slack as qstate.make_state, so pi/4 itself passes
+        if not 0.0 <= theta <= math.pi / 4 + 1e-12:
+            raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:
@@ -138,8 +98,9 @@ def _parse_angles(spec: str) -> tuple[float, ...]:
     return tuple(float(p) for p in spec.split(","))
 
 
-def _read_config_file(path: str) -> dict:
-    out: dict[str, object] = {}
+def _read_config_file(path: str) -> dict[str, str]:
+    """Raw values of a flat ``key = value`` file, with '-' in keys read as '_'."""
+    out: dict[str, str] = {}
     with open(path) as fh:
         for ln in fh:
             ln = ln.split("#", 1)[0].strip()
@@ -148,39 +109,32 @@ def _read_config_file(path: str) -> dict:
             if "=" not in ln:
                 raise ValueError(f"config line must be key=value: {ln!r}")
             key, val = (part.strip() for part in ln.split("=", 1))
-            key = key.replace("-", "_")
-            if key in ("v_grid", "theta_grid"):
-                out[key] = _parse_grid(val)
-            elif key in ("alice", "bob"):
-                out[key] = _parse_angles(val)
-            elif key in _CONVERT:
-                out[key] = _CONVERT[key](val)
-            else:
-                out[key] = val
+            out[key.replace("-", "_")] = val
     return out
 
 
-def _merge(args: argparse.Namespace, keys) -> RunConfig:
-    """defaults < config file < explicit flags"""
-    merged = {k: _DEFAULTS[k] for k in keys if k in _DEFAULTS}
-    if getattr(args, "config", None):
-        filecfg = _read_config_file(args.config)
-        for k, val in filecfg.items():
-            if k in keys:
-                merged[k] = val
-            elif k not in _KNOWN_KEYS:
-                raise ValueError(f"unknown config key {k!r}")
-    for k in keys:
-        val = getattr(args, k, None)
-        if val is not None:
-            merged[k] = val
-    cfg = RunConfig(subcommand=args.subcommand, settings=merged)
-    cfg.validate()
-    return cfg
+def _apply_config(path: str, subparsers: dict, subcommand: str):
+    """Make the config file's values the chosen subcommand's defaults, each
+    converted by its own flag's type. A key that no subcommand declares, or
+    a value its flag would reject, is an input error; keys of other
+    subcommands are ignored after that check."""
+    declared = {
+        a.dest: a for p in subparsers.values() for a in p._actions
+        if a.dest not in ("help", "config")
+    }
+    chosen = {a.dest for a in subparsers[subcommand]._actions}
+    values = {}
+    for key, raw in _read_config_file(path).items():
+        if key not in declared:
+            raise ValueError(f"unknown config key {key!r}")
+        value = declared[key].type(raw)
+        if key in chosen:
+            values[key] = value
+    subparsers[subcommand].set_defaults(**values)
 
 
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    return SolveOptions(gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
+def _solve_options(args: argparse.Namespace) -> SolveOptions:
+    return SolveOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
 
 
 def _write(path: str | None, text: str):
@@ -195,61 +149,61 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"
 
 
-def _settings_for(cfg: RunConfig) -> MeasurementSet:
-    alice = cfg.settings.get("alice")
-    bob = cfg.settings.get("bob")
-    base = seesaw.initial_settings(cfg.mx, cfg.my)
-    return MeasurementSet(alice or base.alice_angles, bob or base.bob_angles)
+def _settings_for(args: argparse.Namespace) -> MeasurementSet:
+    base = seesaw.initial_settings(args.mx, args.my)
+    return MeasurementSet(
+        args.alice or base.alice_angles, args.bob or base.bob_angles
+    )
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    if cfg.settings.get("behavior"):
+def cmd_certify(args: argparse.Namespace) -> int:
+    if args.behavior:
         # scenario comes from the file; generation flags are checked against it
-        with open(cfg.settings["behavior"]) as fh:
+        with open(args.behavior) as fh:
             b = qstate.behavior_from_csv(fh.read())
     else:
-        meas = _settings_for(cfg)
-        state = qstate.make_state(cfg.v, cfg.theta)
+        meas = _settings_for(args)
+        state = qstate.make_state(args.v, args.theta)
         b = qstate.behavior(state, meas)
-    if not (1 <= cfg.xstar <= b.mx and 1 <= cfg.ystar <= b.my):
+    if not (1 <= args.xstar <= b.mx and 1 <= args.ystar <= b.my):
         raise ValueError("generation setting outside the behavior's scenario")
     report = guessing_probability(
-        b, cfg.level, cfg.xstar, cfg.ystar, _solve_options(cfg)
+        b, args.level, args.xstar, args.ystar, _solve_options(args)
     )
-    _write(cfg.settings.get("out"), report_to_text(report))
+    _write(args.out, report_to_text(report))
     return EXIT_OK if report.status == "optimal" else EXIT_SOLVER
 
 
-def cmd_bellbound(cfg: RunConfig) -> int:
+def cmd_bellbound(args: argparse.Namespace) -> int:
     exprs = []
     values = []
-    if cfg.settings.get("value") is not None:
-        exprs.append(chsh_coefficients(cfg.mx, cfg.my))
-        values.append(cfg.settings["value"])
-    if cfg.settings.get("ibeta_value") is not None:
-        if cfg.settings.get("beta") is None:
+    if args.value is not None:
+        exprs.append(chsh_coefficients(args.mx, args.my))
+        values.append(args.value)
+    if args.ibeta_value is not None:
+        if args.beta is None:
             raise ValueError("--ibeta-value requires --beta")
-        exprs.append(ibeta_coefficients(cfg.settings["beta"], cfg.mx, cfg.my))
-        values.append(cfg.settings["ibeta_value"])
+        exprs.append(ibeta_coefficients(args.beta, args.mx, args.my))
+        values.append(args.ibeta_value)
     if not exprs:
         raise ValueError("give --value (CHSH) and/or --ibeta-value with --beta")
     report = bell_constrained_bound(
-        np.asarray(exprs), np.asarray(values), cfg.mx, cfg.my,
-        cfg.level, cfg.xstar, cfg.ystar, _solve_options(cfg),
+        np.asarray(exprs), np.asarray(values), args.mx, args.my,
+        args.level, args.xstar, args.ystar, _solve_options(args),
     )
-    _write(cfg.settings.get("out"), report_to_text(report))
+    _write(args.out, report_to_text(report))
     if report.status == "infeasible":
         sys.stderr.write("constraint values are infeasible at this level\n")
     return EXIT_OK if report.status == "optimal" else EXIT_SOLVER
 
 
-def cmd_optimize(cfg: RunConfig) -> int:
-    state = qstate.make_state(cfg.v, cfg.theta)
+def cmd_optimize(args: argparse.Namespace) -> int:
+    state = qstate.make_state(args.v, args.theta)
     try:
         res = seesaw.optimize(
-            state, cfg.mx, cfg.my, cfg.level, cfg.xstar, cfg.ystar,
-            cfg.epsilon, cfg.starts, cfg.seed, cfg.max_iterations,
-            _solve_options(cfg),
+            state, args.mx, args.my, args.level, args.xstar, args.ystar,
+            args.epsilon, args.starts, args.seed, args.max_iterations,
+            _solve_options(args),
         )
     except RuntimeError as exc:
         sys.stderr.write(f"{exc}\n")
@@ -266,33 +220,31 @@ def cmd_optimize(cfg: RunConfig) -> int:
         "alice " + ",".join(_fmt(a) for a in res.best_meas.alice_angles),
         "bob " + ",".join(_fmt(b) for b in res.best_meas.bob_angles),
     ]
-    _write(cfg.settings.get("out"), "\n".join(lines) + "\n")
-    trace_path = cfg.settings.get("trace")
-    if trace_path:
+    _write(args.out, "\n".join(lines) + "\n")
+    if args.trace:
         rows = ["start,iteration,g,hmin"]
         for s_idx, traj in enumerate(res.start_trajectories):
             for it, g in enumerate(traj):
                 h = -math.log2(min(max(g, 0.25), 1.0))
                 rows.append(f"{s_idx},{it},{_fmt(g)},{_fmt(h)}")
-        _write(trace_path, "\n".join(rows) + "\n")
+        _write(args.trace, "\n".join(rows) + "\n")
     return EXIT_OK if rep.status == "optimal" else EXIT_SOLVER
 
 
 def _sweep_point(packed):
-    idx, v, theta, cfg_settings = packed
-    cfg = RunConfig(subcommand="sweep", settings=cfg_settings)
+    idx, v, theta, args = packed
     state = qstate.make_state(v, theta)
-    opts = _solve_options(cfg)
+    opts = _solve_options(args)
     chsh_meas = qstate.chsh_optimal_settings(theta)
     chsh = qstate.chsh_value(qstate.behavior(state, chsh_meas))
     row: dict[str, object] = {
-        "v": v, "theta": theta, "mx": cfg.mx, "my": cfg.my, "level": cfg.level,
+        "v": v, "theta": theta, "mx": args.mx, "my": args.my, "level": args.level,
         "chsh": chsh,
     }
     try:
         res = seesaw.optimize(
-            state, cfg.mx, cfg.my, cfg.level, cfg.xstar, cfg.ystar,
-            cfg.epsilon, cfg.starts, cfg.seed + idx, cfg.max_iterations, opts,
+            state, args.mx, args.my, args.level, args.xstar, args.ystar,
+            args.epsilon, args.starts, args.seed + idx, args.max_iterations, opts,
         )
         row["hmin"] = res.best_report.hmin
         row["starts"] = res.starts_used
@@ -304,8 +256,8 @@ def _sweep_point(packed):
         row["converged"] = False
         row["status"] = "failed"
     rb = bell_constrained_bound(
-        chsh_coefficients(cfg.mx, cfg.my), chsh, cfg.mx, cfg.my,
-        cfg.level, cfg.xstar, cfg.ystar, opts,
+        chsh_coefficients(args.mx, args.my), chsh, args.mx, args.my,
+        args.level, args.xstar, args.ystar, opts,
     )
     row["hmin_chsh"] = rb.hmin if rb.status == "optimal" else math.nan
     return idx, row
@@ -317,17 +269,13 @@ _SWEEP_COLUMNS = (
 )
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    vs = cfg.settings.get("v_grid") or (cfg.v,)
-    thetas = cfg.settings.get("theta_grid") or (cfg.theta,)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    vs = args.v_grid or (args.v,)
+    thetas = args.theta_grid or (args.theta,)
     points = [(v, th) for th in thetas for v in vs]
-    if not points:
-        raise ValueError("empty grid")
-    tasks = [
-        (idx, v, th, cfg.settings) for idx, (v, th) in enumerate(points)
-    ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    tasks = [(idx, v, th, args) for idx, (v, th) in enumerate(points)]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
@@ -339,7 +287,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             val = row[col]
             cells.append(_fmt(val) if isinstance(val, float) else str(val))
         lines.append(",".join(cells))
-    _write(cfg.settings.get("out"), "\n".join(lines) + "\n")
+    _write(args.out, "\n".join(lines) + "\n")
     bad = [r for _, r in results if r["status"] not in ("optimal",)]
     return EXIT_SOLVER if bad else EXIT_OK
 
@@ -354,19 +302,17 @@ plot "{csv}" using {using} with linespoints
 """
 
 
-def cmd_tomography(cfg: RunConfig) -> int:
-    vs = cfg.settings.get("v_grid") or (cfg.v,)
-    thetas = cfg.settings.get("theta_grid") or (cfg.theta,)
+def cmd_tomography(args: argparse.Namespace) -> int:
+    vs = args.v_grid or (args.v,)
+    thetas = args.theta_grid or (args.theta,)
     points = [(v, th) for v in vs for th in thetas]
-    if not points:
-        raise ValueError("empty grid")
-    opts = _solve_options(cfg)
+    opts = _solve_options(args)
     lines = ["v,theta,level,alpha,beta,hmin,status"]
     worst = "optimal"
     for v, th in points:
         state = qstate.make_state(v, th)
         alpha, beta, rep = seesaw.tomographic_optimize(
-            state, cfg.grid_size, 1e-6, opts
+            state, args.grid_size, 1e-6, opts
         )
         if rep.status != "optimal":
             worst = rep.status
@@ -374,14 +320,16 @@ def cmd_tomography(cfg: RunConfig) -> int:
             f"{_fmt(v)},{_fmt(th)},{rep.level},{_fmt(alpha)},{_fmt(beta)},"
             f"{_fmt(rep.hmin)},{rep.status}"
         )
-    out = cfg.settings.get("out")
-    _write(out, "\n".join(lines) + "\n")
-    if out:
-        _write(out + ".gp", _GNUPLOT.format(csv=out, xlabel="theta", using="2:6"))
-    map_path = cfg.settings.get("angle_map")
+    _write(args.out, "\n".join(lines) + "\n")
+    if args.out:
+        _write(
+            args.out + ".gp",
+            _GNUPLOT.format(csv=args.out, xlabel="theta", using="2:6"),
+        )
+    map_path = args.angle_map
     if map_path:
-        state = qstate.make_state(cfg.v, cfg.theta)
-        n = cfg.map_grid
+        state = qstate.make_state(args.v, args.theta)
+        n = args.map_grid
         rows = ["alpha1,beta1,hmin"]
         for alpha in np.arange(n) * math.pi / n:
             for beta in np.arange(n) * math.pi / n:
@@ -395,23 +343,30 @@ def cmd_tomography(cfg: RunConfig) -> int:
     return EXIT_OK if worst == "optimal" else EXIT_SOLVER
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name. Each option is
+    declared here once, with its type and default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level", type=int, choices=(1, 2, 3))
-    common.add_argument("--v", type=float)
-    common.add_argument("--theta", type=float)
-    common.add_argument("--mx", type=int)
-    common.add_argument("--my", type=int)
-    common.add_argument("--xstar", type=int)
-    common.add_argument("--ystar", type=int)
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--starts", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--max-iterations", dest="max_iterations", type=int)
-    common.add_argument("--gap-tol", dest="gap_tol", type=float)
-    common.add_argument("--feas-tol", dest="feas_tol", type=float)
+    common.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    common.add_argument("--v", type=float, default=1.0)
+    common.add_argument("--theta", type=float, default=math.pi / 4)
+    common.add_argument("--mx", type=int, default=2)
+    common.add_argument("--my", type=int, default=2)
+    common.add_argument("--xstar", type=int, default=1)
+    common.add_argument("--ystar", type=int, default=1)
+    common.add_argument("--epsilon", type=float, default=1e-6)
+    common.add_argument("--starts", type=int, default=8)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--max-iterations", dest="max_iterations", type=int,
+                        default=50)
+    common.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-8)
+    common.add_argument("--feas-tol", dest="feas_tol", type=float, default=1e-8)
     common.add_argument("--out", type=str)
     common.add_argument("--config", type=str)
+
+    grids = argparse.ArgumentParser(add_help=False)
+    grids.add_argument("--v-grid", dest="v_grid", type=_parse_grid)
+    grids.add_argument("--theta-grid", dest="theta_grid", type=_parse_grid)
 
     parser = argparse.ArgumentParser(
         prog="bellrand",
@@ -436,34 +391,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="see-saw search over measurement settings")
     p.add_argument("--trace", type=str, help="per-start trajectory CSV path")
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, grids],
                        help="optimized bounds over a (v, theta) grid")
-    p.add_argument("--v-grid", dest="v_grid", type=_parse_grid)
-    p.add_argument("--theta-grid", dest="theta_grid", type=_parse_grid)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("tomography", parents=[common],
+    p = sub.add_parser("tomography", parents=[common, grids],
                        help="state-constrained bounds over a grid")
-    p.add_argument("--v-grid", dest="v_grid", type=_parse_grid)
-    p.add_argument("--theta-grid", dest="theta_grid", type=_parse_grid)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
+    p.add_argument("--grid-size", dest="grid_size", type=int, default=12)
     p.add_argument("--angle-map", dest="angle_map", type=str,
                    help="write an alpha/beta map CSV at the fixed (v, theta)")
-    p.add_argument("--map-grid", dest="map_grid", type=int)
-    return parser
+    p.add_argument("--map-grid", dest="map_grid", type=int, default=24)
+    return parser, sub.choices
 
-
-_EXTRA_KEYS = {
-    "certify": ("behavior", "alice", "bob", "out"),
-    "bellbound": ("value", "beta", "ibeta_value", "out"),
-    "optimize": ("trace", "out"),
-    "sweep": ("v_grid", "theta_grid", "jobs", "out"),
-    "tomography": ("v_grid", "theta_grid", "grid_size", "angle_map",
-                   "map_grid", "out"),
-}
-
-# keys of other subcommands are ignored in a config file, others rejected
-_KNOWN_KEYS = set(_DEFAULTS).union(*_EXTRA_KEYS.values())
 
 _COMMANDS = {
     "certify": cmd_certify,
@@ -475,12 +414,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    keys = tuple(_DEFAULTS) + _EXTRA_KEYS[args.subcommand]
     try:
-        cfg = _merge(args, keys)
-        return _COMMANDS[args.subcommand](cfg)
+        if args.config:
+            # defaults < config file < flags: the file's values become
+            # defaults, then the flags are parsed again over them
+            _apply_config(args.config, subparsers, args.subcommand)
+            args = parser.parse_args(argv)
+        validate(args)
+        return _COMMANDS[args.subcommand](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

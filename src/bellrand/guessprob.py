@@ -134,34 +134,33 @@ def _reader(n: int, i, j) -> sp.csr_matrix:
 
 
 def _collins_gisin(mx: int, my: int):
-    """Collins-Gisin moment words (identity, A_x, B_y, A_x B_y) and the
-    matrix M that reads their values off a flat behavior: the normalization
-    and the +1 marginals averaged over the other party's inputs, and
-    p(+,+|x,y)."""
+    """Collins-Gisin moment words (identity, A_x, B_y, A_x B_y), the matrix
+    M that reads their values off a flat behavior (the normalization and the
+    +1 marginals averaged over the other party's inputs, and p(+,+|x,y)),
+    and the map R back to components:
+      p(+,+) = <AB>           p(+,-) = <A> - <AB>
+      p(-,+) = <B> - <AB>     p(-,-) = 1 - <A> - <B> + <AB>."""
     xs, ys = range(1, mx + 1), range(1, my + 1)
     words = [npa.IDENTITY, *(((0, x),) for x in xs), *(((1, y),) for y in ys)]
     words += [((0, x), (1, y)) for x in xs for y in ys]
     m = np.zeros((len(words), 4 * mx * my))
+    r = np.zeros((4 * mx * my, len(words)))
     for (a, b, x, y) in components(mx, my):
         # rows of the identity, A_x, B_y and A_x B_y
         rows = [0, x, mx + y, mx + my + (x - 1) * my + y]
-        weights = [1.0 / (mx * my), (a == 1) / my, (b == 1) / mx, a == b == 1]
-        m[rows, component_index(a, b, x, y, mx, my)] = weights
-    return tuple(words), m
+        k = component_index(a, b, x, y, mx, my)
+        m[rows, k] = [1.0 / (mx * my), (a == 1) / my, (b == 1) / mx, a == b == 1]
+        r[k, rows] = [a == b == -1, a * (b == -1), b * (a == -1), a * b]
+    m.setflags(write=False)
+    r.setflags(write=False)
+    return tuple(words), m, r
 
 
 @lru_cache(maxsize=32)
 def _moment_layout(level: int, mx: int, my: int) -> _Layout:
     structure = npa.moment_structure(npa.monomials(level, mx, my))
-    words, to_cg = _collins_gisin(mx, my)
+    words, to_cg, from_cg = _collins_gisin(mx, my)
     mids = [structure.moment_of(w) for w in words]
-    column = {mid: k for k, mid in enumerate(mids)}
-    from_cg = np.zeros((4 * mx * my, len(words)))
-    for key, combo in npa.behavior_map(structure, mx, my).items():
-        for mid, coeff in combo:
-            from_cg[component_index(*key, mx, my), column[mid]] += coeff
-    to_cg.setflags(write=False)
-    from_cg.setflags(write=False)
     # Collins-Gisin moments are read at their representative entries, and
     # every other upper-triangle entry equals its moment's representative:
     # one structural row per such entry, by moment, then row-major
@@ -445,9 +444,10 @@ def bell_constrained_bound(
     )
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
-    if status not in ("optimal", "infeasible"):
+    if sol.status != "optimal" and status != "infeasible":
         # a diverged solve on a value outside the relaxation's reach is an
-        # infeasible instance; confirm against the certified operator range
+        # infeasible instance, also when its certificate passes the coarse
+        # health test; confirm against the certified operator range
         for k, val in zip(keep[1:], values[ops]):
             lo, hi = _operator_range(rows[k], level, mx, my, options)
             tol = 1e-6 * (1.0 + abs(float(val)))

@@ -137,36 +137,3 @@ def moment_structure(basis: Sequence[Monomial]) -> MomentStructure:
         representative=tuple(reps),
         word_to_moment=ids,
     )
-
-
-Combo = tuple[tuple[int, float], ...]
-
-
-def behavior_map(structure: MomentStructure, mx: int, my: int) -> dict:
-    """Affine combinations expressing p(a,b|x,y) in moments.
-
-    Returns {(a,b,x,y): ((moment_id, coeff), ...)} using
-      p(+,+) = <AxBy>            p(+,-) = <Ax> - <AxBy>
-      p(-,+) = <By> - <AxBy>     p(-,-) = u - <Ax> - <By> + <AxBy>
-    where u is the identity moment (1 for normalized behaviors).
-    """
-    try:
-        u = structure.moment_of(IDENTITY)
-        out: dict[tuple[int, int, int, int], Combo] = {}
-        for x in range(1, mx + 1):
-            ax = structure.moment_of(((0, x),))
-            for y in range(1, my + 1):
-                by = structure.moment_of(((1, y),))
-                axby = structure.moment_of(((0, x), (1, y)))
-                out[(1, 1, x, y)] = ((axby, 1.0),)
-                out[(1, -1, x, y)] = ((ax, 1.0), (axby, -1.0))
-                out[(-1, 1, x, y)] = ((by, 1.0), (axby, -1.0))
-                out[(-1, -1, x, y)] = (
-                    (u, 1.0), (ax, -1.0), (by, -1.0), (axby, 1.0),
-                )
-    except KeyError as exc:
-        raise ValueError(
-            f"moment structure lacks a required moment for scenario "
-            f"({mx},{my}): {exc}"
-        ) from exc
-    return out

@@ -63,6 +63,9 @@ from scipy.linalg.lapack import dtrtri, dtrtrs
 
 log = logging.getLogger(__name__)
 
+# fraction-to-boundary damping of both step lengths
+_STEP_FRACTION = 0.98
+
 
 @dataclass(frozen=True)
 class SdpProblem:
@@ -141,7 +144,6 @@ class SolveOptions:
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     max_iterations: int = 200
-    step_fraction: float = 0.98
 
 
 @dataclass(frozen=True)
@@ -563,8 +565,8 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             t0.append(g @ (rc / denom) @ _t(g))
         dx, dy, dz = solve_direction(t0)
 
-        ap = min(1.0, opts.step_fraction * step(lxinv, dx))
-        ad = min(1.0, opts.step_fraction * step(lzinv, dz))
+        ap = min(1.0, _STEP_FRACTION * step(lxinv, dx))
+        ad = min(1.0, _STEP_FRACTION * step(lzinv, dz))
         if ap < 1e-10 and ad < 1e-10:
             stall += 10
             continue

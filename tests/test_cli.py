@@ -272,11 +272,52 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("levle = 1\nv = 0.9\n")
     assert cli.main(["certify", "--config", str(cfg)]) == 1
     assert "unknown config key 'levle'" in capsys.readouterr().err
-    # a key another subcommand knows is ignored, as before
-    cfg.write_text("level = 1\nv = 0.9\ngrid-size = 8\n")
+    # a key another subcommand knows is ignored, as before, and so is the
+    # range check of its value
+    cfg.write_text("level = 1\nv = 0.9\ngrid-size = 8\nmap-grid = 0\n")
     out = tmp_path / "r.txt"
     assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
     assert parse_report(out.read_text())["level"] == "1"
+
+
+def test_config_grids_match_flags(tmp_path):
+    # grids given in a config file go through the flags' own parsers
+    common = ["--level", "1", "--epsilon", "1e-3", "--starts", "2",
+              "--max-iterations", "15"]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("v-grid = 0.9,1.0\ntheta-grid = 0.3:0.785398:2\n")
+    from_file = tmp_path / "file.csv"
+    from_flags = tmp_path / "flags.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(from_file)]
+                    + common) == 0
+    assert cli.main(["sweep", "--v-grid", "0.9,1.0", "--theta-grid",
+                     "0.3:0.785398:2", "--out", str(from_flags)] + common) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert len(from_file.read_text().strip().splitlines()) == 1 + 4
+
+
+def test_config_angles_match_flags(tmp_path):
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text("alice = 0,1.5707963\nbob = 0.78539816,-0.78539816\n"
+                   "v = 0.9\nlevel = 1\n")
+    from_file = tmp_path / "file.txt"
+    from_flags = tmp_path / "flags.txt"
+    assert cli.main(["certify", "--config", str(cfg),
+                     "--out", str(from_file)]) == 0
+    assert cli.main(["certify", "--alice", "0,1.5707963",
+                     "--bob", "0.78539816,-0.78539816", "--v", "0.9",
+                     "--level", "1", "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+def test_config_malformed_value_is_input_error(tmp_path, capsys):
+    # an input error (exit 1), not argparse's usage error (exit 2), also
+    # for a key the subcommand ignores
+    cfg = tmp_path / "run.cfg"
+    for line in ("level = abc", "grid-size = abc"):
+        cfg.write_text(line + "\n")
+        assert cli.main(["certify", "--config", str(cfg)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_rejected_flags_exit_via_argparse():

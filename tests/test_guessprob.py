@@ -203,6 +203,18 @@ def test_chsh_bound_infeasible_value():
         assert report.bell_expression is None
 
 
+def test_chsh_bound_just_above_tsirelson_infeasible():
+    # these solves stall, and their certificates pass the coarse gap test
+    # with G below the Tsirelson point's: the operator range must still
+    # reject them, or noise past 2 sqrt 2 would certify extra randomness
+    for value in (2.82844, 2.82845):
+        report = guessprob.bell_constrained_bound(
+            guessprob.chsh_coefficients(), [value], 2, 2, level=2
+        )
+        assert report.status == "infeasible"
+        assert math.isnan(report.guessing_probability)
+
+
 def test_stacked_operators_not_looser(interior_behavior):
     beta = 0.5
     chsh = guessprob.chsh_coefficients()

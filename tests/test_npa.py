@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellrand import npa, qstate
+from bellrand import guessprob, npa, qstate
 
 
 def oracle_reduce(letters):
@@ -122,27 +122,25 @@ def _word_moment(word, alice, bob, rho):
     return float(np.trace(rho @ op))
 
 
-def test_behavior_map_reproduces_probabilities():
-    # evaluating the affine moment combination on an explicit realization
-    # must reproduce the trace-formula probability for every component
+def test_collins_gisin_map_reproduces_probabilities():
+    # evaluating the Collins-Gisin moments on an explicit realization and
+    # mapping them back must reproduce the trace-formula probability for
+    # every component
     rng = np.random.default_rng(7)
-    structure = npa.moment_structure(npa.monomials(2, 2, 2))
-    bmap = npa.behavior_map(structure, 2, 2)
+    words, _, from_cg = guessprob._collins_gisin(2, 2)
     alice, bob, rho = _realization(rng, 2, 2)
+    moments = np.array([_word_moment(w, alice, bob, rho) for w in words])
     proj = {
         (0, idx + 1, 1): np.kron(p, np.eye(2)) for idx, p in enumerate(alice)
     }
     proj.update({
         (1, idx + 1, 1): np.kron(np.eye(2), p) for idx, p in enumerate(bob)
     })
-    for (a, b, x, y), combo in bmap.items():
+    for (a, b, x, y) in qstate.components(2, 2):
         pa = proj[(0, x, 1)] if a == 1 else np.eye(4) - proj[(0, x, 1)]
         pb = proj[(1, y, 1)] if b == 1 else np.eye(4) - proj[(1, y, 1)]
         want = float(np.trace(rho @ pa @ pb))
-        got = sum(
-            coeff * _word_moment(structure.moment_words[mid], alice, bob, rho)
-            for mid, coeff in combo
-        )
+        got = from_cg[qstate.component_index(a, b, x, y, 2, 2)] @ moments
         assert abs(got - want) < 1e-10
 
 
