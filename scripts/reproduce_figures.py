@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the reference curve CSVs under figures/.
+"""Regenerate the figure dataset CSVs under figures/.
 
 Datasets:
   fig_randomness_vs_theta.csv   optimized hmin against theta for several
@@ -14,11 +14,6 @@ Datasets:
                                 theta = pi/4; drops to zero below 1/sqrt(2)
   fig_settings_comparison.csv   (--full only) two against four settings per
                                 side at the first relaxation level
-  optimized_vs_theta.csv        optimized hmin against theta at v = 0.99
-                                and 1 (level 2, 3 starts, cap 30 always)
-  full_vs_chsh_constraint.csv   full-statistics against CHSH-only hmin at
-                                theta = pi/4 and CHSH-optimal settings, for
-                                v from 0.75 to 1 (level 2 always)
 
 Grids are coarse by default so a run finishes in minutes; --full refines
 them. Exact interior values depend on relaxation level and see-saw budget,
@@ -146,36 +141,6 @@ def emit_settings_comparison(args):
     )
 
 
-def emit_reference_theta_curve():
-    rows = []
-    for v in (0.99, 1.0):
-        for theta in map(float, np.linspace(math.pi / 16, math.pi / 4, 5)):
-            hmin, _, _ = optimized_point(v, theta, 2, 3, 30)
-            rows.append((f"{v:.6g}", f"{theta:.6g}", f"{hmin:.6g}"))
-    write_csv(OUTDIR / "optimized_vs_theta.csv", "v,theta,hmin", rows)
-
-
-def emit_reference_chsh_curve():
-    rows = []
-    for v in map(float, np.linspace(0.75, 1.0, 9)):
-        b = qstate.behavior(
-            qstate.make_state(v, math.pi / 4),
-            qstate.chsh_optimal_settings(math.pi / 4),
-        )
-        full = guessprob.guessing_probability(b, level=2)
-        value = qstate.chsh_value(b)
-        chsh_only = guessprob.bell_constrained_bound(
-            guessprob.chsh_coefficients(), [value], 2, 2, level=2
-        )
-        rows.append((
-            f"{v:.6g}", f"{value:.8g}", f"{full.hmin:.6g}", f"{chsh_only.hmin:.6g}"
-        ))
-    write_csv(
-        OUTDIR / "full_vs_chsh_constraint.csv",
-        "v,chsh,hmin_full,hmin_chsh_only", rows,
-    )
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--level", type=int, default=2, choices=(1, 2, 3))
@@ -191,8 +156,6 @@ def main():
     emit_optimized_curves(args)
     emit_bounds_comparison(args)
     emit_noise_curve(args)
-    emit_reference_theta_curve()
-    emit_reference_chsh_curve()
     if args.full:
         emit_settings_comparison(args)
     print(f"done in {time.time() - t0:.1f}s")

@@ -311,9 +311,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     worst = "optimal"
     for v, th in points:
         state = qstate.make_state(v, th)
-        alpha, beta, rep = seesaw.tomographic_optimize(
-            state, args.grid_size, 1e-6, opts
-        )
+        alpha, beta, rep = seesaw.tomographic_optimize(state, args.grid_size, opts)
         if rep.status != "optimal":
             worst = rep.status
         lines.append(

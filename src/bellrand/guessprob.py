@@ -192,7 +192,6 @@ def _npa_problem(layout: _Layout, shared, rhs, objective) -> SdpProblem:
     ), shape=(st.shape[0] * k, k * n * n))
     a = sp.vstack([sp.hstack([sp.csr_matrix(shared @ layout.cg)] * k), structural])
     return SdpProblem(
-        block_orders=(n,) * k,
         objective=[(c @ layout.cg).reshape(n, n) for c in objective],
         a=a,
         rhs=np.concatenate([rhs, np.zeros(structural.shape[0])]),
@@ -225,26 +224,19 @@ def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
     )
 
 
-def _dual_combination(problem: SdpProblem, y: np.ndarray) -> list[np.ndarray]:
-    """Dense blocks of A*(y) = sum_j y_j A_j, each entry summed in row
+def _dual_combination(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
+    """The (k, n, n) stack A*(y) = sum_j y_j A_j, each entry summed in row
     order in one pass over the entries of the unnormalized problem."""
     a = problem.a.tocoo()
     flat = np.bincount(a.col, weights=y[a.row] * a.data, minlength=a.shape[1])
-    offsets = np.cumsum([n * n for n in problem.block_orders])
-    return [
-        z.reshape(n, n)
-        for z, n in zip(np.split(flat, offsets[:-1]), problem.block_orders)
-    ]
+    return flat.reshape(problem.objective.shape)
 
 
 def _dual_slack_defect(problem: SdpProblem, sol: SdpSolution) -> float:
     """Exact feasibility defect of the dual certificate: max over blocks of
     -lambda_min(A*(y) - C), clipped at zero."""
-    worst = 0.0
-    zs = _dual_combination(problem, sol.dual_vector)
-    for z, c in zip(zs, problem.objective):
-        worst = max(worst, -float(np.linalg.eigvalsh(z - c).min()))
-    return max(worst, 0.0)
+    z = _dual_combination(problem, sol.dual_vector)
+    return max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
 
 
 def _farkas_infeasible(
@@ -258,9 +250,7 @@ def _farkas_infeasible(
     if norm == 0.0 or not math.isfinite(norm):
         return False
     yhat = y / norm
-    eps = 0.0
-    for z in _dual_combination(problem, yhat):
-        eps = max(eps, -float(np.linalg.eigvalsh(z).min()))
+    eps = max(0.0, -float(np.linalg.eigvalsh(_dual_combination(problem, yhat)).min()))
     gain = float(problem.rhs @ yhat)
     return gain < -(10.0 * eps * trace_cap + 1e-7)
 
@@ -523,7 +513,6 @@ def tomographic_guessing(
             dual_residual=0.0, certificate_defect=0.0,
         )
     problem = SdpProblem(
-        block_orders=(r,) * 4,
         objective=projs,
         a=_tomographic_rows(r),
         rhs=rho_r[np.triu_indices(r)],

@@ -97,10 +97,6 @@ class MomentStructure:
     representative: tuple[tuple[int, int], ...]
     word_to_moment: dict = field(repr=False)
 
-    @property
-    def moment_count(self) -> int:
-        return len(self.moment_words)
-
     def moment_of(self, word: Sequence[Letter]) -> int:
         """Identifier of a word's moment; KeyError if it never occurs."""
         return self.word_to_moment[moment_word(word)]

@@ -36,26 +36,25 @@ is an own row and only the behavior, Bell-value and normalization rows
 form the border; a problem without own rows, such as the tomographic
 program, reduces to one dense factor of B.
 
-Iterates are held per group, a maximal run of consecutive blocks of one
-order n, as one (k, n, n) stack: each step makes one stacked numpy call per
-group, not per block (NPA and tomographic programs are one group of four).
-A group's columns of the vectorized primal are contiguous, in block order.
+Precondition: every block has the same order n. The solver holds the k
+blocks as one (k, n, n) array from problem to certificate (objective,
+iterates, scalings and the returned primal), so each step makes one stacked
+numpy call, not one per block. NPA relaxations and the tomographic program
+are four blocks of one order, an operator-range bound is one block.
 
 A problem is given in the solver's own form, as in SeDuMi (Sturm, Optim.
-Methods Softw. 11, 625, 1999): dense objective blocks C_i and one sparse
-matrix A whose row j is A_j over vec(X), each block raveled row-major and
-the blocks concatenated in order (the layout of a group's stack raveled).
-Every row is symmetric within each block, so off-diagonal coefficients
-appear twice; the row norm is the Frobenius norm of the A_{j,i} together.
+Methods Softw. 11, 625, 1999): the (k, n, n) stack of objective blocks C_i
+and one sparse matrix A whose row j is A_j over vec(X), each block raveled
+row-major and the blocks concatenated in order (the stack raveled). Every
+row is symmetric within each block, so off-diagonal coefficients appear
+twice; the row norm is the Frobenius norm of the A_{j,i} together.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,39 +66,47 @@ log = logging.getLogger(__name__)
 _STEP_FRACTION = 0.98
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class SdpProblem:
-    """One SDP instance in vectorized form: ``objective`` holds one dense
-    symmetric array per block (mirrored from its upper triangle), ``a`` one
-    sparse row per constraint over vec(X), symmetric within every block, and
-    row j reads sum_i <A_{j,i}, X_i> = rhs[j]."""
+    """One SDP instance in vectorized form over k blocks of one order n:
+    ``objective`` is the (k, n, n) stack of symmetric blocks C_i (mirrored
+    from their upper triangles), ``a`` one sparse row per constraint over
+    vec(X), symmetric within every block, and row j reads
+    sum_i <A_{j,i}, X_i> = rhs[j]."""
 
-    block_orders: tuple[int, ...]
-    objective: tuple[np.ndarray, ...] = field(repr=False)
+    objective: np.ndarray = field(repr=False)
     a: sp.csr_matrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
 
-    def __init__(self, block_orders, objective, a, rhs):
-        orders = tuple(int(n) for n in block_orders)
-        if not orders or any(n < 1 for n in orders):
-            raise ValueError(f"bad block orders {orders}")
-        objective = [np.asarray(c, dtype=float) for c in objective]
-        if len(objective) != len(orders):
-            raise ValueError("objective needs one coefficient matrix per block")
-        for i, (c, n) in enumerate(zip(objective, orders)):
-            what = f"objective block {i}"
-            if c.shape != (n, n):
-                raise ValueError(f"{what}: expected shape ({n},{n}), got {c.shape}")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"{what}: non-finite coefficient")
-            if np.max(np.abs(c - c.T)) > 1e-12:
-                raise ValueError(f"{what}: matrix is not symmetric")
+    def __init__(self, objective, a, rhs):
+        try:
+            c = np.array(objective, dtype=float)
+        except ValueError:
+            shapes = [np.shape(block) for block in objective]
+            raise ValueError(
+                f"objective must be one (k, n, n) stack, got blocks of shapes {shapes}"
+            ) from None
+        if c.ndim != 3 or c.shape[1] != c.shape[2] or not c.size:
+            raise ValueError(
+                f"objective must be one (k, n, n) stack, got shape {c.shape}"
+            )
+        n = c.shape[1]
+        bad = np.flatnonzero(~np.isfinite(c).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"objective block {bad[0]}: non-finite coefficient")
+        bad = np.flatnonzero(np.abs(c - _t(c)).max(axis=(1, 2)) > 1e-12)
+        if bad.size:
+            raise ValueError(f"objective block {bad[0]}: matrix is not symmetric")
         if not sp.issparse(a):
             raise TypeError("constraint matrix must be a scipy sparse matrix")
-        offsets = np.cumsum([0] + [n * n for n in orders])
-        if a.shape[1] != offsets[-1]:
+        if a.shape[1] != c.size:
             raise ValueError(
-                f"constraint matrix needs {offsets[-1]} columns, got shape {a.shape}"
+                f"constraint matrix needs {c.size} columns, got shape {a.shape}"
             )
         a = sp.csr_matrix(a, dtype=float, copy=True)
         a.sum_duplicates()
@@ -108,9 +115,8 @@ class SdpProblem:
             raise ValueError("constraint matrix: non-finite coefficient")
         # each entry (p, q) of a block needs the same value at (q, p)
         coo = a.tocoo()
-        blk = np.searchsorted(offsets, coo.col, side="right") - 1
-        n = np.asarray(orders)[blk]
-        p, q = divmod(coo.col - offsets[blk], n)
+        blk = coo.col // (n * n)
+        p, q = divmod(coo.col % (n * n), n)
         key = coo.row.astype(np.int64) * a.shape[1] + coo.col  # sorted
         want = key + (q - p) * (n - 1)
         at = np.minimum(np.searchsorted(key, want), key.size - 1)
@@ -127,12 +133,16 @@ class SdpProblem:
         if not np.all(np.isfinite(b)):
             j = int(np.argmin(np.isfinite(b)))
             raise ValueError(f"constraint {j}: non-finite right-hand side")
-        object.__setattr__(self, "block_orders", orders)
-        object.__setattr__(self, "objective", tuple(
-            np.where(np.tri(len(c), k=-1, dtype=bool), c.T, c) for c in objective
-        ))
+        object.__setattr__(
+            self, "objective", np.where(np.tri(n, k=-1, dtype=bool), _t(c), c)
+        )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rhs", b)
+
+    @property
+    def block_orders(self) -> tuple[int, ...]:
+        k, n = self.objective.shape[:2]
+        return (n,) * k
 
     @property
     def n_constraints(self) -> int:
@@ -148,7 +158,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    primal_blocks: tuple[np.ndarray, ...]
+    primal_blocks: np.ndarray  # (k, n, n)
     dual_vector: np.ndarray
     primal_objective: float
     dual_objective: float
@@ -158,11 +168,6 @@ class SdpSolution:
     primal_residual: float
     dual_residual: float
     removed_rows: tuple[int, ...]
-
-
-def _t(m: np.ndarray) -> np.ndarray:
-    """Transpose of every matrix of a stack."""
-    return m.swapaxes(-1, -2)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -181,9 +186,9 @@ def _chol(m: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(m + jitter * np.eye(n))
 
 
-def _inner(xs, zs) -> float:
-    """Sum of <X_b, Z_b> over the blocks of stacks, added in block order."""
-    return sum(float(v) for x, z in zip(xs, zs) for v in np.sum(x * z, axis=(1, 2)))
+def _inner(x: np.ndarray, z: np.ndarray) -> float:
+    """Sum of <X_b, Z_b> over the blocks of two stacks, added in block order."""
+    return sum(float(v) for v in np.sum(x * z, axis=(1, 2)))
 
 
 def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
@@ -194,18 +199,6 @@ def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
     if lam >= -1e-16:
         return math.inf
     return -1.0 / lam
-
-
-class _Group(NamedTuple):
-    """A maximal run of k consecutive blocks of order n; a (k, n, n) stack
-    raveled is its slice ``cols`` of the vectorized primal."""
-
-    k: int
-    n: int
-    cols: slice
-    tri: tuple[np.ndarray, np.ndarray, np.ndarray]  # upper triangle, weights
-    bord: tuple  # block-diagonal border coefficients per run of blocks
-    own: tuple  # per block: own-row indices and their coefficients, or None
 
 
 def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -229,24 +222,23 @@ def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
 class _BlockSchur:
     """Block-arrow factorization of the Schur complement
     M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b>, W_b = G_b G_b^T, with ``gfac``
-    the factors G_b as one (k, n, n) stack per group. Border rows meet a
-    group's stacked bases in one product; own rows stay sparse per block.
-    Raises LinAlgError when damping cannot make M positive definite."""
+    the (k, n, n) stack of factors G_b. Border rows meet a run of stacked
+    bases in one product; own rows stay sparse per block. Raises
+    LinAlgError when damping cannot make M positive definite."""
 
-    def __init__(self, pre: _Presolved, gfac):
+    def __init__(self, pre: _Presolved, gfac: np.ndarray):
         self.border = border = pre.border
         self.b = np.zeros((border.size, border.size))
         self.own = []  # (own rows, D_b, C_b) of each block that has own rows
-        for grp, g in zip(pre.groups, gfac):
-            step = grp.k // len(grp.bord)
-            for lo, s_bord in zip(range(0, grp.k, step), grp.bord):
-                basis = _scaled_basis(g[lo:lo + step], grp.tri)
-                v_bord = (s_bord @ basis).reshape(step, border.size, basis.shape[1])
-                self.b += (v_bord @ _t(v_bord)).sum(axis=0)
-                rows, s_own = grp.own[lo]
-                if rows.size:  # then the product covered block lo alone
-                    v_own = s_own @ basis
-                    self.own.append((rows, v_own @ v_own.T, v_bord[0] @ v_own.T))
+        step = pre.k // len(pre.bord)
+        for lo, s_bord in zip(range(0, pre.k, step), pre.bord):
+            basis = _scaled_basis(gfac[lo:lo + step], pre.tri)
+            v_bord = (s_bord @ basis).reshape(step, border.size, basis.shape[1])
+            self.b += (v_bord @ _t(v_bord)).sum(axis=0)
+            rows, s_own = pre.own[lo]
+            if rows.size:  # then the product covered block lo alone
+                v_own = s_own @ basis
+                self.own.append((rows, v_own @ v_own.T, v_bord[0] @ v_own.T))
         trace = np.trace(self.b) + sum(np.trace(d) for _, d, _ in self.own)
         diag_mean = max(float(trace) / len(pre.kept), 1e-300)
         damp = 0.0
@@ -312,14 +304,14 @@ class _Presolved:
     """Scaled form of a problem, plus the undo factors. Rows are normalized
     to unit Frobenius norm; all-zero rows are ``removed`` (inconsistent if
     their right-hand side is not zero). Precondition, not checked: the
-    nonzero rows are linearly independent. ``c_hat``, the scaled objective,
-    has one stack per group."""
+    nonzero rows are linearly independent. ``c_hat`` is the scaled
+    objective stack."""
 
     def __init__(self, problem: SdpProblem):
-        orders = problem.block_orders
-        nblocks = len(orders)
+        k, n = problem.objective.shape[:2]
+        self.k, self.n = k, n
+        nn = n * n
         m = problem.n_constraints
-        offsets = np.cumsum([0] + [n * n for n in orders])
         a = problem.a
         coo = a.tocoo()
         r, v = coo.row, coo.data
@@ -339,46 +331,37 @@ class _Presolved:
         self.removed = tuple(zero_rows)
         self.row_scale = row_norm
 
-        self.c_blocks = problem.objective
-        self.c_scale = max(1.0, math.sqrt(sum(
-            float(np.sum(cd * cd)) for cd in self.c_blocks)))
+        self.c = problem.objective
+        self.c_scale = max(1.0, math.sqrt(sum(float(np.sum(c * c)) for c in self.c)))
+        self.c_hat = self.c / self.c_scale
 
         # block-arrow layout of the Schur complement: a kept row touching one
         # block is that block's own row, every other row is a border row
-        col_block = np.repeat(np.arange(nblocks), np.diff(offsets))
         coo = self.s.tocoo()
-        touch = np.zeros((self.s.shape[0], nblocks), dtype=bool)
-        touch[coo.row, col_block[coo.col]] = True
+        touch = np.zeros((self.s.shape[0], k), dtype=bool)
+        touch[coo.row, coo.col // nn] = True
         single = touch.sum(axis=1) == 1
         self.border = np.flatnonzero(~single)
         # the border rows block-diagonally: row b*nb + i is border row i
         # restricted to block b, so that one product serves a run of blocks
         nb, sel = self.border.size, ~single[coo.row]
         bd = sp.csr_matrix((coo.data[sel], (
-            col_block[coo.col[sel]] * nb + np.cumsum(~single)[coo.row[sel]] - 1,
+            coo.col[sel] // nn * nb + np.cumsum(~single)[coo.row[sel]] - 1,
             coo.col[sel],
-        )), shape=(nblocks * nb, self.s.shape[1]))
-        self.groups, self.c_hat = [], []
-        start = 0
-        for n, run in itertools.groupby(orders):
-            k = len(list(run))
-            cols = slice(int(offsets[start]), int(offsets[start + k]))
-            own = []
-            for i in range(start, start + k):
-                rows = np.flatnonzero(single & touch[:, i])
-                own.append((rows, self.s[rows][:, offsets[i]:offsets[i + 1]]
-                            if rows.size else None))
-            # own rows come with large scaled bases: one block per product
-            step = 1 if any(rows.size for rows, _ in own) else k
-            bord = tuple(
-                bd[i * nb:(i + step) * nb, offsets[i]:offsets[i + step]]
-                for i in range(start, start + k, step)
-            )
-            tp, tq = np.triu_indices(n)
-            weight = np.where(tp == tq, 1.0, math.sqrt(2.0))
-            self.groups.append(_Group(k, n, cols, (tp, tq, weight), bord, tuple(own)))
-            self.c_hat.append(np.stack(self.c_blocks[start:start + k]) / self.c_scale)
-            start += k
+        )), shape=(k * nb, self.s.shape[1]))
+        self.own = []  # per block: own-row indices and their coefficients, or None
+        for i in range(k):
+            rows = np.flatnonzero(single & touch[:, i])
+            self.own.append((rows, self.s[rows][:, i * nn:(i + 1) * nn]
+                             if rows.size else None))
+        # own rows come with large scaled bases: one block per product
+        step = 1 if any(rows.size for rows, _ in self.own) else k
+        self.bord = tuple(
+            bd[i * nb:(i + step) * nb, i * nn:(i + step) * nn]
+            for i in range(0, k, step)
+        )
+        tp, tq = np.triu_indices(n)
+        self.tri = (tp, tq, np.where(tp == tq, 1.0, math.sqrt(2.0)))
 
         bn = b[kept] / row_norm[kept] if kept else np.empty(0)
         self.b_scale = max(1.0, float(np.linalg.norm(bn)) if bn.size else 0.0)
@@ -391,33 +374,28 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     """Run the interior-point method on ``problem``."""
     opts = options or SolveOptions()
     pre = _Presolved(problem)
-    groups = pre.groups
-    ntot = sum(problem.block_orders)
-    eyes = [np.tile(np.eye(g.n), (g.k, 1, 1)) for g in groups]
-
-    def vec_all(stacks):
-        return np.concatenate([m.ravel() for m in stacks])
+    k, n = pre.k, pre.n
+    ntot = k * n
+    eye = np.tile(np.eye(n), (k, 1, 1))
 
     def unvec(v):
-        return [_sym(v[g.cols].reshape(g.k, g.n, g.n)) for g in groups]
+        return _sym(v.reshape(k, n, n))
 
-    def finish(xs_hat, y_hat, status, iters, gap, rp, rd):
+    def finish(x_hat, y_hat, status, iters, gap, rp, rd):
         if status != "infeasible":
             # least-norm projection onto A(X) = b; the Gram matrix of the
             # rows is the Schur complement at W = I
-            gram = _BlockSchur(pre, eyes)
+            gram = _BlockSchur(pre, eye)
             for _ in range(2):
-                resid = pre.s @ vec_all(xs_hat) - pre.b_hat
-                xs_hat = [
-                    x - d for x, d in zip(xs_hat, unvec(pre.st @ gram.solve(resid)))
-                ]
-        xs = tuple(x for stack in xs_hat for x in _sym(stack) * pre.b_scale)
+                resid = pre.s @ x_hat.ravel() - pre.b_hat
+                x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
+        x = _sym(x_hat) * pre.b_scale
         y = np.zeros(problem.n_constraints)
         y[pre.kept] = y_hat * pre.c_scale / pre.row_scale[pre.kept]
-        pobj = sum(float(np.sum(c * x)) for c, x in zip(pre.c_blocks, xs))
+        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(pre.c, x))
         dobj = float(y @ pre.b_true)
         return SdpSolution(
-            primal_blocks=xs,
+            primal_blocks=x,
             dual_vector=y,
             primal_objective=pobj,
             dual_objective=dobj,
@@ -432,7 +410,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     if pre.inconsistent_zero:
         log.info("presolve: inconsistent constraint rows %s", pre.inconsistent_zero)
         return finish(
-            eyes, np.zeros(len(pre.kept)),
+            eye, np.zeros(len(pre.kept)),
             "infeasible", 0, math.inf, math.inf, math.inf,
         )
     if not pre.kept:
@@ -443,7 +421,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     b_hat = pre.b_hat
     c_hat = pre.c_hat
 
-    xs = zs = [max(10.0, math.sqrt(g.n)) * e for g, e in zip(groups, eyes)]
+    x = z = max(10.0, math.sqrt(n)) * eye
     y = np.zeros(mk)
 
     unit_scale = pre.b_scale * pre.c_scale
@@ -451,16 +429,14 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     status = "max_iterations"
     it = 0
     stall = 0
-    best = None  # (score, xs, y, gap, rp, rd, optimal_flag)
+    best = None  # (score, x, y, gap, rp, rd, optimal_flag)
 
     for it in range(1, opts.max_iterations + 1):
-        xvec = vec_all(xs)
-        rp = b_hat - s_mat @ xvec
-        aty = unvec(pre.st @ y)
-        rd = [a - c - z for a, c, z in zip(aty, c_hat, zs)]
-        mu = _inner(xs, zs) / ntot
+        rp = b_hat - s_mat @ x.ravel()
+        rd = unvec(pre.st @ y) - c_hat - z
+        mu = _inner(x, z) / ntot
 
-        pobj_hat = _inner(c_hat, xs)
+        pobj_hat = _inner(c_hat, x)
         dobj_hat = float(y @ b_hat)
         pobj_true = pobj_hat * unit_scale
         dobj_true = dobj_hat * unit_scale
@@ -468,12 +444,12 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         rp_true = float(np.max(
             np.abs(rp) * pre.b_scale * pre.row_scale[pre.kept]
         )) if mk else 0.0
-        rd_true = max(float(np.abs(r).max()) for r in rd) * pre.c_scale
+        rd_true = float(np.abs(rd).max()) * pre.c_scale
         gap_true = (mu * ntot) * unit_scale
         # objective bias carried by residuals against possibly large duals
         bias_true = (
             abs(float(y @ rp))
-            + abs(_inner(rd, xs))
+            + abs(_inner(rd, x))
         ) * unit_scale
 
         obj_scale = 1.0 + abs(pobj_true) + abs(dobj_true)
@@ -485,7 +461,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             and bias_true <= 10.0 * opts.gap_tol * obj_scale
         )
         if best is None or err < best[0]:
-            best = (err, xs, y, gap_true, rp_true, rd_true, converged)
+            best = (err, x, y, gap_true, rp_true, rd_true, converged)
             stall = 0
         else:
             stall += 1
@@ -506,79 +482,66 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
             status = "numerical_failure"
             break
 
-        # Nesterov-Todd scaling, one stacked call per group
+        # Nesterov-Todd scaling, one stacked call for all blocks
         try:
-            lx = [_chol(x) for x in xs]
-            lz = [_chol(z) for z in zs]
+            lx = _chol(x)
+            lz = _chol(z)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
         # dtrtri per block (a stacked inverse is slower here), each inverse kept
         # column-major as returned: the layout picks the BLAS kernel's rounding
-        lxinv = [_t(np.array([dtrtri(l, lower=1)[0].T for l in ls])) for ls in lx]
-        lzinv = [_t(np.array([dtrtri(l, lower=1)[0].T for l in ls])) for ls in lz]
-        gfac, ginv, sig = [], [], []
-        for l_x, l_z, l_xinv in zip(lx, lz, lxinv):
-            _, s_g, vt = np.linalg.svd(_t(l_z) @ l_x)
-            s_g = np.maximum(s_g, 1e-150)
-            gfac.append(l_x @ _t(vt) / np.sqrt(s_g)[:, None, :])
-            ginv.append((np.sqrt(s_g)[:, :, None] * vt) @ l_xinv)
-            sig.append(s_g)
+        lxinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lx]))
+        lzinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lz]))
+        _, s_g, vt = np.linalg.svd(_t(lz) @ lx)
+        s_g = np.maximum(s_g, 1e-150)
+        g = lx @ _t(vt) / np.sqrt(s_g)[:, None, :]
+        ginv = (np.sqrt(s_g)[:, :, None] * vt) @ lxinv
 
         try:
-            schur = _BlockSchur(pre, gfac)
+            schur = _BlockSchur(pre, g)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
 
         def solve_direction(t0):
-            wrdw = [g @ (_t(g) @ r @ g) @ _t(g) for g, r in zip(gfac, rd)]
-            rhs = s_mat @ vec_all([t - w for t, w in zip(t0, wrdw)]) - rp
+            wrdw = g @ (_t(g) @ rd @ g) @ _t(g)
+            rhs = s_mat @ (t0 - wrdw).ravel() - rp
             dy = schur.solve(rhs)
-            dz = [a + r for a, r in zip(unvec(pre.st @ dy), rd)]
-            dx = [
-                _sym(t - g @ (_t(g) @ d @ g) @ _t(g))
-                for t, g, d in zip(t0, gfac, dz)
-            ]
+            dz = unvec(pre.st @ dy) + rd
+            dx = _sym(t0 - g @ (_t(g) @ dz @ g) @ _t(g))
             return dx, dy, dz
 
-        def step(chol_inv, dirs):
-            return min(_max_step(l, d) for l, d in zip(chol_inv, dirs))
-
         # predictor: pure Newton step toward complementarity zero
-        dx_a, dy_a, dz_a = solve_direction([-x for x in xs])
-        ap = min(1.0, step(lxinv, dx_a))
-        ad = min(1.0, step(lzinv, dz_a))
-        mu_aff = _inner([x + ap * dx for x, dx in zip(xs, dx_a)],
-                        [z + ad * dz for z, dz in zip(zs, dz_a)]) / ntot
+        dx_a, dy_a, dz_a = solve_direction(-x)
+        ap = min(1.0, _max_step(lxinv, dx_a))
+        ad = min(1.0, _max_step(lzinv, dz_a))
+        mu_aff = _inner(x + ap * dx_a, z + ad * dz_a) / ntot
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector with the second-order term in the scaled space
-        t0 = []
-        for g, gi, s_g, dxa, dza in zip(gfac, ginv, sig, dx_a, dz_a):
-            dxh = gi @ dxa @ _t(gi)
-            dzh = _t(g) @ dza @ g
-            rc = -_sym(dxh @ dzh)
-            diag = np.arange(s_g.shape[1])
-            rc[:, diag, diag] = rc[:, diag, diag] + sigma * mu - s_g ** 2
-            denom = (s_g[:, :, None] + s_g[:, None, :]) / 2.0
-            t0.append(g @ (rc / denom) @ _t(g))
-        dx, dy, dz = solve_direction(t0)
+        dxh = ginv @ dx_a @ _t(ginv)
+        dzh = _t(g) @ dz_a @ g
+        rc = -_sym(dxh @ dzh)
+        diag = np.arange(n)
+        rc[:, diag, diag] = rc[:, diag, diag] + sigma * mu - s_g ** 2
+        denom = (s_g[:, :, None] + s_g[:, None, :]) / 2.0
+        dx, dy, dz = solve_direction(g @ (rc / denom) @ _t(g))
 
-        ap = min(1.0, _STEP_FRACTION * step(lxinv, dx))
-        ad = min(1.0, _STEP_FRACTION * step(lzinv, dz))
+        ap = min(1.0, _STEP_FRACTION * _max_step(lxinv, dx))
+        ad = min(1.0, _STEP_FRACTION * _max_step(lzinv, dz))
         if ap < 1e-10 and ad < 1e-10:
             stall += 10
             continue
-        xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
-        zs = [_sym(z + ad * d) for z, d in zip(zs, dz)]
+        x = _sym(x + ap * dx)
+        z = _sym(z + ad * dz)
         y = y + ad * dy
 
     if status == "optimal":
-        return finish(xs, y, status, it, *best[3:6])
+        return finish(x, y, status, it, *best[3:6])
     # fall back to the best iterate seen; it may already satisfy everything
     if best is not None:
         if best[6]:
             status = "optimal"
         return finish(best[1], best[2], status, it, *best[3:6])
-    return finish(xs, y, status, it, math.inf, math.inf, math.inf)
+    return finish(x, y, status, it, math.inf, math.inf, math.inf)

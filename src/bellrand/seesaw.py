@@ -33,6 +33,9 @@ logger = logging.getLogger(__name__)
 
 _INNER_TOL = 1e-10
 _INNER_CAP = 200
+# Nelder-Mead stopping tolerances of the tomographic refine, in radians and in G
+_REFINE_XATOL = 1e-6
+_REFINE_FATOL = 1e-12
 # I, sigma_x, sigma_z: the planar part of the Pauli basis
 _PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
 
@@ -203,7 +206,6 @@ def optimize(
 def tomographic_optimize(
     state: DensityMatrix,
     grid_size: int = 12,
-    refine_tolerance: float = 1e-6,
     options: SolveOptions | None = None,
 ) -> tuple[float, float, GuessReport]:
     """Scan (alice, bob) angles over [0, pi)^2 for the tomographic program,
@@ -230,7 +232,7 @@ def tomographic_optimize(
         g_of,
         x0=np.asarray(best_pair),
         method="Nelder-Mead",
-        options={"xatol": refine_tolerance, "fatol": 1e-12},
+        options={"xatol": _REFINE_XATOL, "fatol": _REFINE_FATOL},
     )
     alpha, beta = (float(res.x[0]), float(res.x[1]))
     return alpha, beta, reports[alpha, beta]

@@ -230,18 +230,17 @@ def test_criterion_10_solver_unit_suite():
 
     # rows over vec(X): each block raveled, blocks concatenated
     trace_one = sdp.SdpProblem(
-        (2,), [np.diag([1.0, 0.0])], sp.csr_matrix(np.eye(2).reshape(1, 4)), [1.0]
+        [np.diag([1.0, 0.0])], sp.csr_matrix(np.eye(2).reshape(1, 4)), [1.0]
     )
     sol1 = sdp.solve(trace_one)
     checks.append(abs(sol1.primal_objective - 1.0) <= 1e-7)
 
-    scalar = sdp.SdpProblem((1,), [np.array([[1.0]])], sp.csr_matrix([[1.0]]), [0.3])
+    scalar = sdp.SdpProblem([np.array([[1.0]])], sp.csr_matrix([[1.0]]), [0.3])
     sol2 = sdp.solve(scalar)
     checks.append(abs(sol2.primal_objective - 0.3) <= 1e-7)
     checks.append(abs(sol2.dual_vector[0] - 1.0) <= 1e-6)
 
     offdiag = sdp.SdpProblem(
-        (2,),
         [np.array([[0.0, 1.0], [1.0, 0.0]])],
         sp.csr_matrix([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
         [0.5, 0.5],
@@ -250,15 +249,15 @@ def test_criterion_10_solver_unit_suite():
     checks.append(abs(sol3.primal_objective - 1.0) <= 1e-7)
     checks.append(np.allclose(sol3.dual_vector, [1.0, 1.0], atol=1e-6))
 
-    rescaled = sdp.SdpProblem((1,), [np.array([[1.0]])], sp.csr_matrix([[10.0]]), [3.0])
+    rescaled = sdp.SdpProblem([np.array([[1.0]])], sp.csr_matrix([[10.0]]), [3.0])
     sol4 = sdp.solve(rescaled)
     checks.append(abs(sol4.primal_objective - sol2.primal_objective) <= 1e-7)
     checks.append(abs(sol4.dual_vector[0] - sol2.dual_vector[0] / 10.0) <= 1e-7)
 
     swapped = sdp.SdpProblem(
-        (1, 2),
-        [np.array([[0.0]]), np.diag([1.0, 0.0])],
-        sp.csr_matrix([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0]]),
+        [np.zeros((2, 2)), np.diag([1.0, 0.0])],
+        sp.csr_matrix([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]),
         [0.25, 1.0],
     )
     sol5 = sdp.solve(swapped)

@@ -282,6 +282,21 @@ def test_unequal_normalizations_infeasible():
     assert report.bell_expression is None
 
 
+@pytest.mark.parametrize("s", [3.0, 4.0])
+def test_superquantum_box_infeasible(s):
+    # the no-signalling box E_xy = +-s/4 (minus at (2,2)) with zero
+    # marginals has CHSH value s > 2 sqrt(2), outside the level-2 set; the
+    # solve does not stop as infeasible itself, the Farkas ray test does
+    p = np.zeros(16)
+    for a, b, x, y in components(2, 2):
+        e = -s / 4 if (x, y) == (2, 2) else s / 4
+        p[component_index(a, b, x, y, 2, 2)] = (1 + a * b * e) / 4
+    report = guessprob.guessing_probability(qstate.Behavior(2, 2, p), level=2)
+    assert report.status == "infeasible"
+    assert math.isnan(report.guessing_probability)
+    assert report.bell_expression is None
+
+
 def test_rounding_level_signalling_still_solved():
     b = signalling_behavior(5e-10)
     assert abs(b.no_signaling_defect() - 1e-9) <= 1e-12
@@ -382,7 +397,7 @@ def test_dependent_operators_unequal_values_infeasible():
 def test_dual_combination_matches_direct_sum():
     # sparse random rows over three blocks, some blocks untouched by a row
     rng = np.random.default_rng(5)
-    orders = (3, 1, 2)
+    orders = (3, 3, 3)
     cons = []
     for _ in range(6):
         mats = []
@@ -390,15 +405,15 @@ def test_dual_combination_matches_direct_sum():
             a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
             mats.append(a + a.T if rng.random() < 0.8 else np.zeros((n, n)))
         cons.append((mats, float(rng.normal())))
+    assert any(not m.any() for mats, _ in cons for m in mats)
     problem = sdp.SdpProblem(
-        orders,
         [np.zeros((n, n)) for n in orders],
         sp.csr_matrix([np.concatenate([m.ravel() for m in mats]) for mats, _ in cons]),
         [rhs for _, rhs in cons],
     )
     y = rng.normal(size=len(cons))
     got = guessprob._dual_combination(problem, y)
-    assert [z.shape for z in got] == [(n, n) for n in orders]
+    assert got.shape == (3, 3, 3)
     for b, n in enumerate(orders):
         want = sum(y[j] * mats[b] for j, (mats, _) in enumerate(cons))
         assert np.abs(got[b] - want).max() <= 1e-12

@@ -20,9 +20,9 @@ def sym(n, *entries):
     return m
 
 
-def problem_of(orders, objective, rows, rhs):
+def problem_of(objective, rows, rhs):
     rows = sp.csr_matrix(np.array(rows, ndmin=2))
-    return sdp.SdpProblem(orders, objective, rows, rhs)
+    return sdp.SdpProblem(objective, rows, rhs)
 
 
 def solve_ok(problem, **kw):
@@ -33,7 +33,7 @@ def solve_ok(problem, **kw):
 
 def trace_one_problem():
     # maximize <diag(1,0), X> subject to tr X = 1, X >= 0
-    return problem_of((2,), [np.diag([1.0, 0.0])], [vec(np.eye(2))], [1.0])
+    return problem_of([np.diag([1.0, 0.0])], [vec(np.eye(2))], [1.0])
 
 
 def test_trace_one_extremal():
@@ -51,7 +51,7 @@ def test_solve_without_border_rows_is_silent(capfd):
 
 def test_scalar_equality():
     # maximize x subject to x = 0.3; dual multiplier is 1
-    problem = problem_of((1,), [np.array([[1.0]])], [[1.0]], [0.3])
+    problem = problem_of([np.array([[1.0]])], [[1.0]], [0.3])
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - 0.3) < 1e-7
     assert abs(sol.dual_vector[0] - 1.0) < 1e-6
@@ -60,7 +60,6 @@ def test_scalar_equality():
 def test_offdiagonal_objective():
     # maximize X01 + X10 with unit diagonal halves; optimum at rank one
     problem = problem_of(
-        (2,),
         [sym(2, (0, 1, 1.0))],
         [vec(sym(2, (0, 0, 1.0))), vec(sym(2, (1, 1, 1.0)))],
         [0.5, 0.5],
@@ -72,8 +71,8 @@ def test_offdiagonal_objective():
 
 
 def test_row_rescaling_rescales_dual():
-    base = problem_of((1,), [np.array([[1.0]])], [[1.0]], [0.3])
-    scaled = problem_of((1,), [np.array([[1.0]])], [[10.0]], [3.0])
+    base = problem_of([np.array([[1.0]])], [[1.0]], [0.3])
+    scaled = problem_of([np.array([[1.0]])], [[10.0]], [3.0])
     a = solve_ok(base)
     b = solve_ok(scaled)
     assert abs(a.primal_objective - b.primal_objective) < 1e-7
@@ -82,15 +81,13 @@ def test_row_rescaling_rescales_dual():
 
 def _block_columns(problem):
     """The dense rows of ``problem.a`` split into one column range per block."""
-    offsets = np.cumsum([n * n for n in problem.block_orders])
-    return np.split(problem.a.toarray(), offsets[:-1], axis=1)
+    return np.split(problem.a.toarray(), len(problem.block_orders), axis=1)
 
 
 def _permuted(problem, perm):
     """The same program with its blocks listed in the order ``perm``."""
     cols = _block_columns(problem)
     return problem_of(
-        [problem.block_orders[i] for i in perm],
         [problem.objective[i] for i in perm],
         np.hstack([cols[i] for i in perm]),
         problem.rhs,
@@ -111,18 +108,17 @@ def _unique_optimum_problem(orders, seed):
     ]
     rows.append(vec(*(np.eye(n) for n in orders)))
     rhs = [0.2 + 0.1 * i for i in range(len(orders) - 1)] + [1.0]
-    return problem_of(orders, obj, rows, rhs)
+    return problem_of(obj, rows, rhs)
 
 
 def test_block_permutation_invariance():
-    obj = [np.diag([1.0, 0.0]), np.array([[2.0]])]
+    obj = [np.diag([1.0, 0.0]), np.diag([0.0, 2.0])]
     cons = [
-        ([np.eye(2), np.zeros((1, 1))], 1.0),
-        ([np.zeros((2, 2)), np.array([[1.0]])], 0.25),
+        ([np.eye(2), np.zeros((2, 2))], 1.0),
+        ([np.zeros((2, 2)), np.eye(2)], 0.25),
     ]
-    forward = problem_of((2, 1), obj, [vec(*c) for c, _ in cons], [r for _, r in cons])
+    forward = problem_of(obj, [vec(*c) for c, _ in cons], [r for _, r in cons])
     swapped = problem_of(
-        (1, 2),
         [obj[1], obj[0]],
         [vec(c[1], c[0]) for c, _ in cons],
         [r for _, r in cons],
@@ -132,23 +128,22 @@ def test_block_permutation_invariance():
     assert abs(a.primal_objective - b.primal_objective) < 1e-7
     assert np.allclose(a.primal_blocks[0], b.primal_blocks[1], atol=1e-6)
     assert np.allclose(a.primal_blocks[1], b.primal_blocks[0], atol=1e-6)
-    # equal orders that are not adjacent (three groups against two), and a
-    # group of two whose blocks trade places
-    for orders, perm in (((2, 1, 2), (0, 2, 1)), ((2, 2, 1), (2, 1, 0))):
-        problem = _unique_optimum_problem(orders, seed=sum(orders))
-        a = solve_ok(problem)
+    # three blocks, two of them trading places, and all three reversed
+    problem = _unique_optimum_problem((2, 2, 2), seed=5)
+    a = solve_ok(problem)
+    for perm in ((0, 2, 1), (2, 1, 0)):
         b = solve_ok(_permuted(problem, perm))
         assert abs(a.primal_objective - b.primal_objective) < 1e-7
-        for sol, order in ((a, orders), (b, [orders[i] for i in perm])):
-            assert isinstance(sol.primal_blocks, tuple)
-            assert [x.shape for x in sol.primal_blocks] == [(n, n) for n in order]
+        for sol in (a, b):
+            assert isinstance(sol.primal_blocks, np.ndarray)
+            assert sol.primal_blocks.shape == (3, 2, 2)
         for k, i in enumerate(perm):
             assert np.allclose(a.primal_blocks[i], b.primal_blocks[k], atol=1e-6)
 
 
 def test_negative_diagonal_is_infeasible():
     # X >= 0 scalar cannot equal -1
-    problem = problem_of((1,), [np.array([[1.0]])], [[1.0]], [-1.0])
+    problem = problem_of([np.array([[1.0]])], [[1.0]], [-1.0])
     sol = sdp.solve(problem)
     assert sol.status == "infeasible"
 
@@ -162,16 +157,14 @@ def test_iteration_cap_reported():
 
 
 def test_all_zero_rows_rejected():
-    problem = problem_of((1,), [np.array([[1.0]])], [[0.0]], [0.0])
+    problem = problem_of([np.array([[1.0]])], [[0.0]], [0.0])
     with pytest.raises(ValueError, match="independent"):
         sdp.solve(problem)
 
 
 def test_all_zero_row_with_nonzero_rhs_is_infeasible():
     # 0 = 0.5 cannot hold: the presolve reports it before any iteration
-    problem = problem_of(
-        (2,), [np.eye(2)], [vec(np.eye(2)), np.zeros(4)], [1.0, 0.5]
-    )
+    problem = problem_of([np.eye(2)], [vec(np.eye(2)), np.zeros(4)], [1.0, 0.5])
     sol = sdp.solve(problem)
     assert sol.status == "infeasible"
     assert sol.removed_rows == (1,)
@@ -182,7 +175,6 @@ def test_entry_accumulation_and_validation():
     # repeated entries of the sparse rows accumulate, explicit zeros are
     # dropped, and the objective is mirrored from its upper triangle
     problem = sdp.SdpProblem(
-        (2,),
         [np.array([[1.0, 0.5], [0.5 + 1e-14, 0.0]])],
         sp.coo_matrix(([0.5, 0.5, 0.0], ([0, 0, 0], [0, 0, 1])), shape=(1, 4)),
         [0.3],
@@ -192,34 +184,49 @@ def test_entry_accumulation_and_validation():
     assert problem.objective[0][1, 0] == 0.5
     one = [np.eye(2)]
     row = sp.csr_matrix(vec(np.eye(2)))
-    with pytest.raises(ValueError, match="bad block orders"):
-        sdp.SdpProblem((0,), [np.zeros((0, 0))], sp.csr_matrix((0, 0)), [])
-    with pytest.raises(ValueError, match="one coefficient matrix per block"):
-        sdp.SdpProblem((2, 1), one, sp.csr_matrix((1, 5)), [0.0])
-    with pytest.raises(ValueError, match="expected shape"):
-        sdp.SdpProblem((2,), [np.eye(3)], row, [1.0])
+    with pytest.raises(ValueError, match=r"got shape \(1, 0, 0\)"):
+        sdp.SdpProblem(np.zeros((1, 0, 0)), sp.csr_matrix((0, 0)), [])
     with pytest.raises(ValueError, match="needs 4 columns"):
-        sdp.SdpProblem((2,), one, sp.csr_matrix(np.ones((1, 5))), [1.0])
+        sdp.SdpProblem(one, sp.csr_matrix(np.ones((1, 5))), [1.0])
     with pytest.raises(TypeError, match="sparse"):
-        sdp.SdpProblem((2,), one, vec(np.eye(2))[None, :], [1.0])
+        sdp.SdpProblem(one, vec(np.eye(2))[None, :], [1.0])
     with pytest.raises(ValueError, match="objective block 0: matrix is not symmetric"):
-        sdp.SdpProblem((2,), [np.array([[0.0, 1.0], [0.0, 0.0]])], row, [1.0])
+        sdp.SdpProblem([np.array([[0.0, 1.0], [0.0, 0.0]])], row, [1.0])
+    with pytest.raises(ValueError, match="objective block 1: matrix is not symmetric"):
+        sdp.SdpProblem(
+            [np.eye(2), [[0.0, 1.0], [0.0, 0.0]]],
+            sp.csr_matrix(vec(np.eye(2), np.eye(2))), [1.0],
+        )
     with pytest.raises(ValueError, match="constraint 1 is not symmetric in block 1"):
         sdp.SdpProblem(
-            (1, 2), [np.eye(1), np.eye(2)],
-            sp.csr_matrix([vec(1.0, np.eye(2)), vec(0.0, [[0.0, 1.0], [0.0, 0.0]])]),
+            [np.eye(2), np.eye(2)],
+            sp.csr_matrix([
+                vec(np.eye(2), np.eye(2)),
+                vec(np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]),
+            ]),
             [1.0, 0.0],
         )
     with pytest.raises(ValueError, match="constraint 0 is not symmetric in block 0"):
-        sdp.SdpProblem((2,), one, sp.csr_matrix(vec([[0.0, 1.0], [2.0, 0.0]])), [0.0])
+        sdp.SdpProblem(one, sp.csr_matrix(vec([[0.0, 1.0], [2.0, 0.0]])), [0.0])
     with pytest.raises(ValueError, match="objective block 0: non-finite"):
-        sdp.SdpProblem((2,), [np.diag([1.0, np.inf])], row, [1.0])
+        sdp.SdpProblem([np.diag([1.0, np.inf])], row, [1.0])
     with pytest.raises(ValueError, match="constraint matrix: non-finite"):
-        sdp.SdpProblem((2,), one, sp.csr_matrix(vec(np.diag([1.0, np.nan]))), [1.0])
+        sdp.SdpProblem(one, sp.csr_matrix(vec(np.diag([1.0, np.nan]))), [1.0])
     with pytest.raises(ValueError, match="constraint 0: non-finite right-hand side"):
-        sdp.SdpProblem((2,), one, row, [np.nan])
+        sdp.SdpProblem(one, row, [np.nan])
     with pytest.raises(ValueError, match="expected 1 right-hand sides"):
-        sdp.SdpProblem((2,), one, row, [1.0, 2.0])
+        sdp.SdpProblem(one, row, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("objective, shape", [
+    ([np.eye(2), np.eye(1)], r"\[\(2, 2\), \(1, 1\)\]"),  # ragged
+    (np.zeros((2, 2, 3)), r"\(2, 2, 3\)"),  # not square
+    (np.eye(2), r"\(2, 2\)"),  # one block without its stack axis
+])
+def test_objective_must_be_one_stack(objective, shape):
+    # blocks of different orders have no (k, n, n) stack
+    with pytest.raises(ValueError, match=f"one \\(k, n, n\\) stack, got .*{shape}"):
+        sdp.SdpProblem(objective, sp.csr_matrix((1, 4)), [0.0])
 
 
 def test_residual_report_on_solution():
@@ -246,7 +253,7 @@ def test_pinned_diagonal_value(n, seed):
     c = rng.uniform(-1.0, 1.0, size=n)
     b = rng.uniform(0.1, 1.0, size=n)
     problem = problem_of(
-        (n,), [np.diag(c)], [vec(sym(n, (i, i, 1.0))) for i in range(n)], b
+        [np.diag(c)], [vec(sym(n, (i, i, 1.0))) for i in range(n)], b
     )
     sol = solve_ok(problem)
     assert abs(sol.primal_objective - float(c @ b)) < 1e-6 * (1 + abs(float(c @ b)))
@@ -263,7 +270,7 @@ def _random_problem(rng, orders, touched):
             mats[i] = a + a.T
         rows.append(vec(*mats))
         rhs.append(float(rng.normal()))
-    return problem_of(orders, [np.zeros((n, n)) for n in orders], rows, rhs)
+    return problem_of([np.zeros((n, n)) for n in orders], rows, rhs)
 
 
 def _check_schur_against_dense(problem, pre, rng):
@@ -274,10 +281,8 @@ def _check_schur_against_dense(problem, pre, rng):
         for j in pre.kept
     ]
     for _ in range(3):
-        gfac = [
-            rng.normal(size=(g.k, g.n, g.n)) + g.n * np.eye(g.n) for g in pre.groups
-        ]
-        w = [g @ g.T for stack in gfac for g in stack]
+        gfac = rng.normal(size=(pre.k, pre.n, pre.n)) + pre.n * np.eye(pre.n)
+        w = [g @ g.T for g in gfac]
         dense = np.array([
             [sum(np.sum(a[j][b] * (w[b] @ a[k][b] @ w[b])) for b in range(len(orders)))
              for k in range(len(a))]
@@ -290,15 +295,16 @@ def _check_schur_against_dense(problem, pre, rng):
 
 
 def _own_sizes(pre):
-    return [rows.size for g in pre.groups for rows, _ in g.own]
+    return [rows.size for rows, _ in pre.own]
 
 
 @pytest.mark.parametrize("with_border", [True, False])
 def test_block_schur_solve_matches_dense(with_border):
-    # orders (3, 2, 1) are three singleton groups; own rows in blocks 0 and
-    # 1, block 2 has none unless the border is empty
+    # three blocks, each the only block of its product as soon as one has own
+    # rows: own rows in blocks 0 and 1, block 2 has none unless the border is
+    # empty
     rng = np.random.default_rng(7)
-    orders = (3, 2, 1)
+    orders = (3, 3, 3)
     touched = [(0,), (0,), (0,), (1,), (1,)]
     if with_border:
         touched += [(0, 1), (1, 2), (0, 1, 2)]
@@ -307,7 +313,7 @@ def test_block_schur_solve_matches_dense(with_border):
     problem = _random_problem(rng, orders, touched)
     pre = sdp._Presolved(problem)
     assert len(pre.kept) == len(touched)
-    assert [(g.k, g.n) for g in pre.groups] == [(1, 3), (1, 2), (1, 1)]
+    assert (pre.k, pre.n, len(pre.bord)) == (3, 3, 3)
     assert _own_sizes(pre) == [3, 2, 0 if with_border else 1]
     assert pre.border.size == (3 if with_border else 0)
     _check_schur_against_dense(problem, pre, rng)
@@ -315,16 +321,16 @@ def test_block_schur_solve_matches_dense(with_border):
 
 @pytest.mark.parametrize("with_own", [True, False])
 def test_block_schur_stack_matches_dense(with_own):
-    # one group of four blocks of order 3, with border rows and, as in NPA
-    # relaxations, own rows in every block; or, as in the tomographic
-    # program, border rows alone
+    # four blocks of order 3, with border rows and, as in NPA relaxations,
+    # own rows in every block; or, as in the tomographic program, border
+    # rows alone, which meet all four stacked bases in one product
     rng = np.random.default_rng(11)
     orders = (3, 3, 3, 3)
     own = [(0,), (0,), (1,), (2,), (2,), (2,), (3,)] if with_own else []
     border = [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3), (0, 2), (0, 1, 2, 3)]
     problem = _random_problem(rng, orders, own + border)
     pre = sdp._Presolved(problem)
-    assert [(g.k, g.n) for g in pre.groups] == [(4, 3)]
+    assert (pre.k, pre.n, len(pre.bord)) == (4, 3, 4 if with_own else 1)
     assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
     assert pre.border.size == len(border)
     _check_schur_against_dense(problem, pre, rng)
