@@ -20,14 +20,20 @@ the primal lose its interior, so the raw solver statuses are mapped to a
 certificate-health status here. Attack weights are read off the solver's
 primal, which it returns projected onto the matching rows.
 
-Three variants share the machinery: full statistics (match the behavior's
-Collins-Gisin coordinates), Bell-value constrained (match only the values
-of given Bell operators plus normalization), and tomographic (state blocks
-matching the density matrix entrywise, solved on the support of the state
-where the decomposition provably lives). For a pure state
-rho = lambda |psi><psi| that support is one-dimensional, the blocks are
-weights on a simplex, and the optimum lambda * max_ab <psi|pi_a x pi_b|psi>
-is returned exactly without a solve.
+Two variants share the machinery: full statistics (match the behavior's
+Collins-Gisin coordinates) and Bell-value constrained (match only the
+values of given Bell operators plus normalization).
+
+A third, tomographic, bounds Eve by the state itself: PSD blocks rho~_ab
+summing to rho, scored by <rho~_ab, pi_a x pi_b>. It needs no
+interior-point solve. Each pi_a x pi_b projects onto a product unit vector
+e_ab, and rho~_ab = sqrt(rho) M_ab sqrt(rho) makes the program minimum-error
+discrimination of v_ab = sqrt(rho) e_ab over POVMs M_ab. An orthonormal
+basis m_ab gives the primal value sum_ab (m_ab.v_ab)^2, and any Y with
+Y + defect*I >= v_ab v_ab^T for every ab certifies G <= tr Y + 4*defect.
+A Newton ascent over orthonormal bases makes the two meet. For a pure
+state rho = lambda |psi><psi| the blocks are weights on a simplex, and the
+optimum lambda * max_ab <psi|pi_a x pi_b|psi> is returned exactly.
 """
 
 from __future__ import annotations
@@ -459,10 +465,102 @@ def bell_constrained_bound(
     return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
 
 
-@lru_cache(maxsize=4)
-def _tomographic_rows(r: int) -> sp.csr_matrix:
-    """Rows reading each upper-triangle entry of rank-r blocks off their sum."""
-    return sp.hstack([_reader(r, *np.triu_indices(r))] * 4, format="csr")
+# the skew-symmetric basis E_s, +1 at (p, q) and -1 at (q, p) for p < q
+_P, _Q = np.triu_indices(4, 1)
+_SKEW = np.zeros((6, 4, 4))
+_SKEW[range(6), _P, _Q], _SKEW[range(6), _Q, _P] = 1.0, -1.0
+# row (s, t) reads tr(E_s E_t C) off the row-major C
+_SKEW_PAIRS = np.einsum("sij,tjk->stki", _SKEW, _SKEW).reshape(36, 16)
+
+
+def _product_basis(alpha: float, beta: float) -> np.ndarray:
+    """Columns e_ab, the unit vectors of pi_a x pi_b in OUTCOME_PAIRS order:
+    pi_+(phi) projects onto (cos phi/2, sin phi/2), pi_-(phi) onto
+    (-sin phi/2, cos phi/2)."""
+
+    def local(phi):
+        c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+        return np.array([[-s, c], [c, s]])
+
+    return np.kron(local(alpha), local(beta))
+
+
+def _polar(a: np.ndarray) -> np.ndarray:
+    u, _, vt = np.linalg.svd(a)
+    return u @ vt
+
+
+class _Certificate(NamedTuple):
+    """An orthonormal measurement m (columns m_k) with its primal value
+    f = sum_k (m_k.v_k)^2, the certificate y = sym(V diag(c) M^T) with
+    c_k = m_k.v_k, its defect max(0, -min_k lambda_min(y - v_k v_k^T)) and
+    the bound g = tr y + 4*defect clipped to [1/4, 1]. tr y = f, and
+    y + defect*I dominates every v_k v_k^T."""
+
+    m: np.ndarray
+    y: np.ndarray
+    f: float
+    g: float
+    defect: float
+
+
+def _certify(v: np.ndarray, m: np.ndarray, outer: np.ndarray) -> _Certificate:
+    """Certificate of m; ``outer`` is the (4, 4, 4) stack of v_k v_k^T."""
+    c = np.einsum("ik,ik->k", m, v)
+    y = (v * c) @ m.T
+    y = (y + y.T) / 2.0
+    defect = max(0.0, -float(np.linalg.eigvalsh(y - outer).min()))
+    f = float(c @ c)
+    return _Certificate(m, y, f, min(max(f + 4.0 * defect, 0.25), 1.0), defect)
+
+
+def _newton(v: np.ndarray, m: np.ndarray, f: float) -> np.ndarray | None:
+    """Newton step M R(L), R = polar(I - L + L^2/2) ~ exp(-L), over the six
+    coordinates of a skew-symmetric L, or None when the Hessian is not
+    negative definite or the step lowers f. With B = M^T V and d = diag B
+    the gradient is 2 (d_p B_qp - d_q B_pq) = 2 J^T d, J_ks = (E_s B)_kk,
+    and the Hessian is 2 (J^T J + sym K), K_st = tr(E_s E_t B diag d)."""
+    b = m.T @ v
+    d = np.diag(b)
+    jac = np.einsum("skj,jk->ks", _SKEW, b)
+    curv = (_SKEW_PAIRS @ (b * d).ravel()).reshape(6, 6)
+    lam, vec = np.linalg.eigh(2.0 * (jac.T @ jac + (curv + curv.T) / 2.0))
+    if lam.max() >= 0.0:
+        return None
+    step = -vec @ (vec.T @ (2.0 * (jac.T @ d)) / lam)
+    skew = np.einsum("s,sij->ij", step, _SKEW)
+    trial = m @ _polar(np.eye(4) - skew + skew @ skew / 2.0)
+    c = np.einsum("ik,ik->k", trial, v)
+    return trial if c @ c >= f else None
+
+
+def _discriminate(v: np.ndarray, start: np.ndarray, options: SolveOptions):
+    """Ascend f(M) = sum_k (m_k.v_k)^2 over orthogonal M from ``start``
+    until the certified g is within options.gap_tol*(1 + f) of f, or
+    options.max_iterations steps have been taken. Each step is a Newton
+    step where one is taken (see _newton), else M <- polar(V diag(c)),
+    which never lowers f: f is convex in M and the polar factor maximizes
+    its linearization. Newton squares the gap near the optimum, so once
+    within tolerance one more Newton step, kept if it lowers g, takes g
+    to within rounding of the optimum. Returns the last certificate, the
+    step count and the status."""
+    outer = np.einsum("ik,jk->kij", v, v)
+    cert = _certify(v, start, outer)
+    steps = 0
+    while cert.g - cert.f > options.gap_tol * (1.0 + cert.f):
+        if steps == options.max_iterations:
+            return cert, steps, "max_iterations"
+        steps += 1
+        trial = _newton(v, cert.m, cert.f)
+        if trial is None:
+            trial = _polar(v * np.diag(cert.m.T @ v))
+        cert = _certify(v, trial, outer)
+    trial = _newton(v, cert.m, cert.f)
+    if trial is not None:
+        polished = _certify(v, trial, outer)
+        if polished.g < cert.g:
+            return polished, steps + 1, "optimal"
+    return cert, steps, "optimal"
 
 
 def tomographic_guessing(
@@ -474,34 +572,44 @@ def tomographic_guessing(
     """Guessing probability when Eve is constrained by the state itself:
     maximize sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho.
 
-    PSD blocks summing to rho are supported on rho's range, so the program
-    is solved in rho's eigenbasis restricted to its support; that keeps the
-    matched state positive definite (interior restored) and is exact. When
-    the support has rank one (a pure state, rho = lambda |psi><psi|), the
-    blocks are weights x_ab >= 0 summing to lambda and the optimum is
-    G = lambda * max_ab <psi|pi_a x pi_b|psi>, returned exactly with no
-    solve: 0 iterations, zero gap, residuals and defect, and all attack
-    weight on the maximizing pair. Level is reported as 0 and there is no
-    behavior-space Bell expression (the dual certificate is an operator)."""
+    Each pi_a x pi_b projects onto a product unit vector e_ab. Writing the
+    blocks as rho~_ab = sqrt(rho) M_ab sqrt(rho) turns the program into
+    minimum-error discrimination of the vectors v_ab = sqrt(rho) e_ab:
+    G = max over POVMs M of sum_ab <v_ab|M_ab|v_ab> (Koenig, Renner &
+    Schaffner, IEEE TIT 55, 4337, 2009). Every orthonormal basis m_ab is a
+    measurement, so f = sum_ab (m_ab.v_ab)^2 is a lower value, and every Y
+    with Y >= v_ab v_ab^T for all ab bounds G <= tr Y (Eldar, Megretski &
+    Verghese, IEEE TIT 49, 1007, 2003). The basis is found by a Newton
+    ascent from m_ab = e_ab (see _discriminate); Y = sym(V diag(c) M^T)
+    with c_ab = m_ab.v_ab, and the reported G is tr Y + 4*defect, the
+    defect being how far Y falls short of dominating the v_ab v_ab^T. That
+    bound holds for singular rho too. Status is optimal once G - f is
+    within options.gap_tol*(1 + f) and max_iterations at the step cap,
+    still with the valid G; iterations counts the steps, gap is G - f and
+    the attack weights are |sqrt(rho) m_ab|^2.
+
+    When rho's support (eigenvalues above 1e-12) has rank one, a pure
+    state rho = lambda |psi><psi|, the blocks are weights x_ab >= 0 summing
+    to lambda and the optimum is G = lambda * max_ab <psi|pi_a x pi_b|psi>,
+    returned exactly: 0 iterations, zero gap, residuals and defect, and all
+    attack weight on the maximizing pair. Level is reported as 0 and there
+    is no behavior-space Bell expression (the certificate is an operator)."""
     rho = state.entries
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-12
-    basis = evecs[:, keep]
-    r = int(keep.sum())
-    rho_r = basis.T @ rho @ basis
-    projs = [
-        basis.T @ np.kron(
-            qstate.projector(alice_angle, a), qstate.projector(bob_angle, b)
-        ) @ basis
-        for a, b in OUTCOME_PAIRS
-    ]
-    if r == 1:
-        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = rho_r: a linear
+    if keep.sum() == 1:
+        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
         # program over a simplex, maximized at its best vertex; the dual
         # y = max_ab p_ab is feasible as it stands, so the defect is zero
-        p = [float(q[0, 0]) for q in projs]
+        psi = evecs[:, keep]
+        p = [
+            float((psi.T @ np.kron(
+                qstate.projector(alice_angle, a), qstate.projector(bob_angle, b)
+            ) @ psi)[0, 0])
+            for a, b in OUTCOME_PAIRS
+        ]
         best = int(np.argmax(p))
-        lam = float(rho_r[0, 0])
+        lam = float((psi.T @ rho @ psi)[0, 0])
         g = min(max(lam * p[best], 0.25), 1.0)
         return GuessReport(
             guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
@@ -512,18 +620,21 @@ def tomographic_guessing(
             bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
             dual_residual=0.0, certificate_defect=0.0,
         )
-    problem = SdpProblem(
-        objective=projs,
-        a=_tomographic_rows(r),
-        rhs=rho_r[np.triu_indices(r)],
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    basis = _product_basis(alice_angle, bob_angle)
+    cert, steps, status = _discriminate(
+        root @ basis, basis, options or SolveOptions()
     )
-    sol = solve(problem, options)
-    g, defect, status = _certified(problem, sol, 1.0)
-    weights = {
-        (a, b): float(np.trace(sol.primal_blocks[i]))
-        for i, (a, b) in enumerate(OUTCOME_PAIRS)
-    }
-    return _report(sol, g, defect, status, 0, 1, 1, None, weights)
+    weights = np.sum((root @ cert.m) ** 2, axis=0)
+    return GuessReport(
+        guessing_probability=cert.g, hmin=_hmin(cert.g), level=0, xstar=1,
+        ystar=1, status=status,
+        attack_weights=_clean_weights(
+            {k: float(w) for k, w in zip(OUTCOME_PAIRS, weights)}
+        ),
+        bell_expression=None, iterations=steps, gap=cert.g - cert.f,
+        primal_residual=0.0, dual_residual=0.0, certificate_defect=cert.defect,
+    )
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,14 @@ of its rows with the scaled basis G_b (x) G_b, and the system is solved
 with one Cholesky factor per D_b plus one of the border Schur complement
 B - sum_b C_b D_b^-1 C_b^T. In NPA relaxations every moment-structure row
 is an own row and only the behavior, Bell-value and normalization rows
-form the border; a problem without own rows, such as the tomographic
-program, reduces to one dense factor of B.
+form the border; a problem without own rows reduces to one dense factor
+of B.
 
 Precondition: every block has the same order n. The solver holds the k
 blocks as one (k, n, n) array from problem to certificate (objective,
 iterates, scalings and the returned primal), so each step makes one stacked
-numpy call, not one per block. NPA relaxations and the tomographic program
-are four blocks of one order, an operator-range bound is one block.
+numpy call, not one per block. NPA relaxations are four blocks of one
+order, an operator-range bound is one block.
 
 A problem is given in the solver's own form, as in SeDuMi (Sturm, Optim.
 Methods Softw. 11, 625, 1999): the (k, n, n) stack of objective blocks C_i

@@ -349,9 +349,6 @@ PROGRAMS = {
         np.vstack([guessprob.chsh_coefficients(), guessprob.ibeta_coefficients(0.5)]),
         [2.5, 2.6], 2, 2, level=2,
     ),
-    "tomographic": lambda: guessprob.tomographic_guessing(
-        make_state(0.9, 0.5), 0.7, 1.9
-    ),
 }
 
 
@@ -493,8 +490,63 @@ def test_tomographic_pure_state_continuous_with_full_rank(theta, alpha, beta):
     # theta = pi/4) lets the blocks mix the tied pairs and gain O(sqrt(1-v))
     pure = guessprob.tomographic_guessing(make_state(1.0, theta), alpha, beta)
     mixed = guessprob.tomographic_guessing(make_state(1.0 - 1e-9, theta), alpha, beta)
-    assert mixed.status == "optimal" and mixed.iterations > 0
-    assert abs(pure.guessing_probability - mixed.guessing_probability) <= 1e-6
+    assert mixed.status == "optimal"
+    # rho_v = v rho_1 + (1 - v) I/4, and scaling rho_1's blocks by v is feasible
+    g_pure, g_mixed = pure.guessing_probability, mixed.guessing_probability
+    assert g_mixed >= (1.0 - 1e-9) * g_pure - 1e-12
+    assert abs(g_pure - g_mixed) <= 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    v=st.floats(min_value=0.0, max_value=0.9999), theta=thetas, alpha=angles,
+    beta=angles,
+)
+def test_tomographic_discrimination_primal_and_certificate(v, theta, alpha, beta):
+    # the ascent's orthonormal measurement m_k gives blocks
+    # sqrt(rho) m_k m_k^T sqrt(rho) that sum to rho, and its certificate Y,
+    # lifted by the defect, dominates every v_k v_k^T = sqrt(rho) e_k e_k^T sqrt(rho)
+    state = make_state(v, theta)
+    rho = state.entries
+    w, q = np.linalg.eigh(rho)
+    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    basis = guessprob._product_basis(alpha, beta)
+    for k, (a, b) in enumerate(OUTCOME_PAIRS):
+        pi = np.kron(qstate.projector(alpha, a), qstate.projector(beta, b))
+        assert np.abs(np.outer(basis[:, k], basis[:, k]) - pi).max() <= 1e-15
+    vecs = root @ basis
+    cert, _, status = guessprob._discriminate(vecs, basis, sdp.SolveOptions())
+    report = guessprob.tomographic_guessing(state, alpha, beta)
+    assert status == report.status == "optimal"
+    assert report.guessing_probability == cert.g
+    blocks = np.einsum("ik,jk->kij", root @ cert.m, root @ cert.m)
+    assert np.abs(blocks.sum(axis=0) - rho).max() <= 1e-12
+    assert abs(sum(report.attack_weights.values()) - 1.0) <= 1e-8
+    primal = float(np.sum(np.einsum("ik,ik->k", cert.m, vecs) ** 2))
+    gap_tol = sdp.SolveOptions().gap_tol
+    assert report.guessing_probability - primal <= gap_tol * (1.0 + primal)
+    lifted = cert.y + cert.defect * np.eye(4)
+    for k in range(4):
+        slack = lifted - np.outer(vecs[:, k], vecs[:, k])
+        assert np.linalg.eigvalsh(slack).min() >= -1e-12
+
+
+# G of the interior-point solve these instances had before the
+# discrimination ascent: the certified G may fall below it by the old
+# solver's slack, never rise above it
+@pytest.mark.parametrize("v,theta,alpha,beta,g_before", [
+    (0.9, 0.5, 0.7, 1.9, 0.5660080426800248),
+    (0.999, math.pi / 8, 0.3, 1.2, 0.6189867258804933),
+    (0.8, 0.2, 0.0, math.pi / 4, 0.8770152087858701),
+    (0.5, 0.6, 1.0, 2.2, 0.865856717755437),
+    (0.95, math.pi / 4, 0.0, math.pi / 2, 0.4332805830592424),
+    (0.75, math.pi / 4, 0.4, 2.6, 0.7241832968591916),
+    (1.0 - 1e-6, 0.3, 0.7, 1.9, 0.4502830376702657),
+])
+def test_tomographic_mixed_matches_interior_point(v, theta, alpha, beta, g_before):
+    report = guessprob.tomographic_guessing(make_state(v, theta), alpha, beta)
+    assert report.status == "optimal"
+    assert g_before - 1e-7 <= report.guessing_probability <= g_before + 1e-9
 
 
 def test_verify_expression_from_solve(phi_plus_report):

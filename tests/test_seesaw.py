@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellrand import guessprob, qstate, seesaw
+from bellrand import analytic, guessprob, qstate, seesaw
 from bellrand.guessprob import BellExpression
 from bellrand.qstate import MeasurementSet, behavior, chsh_value, make_state
 
@@ -275,3 +275,14 @@ def test_tomographic_optimize_reports_its_endpoint():
     state = make_state(0.95, 0.3)
     alice, bob, report = seesaw.tomographic_optimize(state, grid_size=8)
     assert report == guessprob.tomographic_guessing(state, alice, bob)
+
+
+@pytest.mark.parametrize("grid_size,theta", [
+    (8, 23 * math.pi / 128), (12, 13 * math.pi / 64),
+])
+def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
+    # the theta on each grid whose best grid point alone led the simplex
+    # search to a local optimum, 4.4e-2 (grid 8) and 2.7e-2 (grid 12) high
+    _, _, report = seesaw.tomographic_optimize(make_state(1.0, theta), grid_size)
+    target = analytic.pure_state_guessing(theta).guessing_probability
+    assert abs(report.guessing_probability - target) <= 1e-6
