@@ -24,6 +24,14 @@ Two variants share the machinery: full statistics (match the behavior's
 Collins-Gisin coordinates) and Bell-value constrained (match only the
 values of given Bell operators plus normalization).
 
+Neither variant solves an instance that a local behavior reaches. Eve then
+holds a deterministic strategy and guesses perfectly, so G = 1 exactly,
+certified by f = 0 with offset 1. Full statistics decides locality exactly
+where one side has at most two inputs, by the CHSH facets (Fine; Collins &
+Gisin); a single Bell value is reached when it lies between the
+operator's extremes over deterministic strategies. G = 1 bounds every
+behavior, so a wrong locality decision could only lose randomness.
+
 A third, tomographic, bounds Eve by the state itself: PSD blocks rho~_ab
 summing to rho, scored by <rho~_ab, pi_a x pi_b>. It needs no
 interior-point solve. Each pi_a x pi_b projects onto a product unit vector
@@ -38,6 +46,7 @@ optimum lambda * max_ab <psi|pi_a x pi_b|psi> is returned exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -326,6 +335,64 @@ def _report(sol, g, defect, status, level, xstar, ystar, expr, weights):
     )
 
 
+def _has_local_model(b: Behavior) -> bool:
+    """Whether b passes the complete local-polytope test for a scenario with
+    at most two inputs on one side: nonnegative entries, every (x, y)
+    normalization within qstate.NORMALIZATION_TOL of one, and every CHSH
+    facet |E11 + E12 + E21 + E22 - 2 E_k| <= 2 over each pair of Alice
+    inputs and each pair of Bob inputs (Fine, PRL 48, 291, 1982; Collins &
+    Gisin, J. Phys. A 37, 1775, 2004). Larger scenarios have other facets
+    (I3322 on 3x3) and always answer False."""
+    if min(b.mx, b.my) > 2 or b.probs.min() < 0.0:
+        return False
+    p = b.probs.reshape(2, 2, b.mx, b.my)  # (a, b, x, y), -1 first
+    if np.abs(p.sum(axis=(0, 1)) - 1.0).max() > qstate.NORMALIZATION_TOL:
+        return False
+    e = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
+    for xs in itertools.combinations(range(b.mx), 2):
+        for ys in itertools.combinations(range(b.my), 2):
+            corr = e[np.ix_(xs, ys)]
+            if np.abs(corr.sum() - 2.0 * corr).max() > 2.0:
+                return False
+    return True
+
+
+def _local_extremes(coeffs: np.ndarray, mx: int, my: int, xstar: int, ystar: int):
+    """The minimum and the maximum of coeffs.p over deterministic
+    strategies, each with the outcome pair (a, b) that a minimizing or
+    maximizing strategy gives at (x*, y*). Every Alice strategy is paired
+    with Bob's best response, chosen input by input, so the search covers
+    all 2^(mx+my) strategies."""
+    c = coeffs.reshape(2, 2, mx, my)
+    alice = np.array(list(itertools.product((0, 1), repeat=mx)))
+    # g[s, b, y]: Bob's coefficients against Alice's strategy s
+    g = c[alice, :, np.arange(mx)].sum(axis=1)
+    out = []
+    for pick, arg in ((np.min, np.argmin), (np.max, np.argmax)):
+        totals = pick(g, axis=1).sum(axis=1)
+        s = int(arg(totals))
+        bob = int(arg(g[s, :, ystar - 1]))
+        out.append((float(totals[s]), (2 * int(alice[s, xstar - 1]) - 1, 2 * bob - 1)))
+    return out
+
+
+def _local_report(mx, my, level, xstar, ystar, weights) -> GuessReport:
+    """Exact report for an instance that a local behavior reaches: Eve holds
+    the deterministic strategy and guesses perfectly, so G = 1, with
+    ``weights`` the probabilities of her guesses. f = 0 with offset 1 is a
+    valid certificate on every behavior, so nothing is solved."""
+    return GuessReport(
+        guessing_probability=1.0, hmin=_hmin(1.0), level=level, xstar=xstar,
+        ystar=ystar, status="optimal", attack_weights=_clean_weights(weights),
+        bell_expression=BellExpression(
+            mx=mx, my=my, xstar=xstar, ystar=ystar,
+            coeffs=np.zeros(4 * mx * my), offset=1.0,
+        ),
+        iterations=0, gap=0.0, primal_residual=0.0, dual_residual=0.0,
+        certificate_defect=0.0,
+    )
+
+
 def _rejected(level: int, xstar: int, ystar: int) -> GuessReport:
     """Report for an instance found infeasible before any solve."""
     nan, inf = math.nan, math.inf
@@ -350,12 +417,23 @@ def guessing_probability(
     A behavior whose marginals or normalizations depend on the other
     party's input by more than ``qstate.SIGNALING_INPUT_TOL`` is reported
     infeasible without a solve. Infeasible instances get G = NaN and no
-    expression."""
+    expression.
+
+    A behavior with a local model, decided exactly where one side has at
+    most two inputs (see _has_local_model), is reported without a solve:
+    G = 1, hmin 0, status optimal, attack weights p(a,b|x*,y*), the Bell
+    expression f = 0 with offset 1, 0 iterations and zero gap, residuals
+    and defect. Every other behavior, 3x3 included, is solved."""
     _check_generation(b.mx, b.my, xstar, ystar)
     sums = b.probs.reshape(4, b.mx * b.my).sum(axis=0)
     signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
     if signaling > qstate.SIGNALING_INPUT_TOL:
         return _rejected(level, xstar, ystar)
+    if _has_local_model(b):
+        # Eve holds the deterministic strategy of each local-model term
+        return _local_report(b.mx, b.my, level, xstar, ystar, {
+            (a, bb): b.prob(a, bb, xstar, ystar) for a, bb in OUTCOME_PAIRS
+        })
     problem = build_primal(b, level, xstar, ystar)
     sol = solve(problem, options)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
@@ -412,7 +490,14 @@ def bell_constrained_bound(
 
     An operator dependent on normalization and earlier operators is not
     posed and keeps multiplier zero; if its value disagrees, the instance
-    is reported infeasible without a solve."""
+    is reported infeasible without a solve.
+
+    When exactly one operator is posed and its value lies in [min, max] of
+    that operator over the deterministic strategies, the mixture of the
+    minimizing and the maximizing strategy reaches the value. Eve guesses
+    that mixture perfectly, so the report is G = 1 exactly, without a
+    solve, as in guessing_probability, with her guesses' weights read off
+    the two strategies at (x*, y*)."""
     _check_generation(mx, my, xstar, ystar)
     exprs = np.atleast_2d(np.asarray(exprs, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -434,6 +519,15 @@ def bell_constrained_bound(
     if np.any(np.abs(vals[keep] @ lam - vals) > 1e-7 * (1.0 + np.abs(vals))):
         return _rejected(level, xstar, ystar)
     ops = [k - 1 for k in keep[1:]]
+    if len(ops) == 1:
+        (lo, at_lo), (hi, at_hi) = _local_extremes(exprs[ops[0]], mx, my, xstar, ystar)
+        value = float(values[ops[0]])
+        if lo <= value <= hi:
+            t = (value - lo) / (hi - lo) if hi > lo else 0.0
+            weights = dict.fromkeys(OUTCOME_PAIRS, 0.0)
+            weights[at_lo] += 1.0 - t
+            weights[at_hi] += t
+            return _local_report(mx, my, level, xstar, ystar, weights)
     problem = _npa_problem(
         layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
         _block_objective(layout, mx, my, xstar, ystar),

@@ -252,16 +252,17 @@ class _BlockSchur:
 
     def _factor(self, damp: float):
         # L_b L_b^T = D_b + damp I, E_b = L_b^-1 C_b^T,
-        # L L^T = B + damp I - sum_b E_b^T E_b
+        # L L^T = B + damp I - sum_b E_b^T E_b; every factor is kept
+        # column-major, as dtrtrs takes it, so no solve copies it
         self.l_own, self.e = [], []
         border_schur = self.b + damp * np.eye(self.border.size)
         for _, d, c in self.own:
-            l = np.linalg.cholesky(d + damp * np.eye(d.shape[0]))
+            l = np.asfortranarray(np.linalg.cholesky(d + damp * np.eye(d.shape[0])))
             e = _tri_solve(l, c.T)
             border_schur -= e.T @ e
             self.l_own.append(l)
             self.e.append(e)
-        self.l_border = np.linalg.cholesky(border_schur)
+        self.l_border = np.asfortranarray(np.linalg.cholesky(border_schur))
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhs)

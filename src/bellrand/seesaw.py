@@ -141,7 +141,9 @@ def optimize(
 
     Each start alternates: certify g at the current settings, stop when the
     improvement g0 - g1 drops to epsilon (g0 starts at 1 so locally
-    reproducible behaviors stop immediately), otherwise move the settings
+    reproducible behaviors stop immediately, and without a solve, since
+    guessing_probability certifies them G = 1 in closed form where it can
+    decide locality), otherwise move the settings
     against the certificate's Bell expression. A solve that does not come
     back clean stops its start and is logged. Each start keeps its last
     certified report together with the settings it was certified at, so

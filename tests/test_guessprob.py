@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from bellrand import guessprob, qstate, sdp, seesaw
 from bellrand.guessprob import OUTCOME_PAIRS
@@ -180,7 +182,8 @@ def test_chsh_bound_at_local_value():
         guessprob.chsh_coefficients(), [2.0], 2, 2, level=2
     )
     assert report.status == "optimal"
-    assert abs(report.guessing_probability - 1.0) <= 1e-6
+    assert report.guessing_probability == 1.0
+    assert report.iterations == 0
     assert report.hmin == 0.0
 
 
@@ -282,16 +285,21 @@ def test_unequal_normalizations_infeasible():
     assert report.bell_expression is None
 
 
-@pytest.mark.parametrize("s", [3.0, 4.0])
-def test_superquantum_box_infeasible(s):
+def chsh_box(s):
     # the no-signalling box E_xy = +-s/4 (minus at (2,2)) with zero
-    # marginals has CHSH value s > 2 sqrt(2), outside the level-2 set; the
-    # solve does not stop as infeasible itself, the Farkas ray test does
+    # marginals: CHSH value s
     p = np.zeros(16)
     for a, b, x, y in components(2, 2):
         e = -s / 4 if (x, y) == (2, 2) else s / 4
         p[component_index(a, b, x, y, 2, 2)] = (1 + a * b * e) / 4
-    report = guessprob.guessing_probability(qstate.Behavior(2, 2, p), level=2)
+    return qstate.Behavior(2, 2, p)
+
+
+@pytest.mark.parametrize("s", [3.0, 4.0])
+def test_superquantum_box_infeasible(s):
+    # CHSH value s > 2 sqrt(2) lies outside the level-2 set; the solve does
+    # not stop as infeasible itself, the Farkas ray test does
+    report = guessprob.guessing_probability(chsh_box(s), level=2)
     assert report.status == "infeasible"
     assert math.isnan(report.guessing_probability)
     assert report.bell_expression is None
@@ -414,6 +422,167 @@ def test_dual_combination_matches_direct_sum():
     for b, n in enumerate(orders):
         want = sum(y[j] * mats[b] for j, (mats, _) in enumerate(cons))
         assert np.abs(got[b] - want).max() <= 1e-12
+
+
+def check_local_report(report, mx, my, level, xstar, ystar, weights):
+    # the exact report of an instance that a local behavior reaches
+    assert report.guessing_probability == 1.0
+    assert report.hmin == 0.0
+    assert (report.level, report.xstar, report.ystar) == (level, xstar, ystar)
+    assert report.status == "optimal"
+    assert report.attack_weights == weights
+    assert abs(sum(weights.values()) - 1.0) <= 1e-12
+    expr = report.bell_expression
+    assert (expr.mx, expr.my, expr.xstar, expr.ystar) == (mx, my, xstar, ystar)
+    assert np.all(expr.coeffs == 0.0) and expr.offset == 1.0
+    assert report.iterations == 0
+    assert report.gap == report.primal_residual == report.dual_residual == 0.0
+    assert report.certificate_defect == 0.0
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("closed-form instance reached the solver")
+
+
+@pytest.mark.parametrize("b, xstar, ystar", [
+    (behavior(make_state(0.6, math.pi / 4), chsh_optimal_settings(math.pi / 4)), 2, 1),
+    (behavior(make_state(1.0, 0.0), MeasurementSet((0.0, 0.0), (0.0, 0.0))), 1, 1),
+    (behavior(make_state(0.5, math.pi / 8), canonical_settings()), 2, 3),
+    (behavior(make_state(0.7, 0.3), MeasurementSet((0.3,), (1.0, 2.0, 3.0))), 1, 2),
+], ids=["noisy-2x2", "deterministic-2x2", "noisy-2x3", "one-input-1x3"])
+def test_local_behavior_closed_form(monkeypatch, b, xstar, ystar):
+    monkeypatch.setattr(guessprob, "solve", no_solve)
+    report = guessprob.guessing_probability(b, level=2, xstar=xstar, ystar=ystar)
+    weights = {(a, bb): b.prob(a, bb, xstar, ystar) for a, bb in OUTCOME_PAIRS}
+    check_local_report(report, b.mx, b.my, 2, xstar, ystar, {
+        k: (0.0 if abs(w) < 1e-9 else w) for k, w in weights.items()
+    })
+    assert report.bell_expression.value(b) == 1.0
+
+
+@pytest.mark.parametrize("mx, my", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("value", [-2.0, 0.0, 2.0])
+def test_chsh_local_value_closed_form(monkeypatch, mx, my, value):
+    # CHSH runs from -2 to 2 over deterministic strategies; Eve's guesses
+    # mix the two extreme strategies' outcomes at (x*, y*) = (mx, my)
+    monkeypatch.setattr(guessprob, "solve", no_solve)
+    chsh = guessprob.chsh_coefficients(mx, my)
+    report = guessprob.bell_constrained_bound(
+        chsh, [value], mx, my, level=2, xstar=mx, ystar=my
+    )
+    (lo, at_lo), (hi, at_hi) = guessprob._local_extremes(chsh, mx, my, mx, my)
+    assert (lo, hi) == (-2.0, 2.0)
+    t = (value + 2.0) / 4.0
+    weights = dict.fromkeys(OUTCOME_PAIRS, 0.0)
+    weights[at_lo] += 1.0 - t
+    weights[at_hi] += t
+    check_local_report(report, mx, my, 2, mx, my, weights)
+
+
+def deterministic_behaviors(mx, my):
+    # (Alice's outcomes, Bob's outcomes, flat behavior) of every
+    # deterministic strategy
+    for alice in itertools.product((-1, 1), repeat=mx):
+        for bob in itertools.product((-1, 1), repeat=my):
+            yield alice, bob, np.array([
+                float(alice[x - 1] == a and bob[y - 1] == bb)
+                for a, bb, x, y in components(mx, my)
+            ])
+
+
+@pytest.mark.parametrize("mx, my", [(2, 2), (3, 2), (2, 4), (3, 3)])
+def test_local_extremes_match_enumeration(mx, my):
+    rng = np.random.default_rng([mx, my])
+    strategies = list(deterministic_behaviors(mx, my))
+    for xstar, ystar in ((1, 1), (mx, my)):
+        coeffs = rng.normal(size=4 * mx * my)
+        values = [coeffs @ p for _, _, p in strategies]
+        extremes = guessprob._local_extremes(coeffs, mx, my, xstar, ystar)
+        for (value, guess), want in zip(extremes, (min(values), max(values))):
+            assert abs(value - want) <= 1e-12
+            # a strategy with this value gives that guess
+            assert any(
+                abs(coeffs @ p - want) <= 1e-12
+                and (alice[xstar - 1], bob[ystar - 1]) == guess
+                for alice, bob, p in strategies
+            )
+
+
+def local_polytope_contains(b):
+    # linear program over the weights of the 2^(mx+my) deterministic
+    # strategies: feasible exactly when b has a local model
+    d = np.array([p for _, _, p in deterministic_behaviors(b.mx, b.my)]).T
+    res = linprog(
+        np.zeros(d.shape[1]), A_eq=d, b_eq=b.probs, bounds=(0, None), method="highs"
+    )
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+@pytest.mark.parametrize("mx, my", [(2, 2), (2, 3), (2, 4)])
+def test_local_criterion_matches_linear_program(mx, my):
+    # noisy states measured near the CHSH-optimal settings, with extra
+    # inputs at random angles: about a third of them are nonlocal
+    rng = np.random.default_rng([mx, my])
+    fired = 0
+    for _ in range(200):
+        v, theta = rng.uniform(0.6, 1.0), rng.uniform(0.0, math.pi / 4)
+        base = chsh_optimal_settings(theta)
+        alice = np.append(base.alice_angles, rng.uniform(0.0, 2.0 * math.pi, mx - 2))
+        bob = np.append(base.bob_angles, rng.uniform(0.0, 2.0 * math.pi, my - 2))
+        b = behavior(make_state(v, theta), MeasurementSet(
+            tuple(alice + rng.normal(0.0, 0.3, mx)), tuple(bob + rng.normal(0.0, 0.3, my))
+        ))
+        local = guessprob._has_local_model(b)
+        assert local == local_polytope_contains(b)
+        if local:
+            # the level-1 relaxation, the loosest, gives G = 1 up to rounding
+            fired += 1
+            problem = guessprob.build_primal(b, 1, 1, 1)
+            sol = sdp.solve(problem)
+            g, _, status = guessprob._certified(
+                problem, sol, float(sum(problem.block_orders))
+            )
+            assert status == "optimal" and g >= 1.0 - 1e-7
+    assert 100 <= fired <= 180
+
+
+def test_boundary_instances_reach_the_solver(monkeypatch):
+    calls = []
+
+    def counted(problem, options=None):
+        calls.append(problem)
+        return sdp.solve(problem, options)
+
+    monkeypatch.setattr(guessprob, "solve", counted)
+    local = behavior(make_state(0.6, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    deterministic = behavior(make_state(1.0, 0.0), MeasurementSet((0.0, 0.0), (0.0, 0.0)))
+    assert guessprob._has_local_model(local)
+    assert guessprob._has_local_model(deterministic)
+    assert guessprob._has_local_model(chsh_box(2.0))
+    # a negative entry: 1e-12 moved from p(+,-|1,1) = 0 to p(+,+|1,1)
+    negative = deterministic.probs.copy()
+    negative[component_index(1, 1, 1, 1, 2, 2)] += 1e-12
+    negative[component_index(1, -1, 1, 1, 2, 2)] -= 1e-12
+    assert negative.min() < 0.0
+    cases = [
+        # separable, but 3x3 has facets beyond CHSH
+        behavior(make_state(0.3, 0.4), MeasurementSet((0.0, 1.0, 2.0), (0.5, 1.5, 2.5))),
+        chsh_box(2.0 + 1e-9),
+        qstate.Behavior(2, 2, negative),
+        # every normalization off by 1e-8
+        qstate.Behavior(2, 2, local.probs * (1.0 + 1e-8)),
+    ]
+    for k, b in enumerate(cases):
+        assert not guessprob._has_local_model(b)
+        report = guessprob.guessing_probability(b, level=1)
+        assert len(calls) == k + 1
+        assert report.iterations > 0
+    report = guessprob.bell_constrained_bound(
+        guessprob.chsh_coefficients(), [2.0 + 1e-9], 2, 2, level=1
+    )
+    assert len(calls) == len(cases) + 1
+    assert report.status == "optimal" and report.iterations > 0
 
 
 def test_chsh_coefficients_match_correlator_form():

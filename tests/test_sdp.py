@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellrand import sdp
+from bellrand import guessprob, qstate, sdp
 
 
 def vec(*blocks):
@@ -334,3 +336,17 @@ def test_block_schur_stack_matches_dense(with_own):
     assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
     assert pre.border.size == len(border)
     _check_schur_against_dense(problem, pre, rng)
+
+
+def test_block_schur_factors_column_major():
+    # dtrtrs takes column-major factors; a row-major one is copied per call
+    b = qstate.behavior(
+        qstate.make_state(0.9, math.pi / 4), qstate.canonical_settings()
+    )
+    pre = sdp._Presolved(guessprob.build_primal(b, 2, 1, 3))
+    rng = np.random.default_rng(5)
+    gfac = rng.normal(size=(pre.k, pre.n, pre.n)) + pre.n * np.eye(pre.n)
+    schur = sdp._BlockSchur(pre, gfac)
+    assert len(schur.l_own) == pre.k and schur.border.size > 1
+    for l in [*schur.l_own, schur.l_border]:
+        assert l.shape[0] > 1 and l.flags.f_contiguous

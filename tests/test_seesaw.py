@@ -124,7 +124,8 @@ def test_optimize_local_state_stops_immediately():
     )
     assert result.converged
     assert len(result.trajectory) == 1
-    assert abs(result.best_report.guessing_probability - 1.0) <= 1e-6
+    assert result.best_report.guessing_probability == 1.0
+    assert result.best_report.iterations == 0
     assert result.best_report.hmin == 0.0
 
 
