@@ -34,7 +34,6 @@ from .guessprob import (
     tomographic_guessing,
 )
 from .qstate import MeasurementSet
-from .sdp import SolveOptions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -133,10 +132,6 @@ def _apply_config(path: str, subparsers: dict, subcommand: str):
     subparsers[subcommand].set_defaults(**values)
 
 
-def _solve_options(args: argparse.Namespace) -> SolveOptions:
-    return SolveOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
-
-
 def _write(path: str | None, text: str):
     if path:
         with open(path, "w") as fh:
@@ -167,9 +162,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         b = qstate.behavior(state, meas)
     if not (1 <= args.xstar <= b.mx and 1 <= args.ystar <= b.my):
         raise ValueError("generation setting outside the behavior's scenario")
-    report = guessing_probability(
-        b, args.level, args.xstar, args.ystar, _solve_options(args)
-    )
+    report = guessing_probability(b, args.level, args.xstar, args.ystar)
     _write(args.out, report_to_text(report))
     return EXIT_OK if report.status == "optimal" else EXIT_SOLVER
 
@@ -189,7 +182,7 @@ def cmd_bellbound(args: argparse.Namespace) -> int:
         raise ValueError("give --value (CHSH) and/or --ibeta-value with --beta")
     report = bell_constrained_bound(
         np.asarray(exprs), np.asarray(values), args.mx, args.my,
-        args.level, args.xstar, args.ystar, _solve_options(args),
+        args.level, args.xstar, args.ystar,
     )
     _write(args.out, report_to_text(report))
     if report.status == "infeasible":
@@ -203,7 +196,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         res = seesaw.optimize(
             state, args.mx, args.my, args.level, args.xstar, args.ystar,
             args.epsilon, args.starts, args.seed, args.max_iterations,
-            _solve_options(args),
         )
     except RuntimeError as exc:
         sys.stderr.write(f"{exc}\n")
@@ -234,7 +226,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def _sweep_point(packed):
     idx, v, theta, args = packed
     state = qstate.make_state(v, theta)
-    opts = _solve_options(args)
     chsh_meas = qstate.chsh_optimal_settings(theta)
     chsh = qstate.chsh_value(qstate.behavior(state, chsh_meas))
     row: dict[str, object] = {
@@ -244,7 +235,7 @@ def _sweep_point(packed):
     try:
         res = seesaw.optimize(
             state, args.mx, args.my, args.level, args.xstar, args.ystar,
-            args.epsilon, args.starts, args.seed + idx, args.max_iterations, opts,
+            args.epsilon, args.starts, args.seed + idx, args.max_iterations,
         )
         row["hmin"] = res.best_report.hmin
         row["starts"] = res.starts_used
@@ -257,7 +248,7 @@ def _sweep_point(packed):
         row["status"] = "failed"
     rb = bell_constrained_bound(
         chsh_coefficients(args.mx, args.my), chsh, args.mx, args.my,
-        args.level, args.xstar, args.ystar, opts,
+        args.level, args.xstar, args.ystar,
     )
     row["hmin_chsh"] = rb.hmin if rb.status == "optimal" else math.nan
     return idx, row
@@ -306,12 +297,11 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     vs = args.v_grid or (args.v,)
     thetas = args.theta_grid or (args.theta,)
     points = [(v, th) for v in vs for th in thetas]
-    opts = _solve_options(args)
     lines = ["v,theta,level,alpha,beta,hmin,status"]
     worst = "optimal"
     for v, th in points:
         state = qstate.make_state(v, th)
-        alpha, beta, rep = seesaw.tomographic_optimize(state, args.grid_size, opts)
+        alpha, beta, rep = seesaw.tomographic_optimize(state, args.grid_size)
         if rep.status != "optimal":
             worst = rep.status
         lines.append(
@@ -331,7 +321,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         rows = ["alpha1,beta1,hmin"]
         for alpha in np.arange(n) * math.pi / n:
             for beta in np.arange(n) * math.pi / n:
-                rep = tomographic_guessing(state, alpha, beta, opts)
+                rep = tomographic_guessing(state, alpha, beta)
                 rows.append(f"{_fmt(alpha)},{_fmt(beta)},{_fmt(rep.hmin)}")
         _write(map_path, "\n".join(rows) + "\n")
         _write(
@@ -357,8 +347,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-iterations", dest="max_iterations", type=int,
                         default=50)
-    common.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-8)
-    common.add_argument("--feas-tol", dest="feas_tol", type=float, default=1e-8)
     common.add_argument("--out", type=str)
     common.add_argument("--config", type=str)
 

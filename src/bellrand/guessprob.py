@@ -57,7 +57,7 @@ import scipy.sparse as sp
 
 from . import npa, qstate
 from .qstate import Behavior, DensityMatrix, MeasurementSet, component_index, components
-from .sdp import SdpProblem, SdpSolution, SolveOptions, solve
+from .sdp import SdpProblem, SdpSolution, solve
 
 # block order: a-major, -1 before +1
 OUTCOME_PAIRS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -70,6 +70,9 @@ _QLAB = {(-1, -1): "q(--)", (-1, 1): "q(-+)", (1, -1): "q(+-)", (1, 1): "q(++)"}
 _CERT_DEFECT_TOL = 1e-8
 _CERT_MATCH_TOL = 1e-5
 _CERT_GAP_TOL = 1e-3
+# stopping rule of the tomographic ascent (see _discriminate)
+_ASCENT_GAP_TOL = 1e-8
+_ASCENT_MAX_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,7 @@ def _farkas_infeasible(
     return gain < -(10.0 * eps * trace_cap + 1e-7)
 
 
-def _operator_range(op, level: int, mx: int, my: int, options):
+def _operator_range(op, level: int, mx: int, my: int):
     """Certified enclosure of one Bell operator, given in Collins-Gisin
     coordinates, over the level-l moment set.
 
@@ -283,7 +286,7 @@ def _operator_range(op, level: int, mx: int, my: int, options):
         problem = _npa_problem(
             layout, np.eye(1, len(op)), [1.0], [sign * np.asarray(op)]
         )
-        sol = solve(problem, options)
+        sol = solve(problem)
         defect = _dual_slack_defect(problem, sol)
         bounds.append(sign * (sol.dual_objective + defect * dim))
     return bounds[1], bounds[0]
@@ -410,7 +413,6 @@ def guessing_probability(
     level: int = 2,
     xstar: int = 1,
     ystar: int = 1,
-    options: SolveOptions | None = None,
 ) -> GuessReport:
     """Bound Eve's guessing probability from the full behavior, matched in
     its Collins-Gisin coordinates M p; the Bell expression is f = M^T y.
@@ -435,7 +437,7 @@ def guessing_probability(
             (a, bb): b.prob(a, bb, xstar, ystar) for a, bb in OUTCOME_PAIRS
         })
     problem = build_primal(b, level, xstar, ystar)
-    sol = solve(problem, options)
+    sol = solve(problem)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
     expr = None
     if math.isfinite(g):
@@ -480,7 +482,6 @@ def bell_constrained_bound(
     level: int = 2,
     xstar: int = 1,
     ystar: int = 1,
-    options: SolveOptions | None = None,
 ) -> GuessReport:
     """Guessing-probability bound from Bell operator values alone. ``exprs``
     is one coefficient vector or a sequence of them; the program fixes
@@ -532,14 +533,14 @@ def bell_constrained_bound(
         layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
         _block_objective(layout, mx, my, xstar, ystar),
     )
-    sol = solve(problem, options)
+    sol = solve(problem)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
     if sol.status != "optimal" and status != "infeasible":
         # a diverged solve on a value outside the relaxation's reach is an
         # infeasible instance, also when its certificate passes the coarse
         # health test; confirm against the certified operator range
         for k, val in zip(keep[1:], values[ops]):
-            lo, hi = _operator_range(rows[k], level, mx, my, options)
+            lo, hi = _operator_range(rows[k], level, mx, my)
             tol = 1e-6 * (1.0 + abs(float(val)))
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
@@ -628,10 +629,10 @@ def _newton(v: np.ndarray, m: np.ndarray, f: float) -> np.ndarray | None:
     return trial if c @ c >= f else None
 
 
-def _discriminate(v: np.ndarray, start: np.ndarray, options: SolveOptions):
+def _discriminate(v: np.ndarray, start: np.ndarray):
     """Ascend f(M) = sum_k (m_k.v_k)^2 over orthogonal M from ``start``
-    until the certified g is within options.gap_tol*(1 + f) of f, or
-    options.max_iterations steps have been taken. Each step is a Newton
+    until the certified g is within _ASCENT_GAP_TOL*(1 + f) of f, or
+    _ASCENT_MAX_STEPS steps have been taken. Each step is a Newton
     step where one is taken (see _newton), else M <- polar(V diag(c)),
     which never lowers f: f is convex in M and the polar factor maximizes
     its linearization. Newton squares the gap near the optimum, so once
@@ -641,8 +642,8 @@ def _discriminate(v: np.ndarray, start: np.ndarray, options: SolveOptions):
     outer = np.einsum("ik,jk->kij", v, v)
     cert = _certify(v, start, outer)
     steps = 0
-    while cert.g - cert.f > options.gap_tol * (1.0 + cert.f):
-        if steps == options.max_iterations:
+    while cert.g - cert.f > _ASCENT_GAP_TOL * (1.0 + cert.f):
+        if steps == _ASCENT_MAX_STEPS:
             return cert, steps, "max_iterations"
         steps += 1
         trial = _newton(v, cert.m, cert.f)
@@ -661,7 +662,6 @@ def tomographic_guessing(
     state: DensityMatrix,
     alice_angle: float,
     bob_angle: float,
-    options: SolveOptions | None = None,
 ) -> GuessReport:
     """Guessing probability when Eve is constrained by the state itself:
     maximize sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho.
@@ -678,9 +678,10 @@ def tomographic_guessing(
     with c_ab = m_ab.v_ab, and the reported G is tr Y + 4*defect, the
     defect being how far Y falls short of dominating the v_ab v_ab^T. That
     bound holds for singular rho too. Status is optimal once G - f is
-    within options.gap_tol*(1 + f) and max_iterations at the step cap,
-    still with the valid G; iterations counts the steps, gap is G - f and
-    the attack weights are |sqrt(rho) m_ab|^2.
+    within _ASCENT_GAP_TOL*(1 + f) = 1e-8*(1 + f), and max_iterations at
+    the cap of _ASCENT_MAX_STEPS = 200 steps, still with the valid G;
+    iterations counts the steps, gap is G - f and the attack weights are
+    |sqrt(rho) m_ab|^2.
 
     When rho's support (eigenvalues above 1e-12) has rank one, a pure
     state rho = lambda |psi><psi|, the blocks are weights x_ab >= 0 summing
@@ -716,9 +717,7 @@ def tomographic_guessing(
         )
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
     basis = _product_basis(alice_angle, bob_angle)
-    cert, steps, status = _discriminate(
-        root @ basis, basis, options or SolveOptions()
-    )
+    cert, steps, status = _discriminate(root @ basis, basis)
     weights = np.sum((root @ cert.m) ** 2, axis=0)
     return GuessReport(
         guessing_probability=cert.g, hmin=_hmin(cert.g), level=0, xstar=1,

@@ -282,8 +282,10 @@ def behavior_to_csv(b: Behavior) -> str:
     return buf.getvalue()
 
 
-def behavior_from_csv(text: str, norm_tol: float = 1e-6) -> Behavior:
+def behavior_from_csv(text: str) -> Behavior:
     """Parse a behavior CSV; every (a,b,x,y) row must be present exactly once.
+    Entries may leave [0, 1] by 1e-9 and each (x, y) sum may miss one by
+    1e-6, the rounding a file's values carry.
 
     Raises ValueError naming the first missing or duplicated component.
     """
@@ -318,5 +320,5 @@ def behavior_from_csv(text: str, norm_tol: float = 1e-6) -> Behavior:
         extra = sorted(set(rows) - {c for c in components(mx, my)})
         raise ValueError(f"unexpected behavior rows {extra[:3]}")
     out = Behavior(mx, my, probs)
-    out.validate(entry_tol=1e-9, norm_tol=norm_tol)
+    out.validate(entry_tol=1e-9, norm_tol=1e-6)
     return out

@@ -15,7 +15,7 @@ rows are normalized and all-zero rows get a zero dual multiplier. There is
 no rank check: the nonzero rows must be linearly independent. Unless the
 result is infeasible, the returned primal is projected onto {A(X) = b}
 through the Schur complement below at W = I. Everything is deterministic
-for fixed inputs and options.
+for fixed inputs.
 
 The Schur complement M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b> (W_b the
 Nesterov-Todd scaling of block b) is block-arrow. A row whose coefficients
@@ -38,9 +38,10 @@ of B.
 
 Precondition: every block has the same order n. The solver holds the k
 blocks as one (k, n, n) array from problem to certificate (objective,
-iterates, scalings and the returned primal), so each step makes one stacked
-numpy call, not one per block. NPA relaxations are four blocks of one
-order, an operator-range bound is one block.
+iterates, scalings and the returned primal), so each of their updates is
+one stacked numpy call, not one per block; only the Schur complement is
+assembled block by block. NPA relaxations are four blocks of one order, an
+operator-range bound is one block.
 
 A problem is given in the solver's own form, as in SeDuMi (Sturm, Optim.
 Methods Softw. 11, 625, 1999): the (k, n, n) stack of objective blocks C_i
@@ -64,6 +65,12 @@ log = logging.getLogger(__name__)
 
 # fraction-to-boundary damping of both step lengths
 _STEP_FRACTION = 0.98
+# optimal once both residuals, in original units, are at most _FEAS_TOL
+# and the gap relative to the objectives at most _GAP_TOL; max_iterations
+# after _MAX_ITERATIONS steps without that
+_GAP_TOL = 1e-8
+_FEAS_TOL = 1e-8
+_MAX_ITERATIONS = 200
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -150,13 +157,6 @@ class SdpProblem:
 
 
 @dataclass(frozen=True)
-class SolveOptions:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iterations: int = 200
-
-
-@dataclass(frozen=True)
 class SdpSolution:
     primal_blocks: np.ndarray  # (k, n, n)
     dual_vector: np.ndarray
@@ -209,36 +209,33 @@ def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarra
 
 
 def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
-    """Columns (a, b), a <= b, of kron(g, g) for each g of a stack, weighted
-    so that the rows of S @ K are the scaled matrices g^T A g in an isometric
-    half-vectorization: dot products of two rows are trace inner products.
-    The stack's bases are stacked row-wise, matching block-diagonal S."""
+    """Columns (a, b), a <= b, of kron(g, g), weighted so that the rows of
+    S @ K are the scaled matrices g^T A g in an isometric half-vectorization:
+    dot products of two rows are trace inner products."""
     a, b, weight = tri
-    k, n = g.shape[:2]
-    outer = np.einsum("kpt,kqt->kpqt", g[:, :, a] * weight, g[:, :, b], order="C")
-    return outer.reshape(k * n * n, -1)
+    n = g.shape[0]
+    outer = np.einsum("pt,qt->pqt", g[:, a] * weight, g[:, b], order="C")
+    return outer.reshape(n * n, -1)
 
 
 class _BlockSchur:
     """Block-arrow factorization of the Schur complement
     M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b>, W_b = G_b G_b^T, with ``gfac``
-    the (k, n, n) stack of factors G_b. Border rows meet a run of stacked
-    bases in one product; own rows stay sparse per block. Raises
+    the (k, n, n) stack of factors G_b. The border rows and each block's
+    own rows meet that block's scaled basis one block at a time. Raises
     LinAlgError when damping cannot make M positive definite."""
 
     def __init__(self, pre: _Presolved, gfac: np.ndarray):
         self.border = border = pre.border
         self.b = np.zeros((border.size, border.size))
         self.own = []  # (own rows, D_b, C_b) of each block that has own rows
-        step = pre.k // len(pre.bord)
-        for lo, s_bord in zip(range(0, pre.k, step), pre.bord):
-            basis = _scaled_basis(gfac[lo:lo + step], pre.tri)
-            v_bord = (s_bord @ basis).reshape(step, border.size, basis.shape[1])
-            self.b += (v_bord @ _t(v_bord)).sum(axis=0)
-            rows, s_own = pre.own[lo]
-            if rows.size:  # then the product covered block lo alone
+        for g, s_bord, (rows, s_own) in zip(gfac, pre.bord, pre.own):
+            basis = _scaled_basis(g, pre.tri)
+            v_bord = s_bord @ basis
+            self.b += v_bord @ v_bord.T
+            if rows.size:
                 v_own = s_own @ basis
-                self.own.append((rows, v_own @ v_own.T, v_bord[0] @ v_own.T))
+                self.own.append((rows, v_own @ v_own.T, v_bord @ v_own.T))
         trace = np.trace(self.b) + sum(np.trace(d) for _, d, _ in self.own)
         diag_mean = max(float(trace) / len(pre.kept), 1e-300)
         damp = 0.0
@@ -343,24 +340,14 @@ class _Presolved:
         touch[coo.row, coo.col // nn] = True
         single = touch.sum(axis=1) == 1
         self.border = np.flatnonzero(~single)
-        # the border rows block-diagonally: row b*nb + i is border row i
-        # restricted to block b, so that one product serves a run of blocks
-        nb, sel = self.border.size, ~single[coo.row]
-        bd = sp.csr_matrix((coo.data[sel], (
-            coo.col[sel] // nn * nb + np.cumsum(~single)[coo.row[sel]] - 1,
-            coo.col[sel],
-        )), shape=(k * nb, self.s.shape[1]))
+        s_border = self.s[self.border]
         self.own = []  # per block: own-row indices and their coefficients, or None
+        self.bord = []  # per block: the border rows restricted to it
         for i in range(k):
             rows = np.flatnonzero(single & touch[:, i])
             self.own.append((rows, self.s[rows][:, i * nn:(i + 1) * nn]
                              if rows.size else None))
-        # own rows come with large scaled bases: one block per product
-        step = 1 if any(rows.size for rows, _ in self.own) else k
-        self.bord = tuple(
-            bd[i * nb:(i + step) * nb, i * nn:(i + step) * nn]
-            for i in range(0, k, step)
-        )
+            self.bord.append(s_border[:, i * nn:(i + 1) * nn])
         tp, tq = np.triu_indices(n)
         self.tri = (tp, tq, np.where(tp == tq, 1.0, math.sqrt(2.0)))
 
@@ -371,9 +358,8 @@ class _Presolved:
         self.b_max = float(np.abs(b).max()) if b.size else 0.0
 
 
-def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method on ``problem``."""
-    opts = options or SolveOptions()
     pre = _Presolved(problem)
     k, n = pre.k, pre.n
     ntot = k * n
@@ -432,7 +418,7 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
     stall = 0
     best = None  # (score, x, y, gap, rp, rd, optimal_flag)
 
-    for it in range(1, opts.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         rp = b_hat - s_mat @ x.ravel()
         rd = unvec(pre.st @ y) - c_hat - z
         mu = _inner(x, z) / ntot
@@ -456,10 +442,10 @@ def solve(problem: SdpProblem, options: SolveOptions | None = None) -> SdpSoluti
         obj_scale = 1.0 + abs(pobj_true) + abs(dobj_true)
         err = max(rp_true, rd_true, abs(gap_true) / obj_scale, bias_true / obj_scale)
         converged = (
-            rp_true <= opts.feas_tol
-            and rd_true <= opts.feas_tol
-            and abs(gap_true) <= opts.gap_tol * obj_scale
-            and bias_true <= 10.0 * opts.gap_tol * obj_scale
+            rp_true <= _FEAS_TOL
+            and rd_true <= _FEAS_TOL
+            and abs(gap_true) <= _GAP_TOL * obj_scale
+            and bias_true <= 10.0 * _GAP_TOL * obj_scale
         )
         if best is None or err < best[0]:
             best = (err, x, y, gap_true, rp_true, rd_true, converged)

@@ -27,7 +27,6 @@ from scipy.optimize import minimize
 from . import qstate
 from .guessprob import BellExpression, GuessReport, guessing_probability, tomographic_guessing
 from .qstate import DensityMatrix, MeasurementSet
-from .sdp import SolveOptions
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +134,6 @@ def optimize(
     n_starts: int = 8,
     seed: int = 0,
     max_iterations: int = 50,
-    options: SolveOptions | None = None,
 ) -> OptResult:
     """Best certified bound over several see-saw starts.
 
@@ -174,7 +172,7 @@ def optimize(
         converged = False
         for _ in range(max_iterations):
             b = qstate.behavior(state, meas)
-            rep = guessing_probability(b, level, xstar, ystar, options)
+            rep = guessing_probability(b, level, xstar, ystar)
             if rep.status != "optimal":
                 logger.warning(
                     "start %d stopped after %d certified values: solver status %s",
@@ -211,7 +209,6 @@ def optimize(
 def tomographic_optimize(
     state: DensityMatrix,
     grid_size: int = 12,
-    options: SolveOptions | None = None,
 ) -> tuple[float, float, GuessReport]:
     """Scan (alice, bob) angles over [0, pi)^2 for the tomographic program,
     then refine each of the _REFINE_STARTS best grid points with a simplex
@@ -225,7 +222,7 @@ def tomographic_optimize(
 
     def g_of(v) -> float:
         pair = (float(v[0]), float(v[1]))
-        rep = reports[pair] = tomographic_guessing(state, *pair, options)
+        rep = reports[pair] = tomographic_guessing(state, *pair)
         return rep.guessing_probability
 
     grid = [(alpha, beta) for alpha in angles for beta in angles]

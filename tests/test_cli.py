@@ -272,6 +272,9 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text("levle = 1\nv = 0.9\n")
     assert cli.main(["certify", "--config", str(cfg)]) == 1
     assert "unknown config key 'levle'" in capsys.readouterr().err
+    cfg.write_text("gap-tol = 1e-6\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 1
+    assert "unknown config key 'gap_tol'" in capsys.readouterr().err
     # a key another subcommand knows is ignored, as before, and so is the
     # range check of its value
     cfg.write_text("level = 1\nv = 0.9\ngrid-size = 8\nmap-grid = 0\n")
@@ -326,6 +329,10 @@ def test_rejected_flags_exit_via_argparse():
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         cli.main(["certify", "--level", "5"])
+    assert info.value.code == 2
+    # solver tolerances are fixed, not flags
+    with pytest.raises(SystemExit) as info:
+        cli.main(["certify", "--gap-tol", "1e-6"])
     assert info.value.code == 2
 
 

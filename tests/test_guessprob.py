@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from bellrand import guessprob, qstate, sdp, seesaw
+from bellrand import cli, guessprob, qstate, sdp, seesaw
 from bellrand.guessprob import OUTCOME_PAIRS
 from bellrand.qstate import (
     MeasurementSet,
@@ -330,8 +330,8 @@ def solves(monkeypatch):
     # every (problem, solution) pair the guessing-probability programs make
     seen = []
 
-    def recording(problem, options=None):
-        sol = sdp.solve(problem, options)
+    def recording(problem):
+        sol = sdp.solve(problem)
         seen.append((problem, sol))
         return sol
 
@@ -550,9 +550,9 @@ def test_local_criterion_matches_linear_program(mx, my):
 def test_boundary_instances_reach_the_solver(monkeypatch):
     calls = []
 
-    def counted(problem, options=None):
+    def counted(problem):
         calls.append(problem)
-        return sdp.solve(problem, options)
+        return sdp.solve(problem)
 
     monkeypatch.setattr(guessprob, "solve", counted)
     local = behavior(make_state(0.6, math.pi / 4), chsh_optimal_settings(math.pi / 4))
@@ -684,7 +684,7 @@ def test_tomographic_discrimination_primal_and_certificate(v, theta, alpha, beta
         pi = np.kron(qstate.projector(alpha, a), qstate.projector(beta, b))
         assert np.abs(np.outer(basis[:, k], basis[:, k]) - pi).max() <= 1e-15
     vecs = root @ basis
-    cert, _, status = guessprob._discriminate(vecs, basis, sdp.SolveOptions())
+    cert, _, status = guessprob._discriminate(vecs, basis)
     report = guessprob.tomographic_guessing(state, alpha, beta)
     assert status == report.status == "optimal"
     assert report.guessing_probability == cert.g
@@ -692,7 +692,7 @@ def test_tomographic_discrimination_primal_and_certificate(v, theta, alpha, beta
     assert np.abs(blocks.sum(axis=0) - rho).max() <= 1e-12
     assert abs(sum(report.attack_weights.values()) - 1.0) <= 1e-8
     primal = float(np.sum(np.einsum("ik,ik->k", cert.m, vecs) ** 2))
-    gap_tol = sdp.SolveOptions().gap_tol
+    gap_tol = guessprob._ASCENT_GAP_TOL
     assert report.guessing_probability - primal <= gap_tol * (1.0 + primal)
     lifted = cert.y + cert.defect * np.eye(4)
     for k in range(4):
@@ -716,6 +716,24 @@ def test_tomographic_mixed_matches_interior_point(v, theta, alpha, beta, g_befor
     report = guessprob.tomographic_guessing(make_state(v, theta), alpha, beta)
     assert report.status == "optimal"
     assert g_before - 1e-7 <= report.guessing_probability <= g_before + 1e-9
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_tomographic_step_cap(monkeypatch, cap):
+    # an ascent stopped at its step cap reports max_iterations, and its G
+    # still bounds the converged primal value from above
+    state = make_state(0.999, math.pi / 8)
+    pairs = [(0.3, 1.2), (0.0, math.pi / 4), (1.0, 2.2), (0.7, 1.9)]
+    converged = [guessprob.tomographic_guessing(state, *ab) for ab in pairs]
+    monkeypatch.setattr(guessprob, "_ASCENT_MAX_STEPS", cap)
+    for ab, full in zip(pairs, converged):
+        report = guessprob.tomographic_guessing(state, *ab)
+        assert report.status == "max_iterations"
+        assert report.iterations == cap
+        assert report.guessing_probability >= full.guessing_probability - full.gap
+    argv = ["tomography", "--v", "0.999", "--theta", repr(math.pi / 8),
+            "--grid-size", "8"]
+    assert cli.main(argv) == 2
 
 
 def test_verify_expression_from_solve(phi_plus_report):

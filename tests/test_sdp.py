@@ -27,8 +27,8 @@ def problem_of(objective, rows, rhs):
     return sdp.SdpProblem(objective, rows, rhs)
 
 
-def solve_ok(problem, **kw):
-    sol = sdp.solve(problem, sdp.SolveOptions(**kw) if kw else None)
+def solve_ok(problem):
+    sol = sdp.solve(problem)
     assert sol.status == "optimal"
     return sol
 
@@ -150,8 +150,9 @@ def test_negative_diagonal_is_infeasible():
     assert sol.status == "infeasible"
 
 
-def test_iteration_cap_reported():
-    sol = sdp.solve(trace_one_problem(), sdp.SolveOptions(max_iterations=1))
+def test_iteration_cap_reported(monkeypatch):
+    monkeypatch.setattr(sdp, "_MAX_ITERATIONS", 1)
+    sol = sdp.solve(trace_one_problem())
     assert sol.status != "optimal"
     assert sol.iterations == 1
     # the returned primal is projected onto the rows even this far out
@@ -302,9 +303,8 @@ def _own_sizes(pre):
 
 @pytest.mark.parametrize("with_border", [True, False])
 def test_block_schur_solve_matches_dense(with_border):
-    # three blocks, each the only block of its product as soon as one has own
-    # rows: own rows in blocks 0 and 1, block 2 has none unless the border is
-    # empty
+    # three blocks, each with its own products: own rows in blocks 0 and 1,
+    # block 2 has none unless the border is empty
     rng = np.random.default_rng(7)
     orders = (3, 3, 3)
     touched = [(0,), (0,), (0,), (1,), (1,)]
@@ -324,15 +324,14 @@ def test_block_schur_solve_matches_dense(with_border):
 @pytest.mark.parametrize("with_own", [True, False])
 def test_block_schur_stack_matches_dense(with_own):
     # four blocks of order 3, with border rows and, as in NPA relaxations,
-    # own rows in every block; or, as in the tomographic program, border
-    # rows alone, which meet all four stacked bases in one product
+    # own rows in every block; or border rows alone
     rng = np.random.default_rng(11)
     orders = (3, 3, 3, 3)
     own = [(0,), (0,), (1,), (2,), (2,), (2,), (3,)] if with_own else []
     border = [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3), (0, 2), (0, 1, 2, 3)]
     problem = _random_problem(rng, orders, own + border)
     pre = sdp._Presolved(problem)
-    assert (pre.k, pre.n, len(pre.bord)) == (4, 3, 4 if with_own else 1)
+    assert (pre.k, pre.n, len(pre.bord)) == (4, 3, 4)
     assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
     assert pre.border.size == len(border)
     _check_schur_against_dense(problem, pre, rng)
