@@ -287,7 +287,9 @@ def behavior_from_csv(text: str) -> Behavior:
     Entries may leave [0, 1] by 1e-9 and each (x, y) sum may miss one by
     1e-6, the rounding a file's values carry.
 
-    Raises ValueError naming the first missing or duplicated component.
+    The a, b, x, y labels must be finite integral numbers (``1`` or ``1.0``).
+    Raises ValueError naming the first malformed row, or the first missing or
+    duplicated component.
     """
     rows: dict[tuple[int, int, int, int], float] = {}
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -299,10 +301,14 @@ def behavior_from_csv(text: str) -> Behavior:
         if len(parts) != 5:
             raise ValueError(f"bad behavior row {ln!r}")
         try:
-            a, b, x, y = (int(float(p)) for p in parts[:4])
+            labels = [float(p) for p in parts[:4]]
             val = float(parts[4])
         except ValueError as exc:
             raise ValueError(f"bad behavior row {ln!r}") from exc
+        # is_integer() is False for 1.5, inf and nan alike
+        if not all(t.is_integer() for t in labels):
+            raise ValueError(f"bad behavior row {ln!r}")
+        a, b, x, y = map(int, labels)
         if a not in OUTCOMES or b not in OUTCOMES:
             raise ValueError(f"outcome labels must be -1/+1 in row {ln!r}")
         key = (a, b, x, y)

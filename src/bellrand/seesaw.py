@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qstate
 from .guessprob import BellExpression, GuessReport, guessing_probability, tomographic_guessing
@@ -215,6 +214,9 @@ def tomographic_optimize(
     search and keep the lowest endpoint, ties going to grid order. The
     returned report is the one computed when the search evaluated its
     endpoint."""
+    # scipy.optimize costs 19 MB resident, so only this refine loads it
+    from scipy.optimize import minimize
+
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     angles = np.arange(grid_size) * math.pi / grid_size

@@ -82,6 +82,20 @@ def test_certify_non_finite_entry_names_component(tmp_path, capsys):
     assert "behavior entry for (a,b,x,y)=(-1,1,2,1) is not finite" in err
 
 
+@pytest.mark.parametrize("label", ["1.5", "inf"])
+def test_certify_non_integral_label_is_input_error(tmp_path, capsys, label):
+    lines = interior_csv().strip().splitlines()
+    parts = lines[1].split(",")
+    assert parts[2] == "1"
+    parts[2] = label
+    lines[1] = ",".join(parts)
+    src = tmp_path / "behavior.csv"
+    src.write_text("\n".join(lines) + "\n")
+    code = cli.main(["certify", "--behavior", str(src), "--level", "1"])
+    assert code == 1
+    assert "bad behavior row" in capsys.readouterr().err
+
+
 def test_certify_generation_outside_file_scenario(tmp_path, capsys):
     src = tmp_path / "behavior.csv"
     src.write_text(interior_csv())

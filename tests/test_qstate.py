@@ -162,6 +162,29 @@ def test_csv_duplicate_row_rejected():
         behavior_from_csv(text + extra + "\n")
 
 
+def _relabel_first_row(text, column, label):
+    lines = text.splitlines()
+    parts = lines[1].split(",")
+    parts[column] = label
+    lines[1] = ",".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_integral_float_labels_accepted():
+    beh = behavior(make_state(0.93, 0.41), canonical_settings())
+    text = _relabel_first_row(behavior_to_csv(beh), 2, "1.0")
+    assert np.array_equal(behavior_from_csv(text).probs, beh.probs)
+
+
+@pytest.mark.parametrize("label", ["1.5", "inf", "-inf", "nan"])
+def test_csv_non_integral_label_rejected(label):
+    # the first data row has x = 1: a truncating parse would read 1.5 as 1
+    text = behavior_to_csv(behavior(make_state(0.93, 0.41), canonical_settings()))
+    assert text.splitlines()[1].split(",")[2] == "1"
+    with pytest.raises(ValueError, match="bad behavior row"):
+        behavior_from_csv(_relabel_first_row(text, 2, label))
+
+
 def test_csv_unnormalized_rejected():
     beh = behavior(make_state(1.0, 0.3), canonical_settings())
     probs = beh.probs.copy()

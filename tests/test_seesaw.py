@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,26 @@ def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
     _, _, report = seesaw.tomographic_optimize(make_state(1.0, theta), grid_size)
     target = analytic.pure_state_guessing(theta).guessing_probability
     assert abs(report.guessing_probability - target) <= 1e-6
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import math, sys
+import bellrand, bellrand.cli
+assert "scipy.optimize" not in sys.modules, "import bellrand loaded scipy.optimize"
+from bellrand import qstate, seesaw
+seesaw.tomographic_optimize(qstate.make_state(0.999, math.pi / 8), 8)
+assert "scipy.optimize" in sys.modules, "the refine did not load scipy.optimize"
+"""
+
+
+def test_only_tomographic_refine_loads_scipy_optimize():
+    # a fresh interpreter: other test modules import scipy.optimize into
+    # this one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
