@@ -47,7 +47,7 @@ def validate(args: argparse.Namespace):
         raise ValueError("level must be 1, 2, or 3")
     if not 0.0 <= args.v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
-    if args.epsilon <= 0.0:
+    if not args.epsilon > 0.0:  # NaN fails every comparison
         raise ValueError("epsilon must be > 0")
     if args.starts < 1:
         raise ValueError("starts must be >= 1")

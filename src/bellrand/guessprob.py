@@ -199,20 +199,14 @@ def _moment_layout(level: int, mx: int, my: int) -> _Layout:
 def _npa_problem(layout: _Layout, shared, rhs, objective) -> SdpProblem:
     """NPA relaxation with one moment block per row of ``objective``: the
     ``shared`` rows are posed on the sum of the blocks with right-hand sides
-    ``rhs``, then each structural equality on each block in turn. ``shared``
-    and ``objective`` are in Collins-Gisin coordinates."""
-    k, n = len(objective), layout.structure.dim
-    st = layout.structural.tocoo()
-    blk = np.arange(k)[:, None]
-    structural = sp.csr_matrix((
-        np.tile(st.data, k),
-        ((st.row * k + blk).ravel(), (st.col + blk * n * n).ravel()),
-    ), shape=(st.shape[0] * k, k * n * n))
-    a = sp.vstack([sp.hstack([sp.csr_matrix(shared @ layout.cg)] * k), structural])
+    ``rhs``, and the structural equalities on each block. ``shared`` and
+    ``objective`` are in Collins-Gisin coordinates."""
+    n = layout.structure.dim
     return SdpProblem(
         objective=[(c @ layout.cg).reshape(n, n) for c in objective],
-        a=a,
-        rhs=np.concatenate([rhs, np.zeros(structural.shape[0])]),
+        shared=shared @ layout.cg,
+        rhs=rhs,
+        own=layout.structural,
     )
 
 
@@ -232,8 +226,9 @@ def _check_generation(mx: int, my: int, xstar: int, ystar: int):
 
 def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
     """Full-statistics program: one behavior-matching row per Collins-Gisin
-    moment, anchored at its representative entry in every block, with
-    right-hand side M p, followed by the structural moment equalities."""
+    moment, anchored at its representative entry and shared by the blocks,
+    with right-hand side M p; the structural moment equalities are every
+    block's own rows."""
     _check_generation(b.mx, b.my, xstar, ystar)
     layout = _moment_layout(level, b.mx, b.my)
     return _npa_problem(
@@ -244,10 +239,17 @@ def build_primal(b: Behavior, level: int, xstar: int, ystar: int) -> SdpProblem:
 
 def _dual_combination(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
     """The (k, n, n) stack A*(y) = sum_j y_j A_j, each entry summed in row
-    order in one pass over the entries of the unnormalized problem."""
-    a = problem.a.tocoo()
-    flat = np.bincount(a.col, weights=y[a.row] * a.data, minlength=a.shape[1])
-    return flat.reshape(problem.objective.shape)
+    order in one pass over the entries of the unnormalized problem: the
+    shared rows, then the block's own rows."""
+    sh, own = problem.shared.tocoo(), problem.own.tocoo()
+    k, n = problem.objective.shape[:2]
+    col = np.concatenate([sh.col, own.col])
+    shared = y[sh.row] * sh.data
+    return np.stack([
+        np.bincount(col, weights=np.concatenate([shared, y_b[own.row] * own.data]),
+                    minlength=n * n)
+        for y_b in y[sh.shape[0]:].reshape(k, -1)
+    ]).reshape(k, n, n)
 
 
 def _dual_slack_defect(problem: SdpProblem, sol: SdpSolution) -> float:
@@ -269,7 +271,7 @@ def _farkas_infeasible(
         return False
     yhat = y / norm
     eps = max(0.0, -float(np.linalg.eigvalsh(_dual_combination(problem, yhat)).min()))
-    gain = float(problem.rhs @ yhat)
+    gain = float(problem.rhs @ yhat[:problem.rhs.size])
     return gain < -(10.0 * eps * trace_cap + 1e-7)
 
 
@@ -487,7 +489,8 @@ def bell_constrained_bound(
     is one coefficient vector or a sequence of them; the program fixes
     sum_ab expr.p~_ab = value for each, plus normalization sum_ab q_ab = 1.
     The reported Bell expression recombines the operator multipliers, with
-    the normalization multiplier (plus any repair) as offset.
+    the normalization multiplier (plus any repair) as offset. A non-finite
+    coefficient or value raises ValueError.
 
     An operator dependent on normalization and earlier operators is not
     posed and keeps multiplier zero; if its value disagrees, the instance
@@ -508,6 +511,10 @@ def bell_constrained_bound(
         raise ValueError(
             f"operator coefficients must have length {4 * mx * my}"
         )
+    if not np.all(np.isfinite(exprs)):
+        raise ValueError("operator coefficients must be finite")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("operator values must be finite")
     layout = _moment_layout(level, mx, my)
     # normalization, then the operators, in Collins-Gisin coordinates
     rows = np.vstack([np.eye(1, len(layout.to_cg)), exprs @ layout.from_cg])

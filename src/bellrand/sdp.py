@@ -2,26 +2,34 @@
 
 Solves
     maximize    sum_i <C_i, X_i>
-    subject to  sum_i <A_{j,i}, X_i> = b_j   for all j,
+    subject to  sum_i <A_j, X_i> = b_j   for every shared row j,
+                <O_r, X_i> = 0           for every own row r and block i,
                 X_i >= 0,
 whose dual is
     minimize    b.y
-    subject to  sum_j y_j A_{j,i} - C_i >= 0 for all i.
+    subject to  sum_j y_j A_j + sum_r y_{r,i} O_r - C_i >= 0 for all i.
+
+This is the shape of an NPA relaxation with one moment block per guess of
+Eve's: the behavior, Bell-value and normalization rows are shared, and the
+moment equalities are one own-row pattern posed on every block. Rows are
+numbered shared first, then block 0's own rows, block 1's and so on; the
+dual vector follows that order. Each row is sparse over one block's vec,
+raveled row-major, and symmetric, so off-diagonal coefficients appear
+twice.
 
 The implementation is an infeasible-start path follower with Nesterov-Todd
 scaling (the symmetric form of the Newton direction) and a Mehrotra-style
-predictor-corrector, damped by a fraction-to-boundary factor. Constraint
-rows are normalized and all-zero rows get a zero dual multiplier. There is
-no rank check: the nonzero rows must be linearly independent. Unless the
-result is infeasible, the returned primal is projected onto {A(X) = b}
-through the Schur complement below at W = I. Everything is deterministic
-for fixed inputs.
+predictor-corrector, damped by a fraction-to-boundary factor. Each row is
+normalized to unit Frobenius norm over the blocks it is posed on. There is
+no rank check: the rows must be linearly independent. Unless the result is
+infeasible, the returned primal is projected onto {A(X) = b} through the
+Schur complement below at W = I. Everything is deterministic for fixed
+inputs.
 
 The Schur complement M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b> (W_b the
-Nesterov-Todd scaling of block b) is block-arrow. A row whose coefficients
-live in one block only is that block's own row; every other row is a
-border row. Own rows of different blocks never couple, so with the rows
-ordered block by block and the border last,
+Nesterov-Todd scaling of block b) is block-arrow. Own rows of different
+blocks never couple, so with each block's own rows D_b and the shared rows
+as the border,
 
     M = [ D_1          C_1^T ]
         [      ...     ...   ]
@@ -29,39 +37,26 @@ ordered block by block and the border last,
         [ C_1 ... C_k  B     ].
 
 Each block contributes its D_b, C_b and its share of B from one product
-of its rows with the scaled basis G_b (x) G_b, and the system is solved
+of the rows with the scaled basis G_b (x) G_b, and the system is solved
 with one Cholesky factor per D_b plus one of the border Schur complement
-B - sum_b C_b D_b^-1 C_b^T. In NPA relaxations every moment-structure row
-is an own row and only the behavior, Bell-value and normalization rows
-form the border; a problem without own rows reduces to one dense factor
-of B.
+B - sum_b C_b D_b^-1 C_b^T. Without own rows it is one dense factor of B.
 
-Precondition: every block has the same order n. The solver holds the k
-blocks as one (k, n, n) array from problem to certificate (objective,
-iterates, scalings and the returned primal), so each of their updates is
-one stacked numpy call, not one per block; only the Schur complement is
-assembled block by block. NPA relaxations are four blocks of one order, an
-operator-range bound is one block.
-
-A problem is given in the solver's own form, as in SeDuMi (Sturm, Optim.
-Methods Softw. 11, 625, 1999): the (k, n, n) stack of objective blocks C_i
-and one sparse matrix A whose row j is A_j over vec(X), each block raveled
-row-major and the blocks concatenated in order (the stack raveled). Every
-row is symmetric within each block, so off-diagonal coefficients appear
-twice; the row norm is the Frobenius norm of the A_{j,i} together.
+Every block has the same order n. The solver holds the k blocks as one
+(k, n, n) array from problem to certificate (objective, iterates, scalings
+and the returned primal), so each of their updates is one stacked numpy
+call; only the Schur complement is assembled block by block. NPA
+relaxations are four blocks of one order, an operator-range bound is one
+block.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri, dtrtrs
-
-log = logging.getLogger(__name__)
 
 # fraction-to-boundary damping of both step lengths
 _STEP_FRACTION = 0.98
@@ -78,19 +73,42 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2)
 
 
+def _block_rows(rows, n: int, kind: str) -> sp.csr_matrix:
+    """``rows`` as a canonical CSR matrix over one n x n block's vec, each
+    row finite, symmetric and with at least one coefficient."""
+    a = sp.csr_matrix(rows, dtype=float, copy=True)
+    if a.ndim != 2 or a.shape[1] != n * n:
+        raise ValueError(f"{kind} rows need {n * n} columns, got shape {a.shape}")
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    if not np.all(np.isfinite(a.data)):
+        raise ValueError(f"{kind} rows: non-finite coefficient")
+    empty = np.flatnonzero(np.diff(a.indptr) == 0)
+    if empty.size:
+        raise ValueError(f"{kind} row {empty[0]} has no coefficient")
+    # entry (p, q) of a row needs the same value at (q, p)
+    mirror = np.arange(n * n).reshape(n, n).T.ravel()
+    bad = np.flatnonzero(np.diff((a != a[:, mirror]).indptr))
+    if bad.size:
+        raise ValueError(f"{kind} row {bad[0]} is not symmetric")
+    return a
+
+
 @dataclass(frozen=True)
 class SdpProblem:
-    """One SDP instance in vectorized form over k blocks of one order n:
-    ``objective`` is the (k, n, n) stack of symmetric blocks C_i (mirrored
-    from their upper triangles), ``a`` one sparse row per constraint over
-    vec(X), symmetric within every block, and row j reads
-    sum_i <A_{j,i}, X_i> = rhs[j]."""
+    """One SDP instance over k blocks of one order n: ``objective`` is the
+    (k, n, n) stack of symmetric blocks C_i (mirrored from their upper
+    triangles); ``shared`` and ``own`` are sparse rows over one block's vec,
+    symmetric. Shared row j reads sum_i <A_j, X_i> = rhs[j]; own row r
+    reads <O_r, X_i> = 0 on every block i. At least one row must be shared,
+    and every row needs a coefficient."""
 
     objective: np.ndarray = field(repr=False)
-    a: sp.csr_matrix = field(repr=False)
+    shared: sp.csr_matrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
+    own: sp.csr_matrix = field(repr=False)
 
-    def __init__(self, objective, a, rhs):
+    def __init__(self, objective, shared, rhs, own):
         try:
             c = np.array(objective, dtype=float)
         except ValueError:
@@ -109,42 +127,24 @@ class SdpProblem:
         bad = np.flatnonzero(np.abs(c - _t(c)).max(axis=(1, 2)) > 1e-12)
         if bad.size:
             raise ValueError(f"objective block {bad[0]}: matrix is not symmetric")
-        if not sp.issparse(a):
-            raise TypeError("constraint matrix must be a scipy sparse matrix")
-        if a.shape[1] != c.size:
-            raise ValueError(
-                f"constraint matrix needs {c.size} columns, got shape {a.shape}"
-            )
-        a = sp.csr_matrix(a, dtype=float, copy=True)
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        if not np.all(np.isfinite(a.data)):
-            raise ValueError("constraint matrix: non-finite coefficient")
-        # each entry (p, q) of a block needs the same value at (q, p)
-        coo = a.tocoo()
-        blk = coo.col // (n * n)
-        p, q = divmod(coo.col % (n * n), n)
-        key = coo.row.astype(np.int64) * a.shape[1] + coo.col  # sorted
-        want = key + (q - p) * (n - 1)
-        at = np.minimum(np.searchsorted(key, want), key.size - 1)
-        bad = np.flatnonzero((key[at] != want) | (coo.data[at] != coo.data))
-        if bad.size:
-            raise ValueError(
-                f"constraint {coo.row[bad[0]]} is not symmetric in block {blk[bad[0]]}"
-            )
+        shared = _block_rows(shared, n, "shared")
+        if not shared.shape[0]:
+            raise ValueError("problem needs at least one shared row")
+        own = _block_rows(own, n, "own")
         b = np.array(rhs, dtype=float)
-        if b.shape != (a.shape[0],):
+        if b.shape != (shared.shape[0],):
             raise ValueError(
-                f"expected {a.shape[0]} right-hand sides, got shape {b.shape}"
+                f"expected {shared.shape[0]} right-hand sides, got shape {b.shape}"
             )
         if not np.all(np.isfinite(b)):
             j = int(np.argmin(np.isfinite(b)))
-            raise ValueError(f"constraint {j}: non-finite right-hand side")
+            raise ValueError(f"shared row {j}: non-finite right-hand side")
         object.__setattr__(
             self, "objective", np.where(np.tri(n, k=-1, dtype=bool), _t(c), c)
         )
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "shared", shared)
         object.__setattr__(self, "rhs", b)
+        object.__setattr__(self, "own", own)
 
     @property
     def block_orders(self) -> tuple[int, ...]:
@@ -153,7 +153,7 @@ class SdpProblem:
 
     @property
     def n_constraints(self) -> int:
-        return self.a.shape[0]
+        return self.shared.shape[0] + self.objective.shape[0] * self.own.shape[0]
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ class SdpSolution:
     gap: float
     primal_residual: float
     dual_residual: float
-    removed_rows: tuple[int, ...]
+    removed_rows: tuple[int, ...]  # always (); read by the benchmark's tracing
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -203,8 +203,6 @@ def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
 
 def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 rhs, or L^-T rhs with trans=1, for a lower Cholesky factor L."""
-    if not chol_l.size:  # an empty border; LAPACK rejects order 0 with a message
-        return rhs
     return dtrtrs(chol_l, rhs, lower=1, trans=trans)[0]
 
 
@@ -221,23 +219,25 @@ def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
 class _BlockSchur:
     """Block-arrow factorization of the Schur complement
     M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b>, W_b = G_b G_b^T, with ``gfac``
-    the (k, n, n) stack of factors G_b. The border rows and each block's
-    own rows meet that block's scaled basis one block at a time. Raises
-    LinAlgError when damping cannot make M positive definite."""
+    the (k, n, n) stack of factors G_b. The rows of one block meet that
+    block's scaled basis in one product, split into the border (shared)
+    and own parts. Raises LinAlgError when damping cannot make M positive
+    definite."""
 
     def __init__(self, pre: _Presolved, gfac: np.ndarray):
-        self.border = border = pre.border
-        self.b = np.zeros((border.size, border.size))
-        self.own = []  # (own rows, D_b, C_b) of each block that has own rows
-        for g, s_bord, (rows, s_own) in zip(gfac, pre.bord, pre.own):
-            basis = _scaled_basis(g, pre.tri)
-            v_bord = s_bord @ basis
+        ns, no = pre.n_shared, pre.n_own
+        self.border = slice(0, ns)
+        self.b = np.zeros((ns, ns))
+        self.own = []  # (own rows, D_b, C_b) of each block, if it has own rows
+        for i, g in enumerate(gfac):
+            v = pre.s_block @ _scaled_basis(g, pre.tri)
+            v_bord, v_own = v[:ns], v[ns:]
             self.b += v_bord @ v_bord.T
-            if rows.size:
-                v_own = s_own @ basis
+            if no:
+                rows = slice(ns + i * no, ns + (i + 1) * no)
                 self.own.append((rows, v_own @ v_own.T, v_bord @ v_own.T))
         trace = np.trace(self.b) + sum(np.trace(d) for _, d, _ in self.own)
-        diag_mean = max(float(trace) / len(pre.kept), 1e-300)
+        diag_mean = max(float(trace) / pre.m, 1e-300)
         damp = 0.0
         for _ in range(6):
             try:
@@ -249,10 +249,10 @@ class _BlockSchur:
 
     def _factor(self, damp: float):
         # L_b L_b^T = D_b + damp I, E_b = L_b^-1 C_b^T,
-        # L L^T = B + damp I - sum_b E_b^T E_b; every factor is kept
+        # L L^T = B + damp I - sum_b E_b^T E_b; every factor is held
         # column-major, as dtrtrs takes it, so no solve copies it
         self.l_own, self.e = [], []
-        border_schur = self.b + damp * np.eye(self.border.size)
+        border_schur = self.b + damp * np.eye(len(self.b))
         for _, d, c in self.own:
             l = np.asfortranarray(np.linalg.cholesky(d + damp * np.eye(d.shape[0])))
             e = _tri_solve(l, c.T)
@@ -299,63 +299,57 @@ class _BlockSchur:
 
 
 class _Presolved:
-    """Scaled form of a problem, plus the undo factors. Rows are normalized
-    to unit Frobenius norm; all-zero rows are ``removed`` (inconsistent if
-    their right-hand side is not zero). Precondition, not checked: the
-    nonzero rows are linearly independent. ``c_hat`` is the scaled
-    objective stack."""
+    """Scaled form of a problem, plus the undo factors. Every row is
+    normalized to unit Frobenius norm over the blocks it is posed on, so a
+    shared row's norm sums its k copies. ``s_block`` holds the scaled rows
+    over one block's vec, shared then own, the same on every block; ``s``
+    stacks them over the whole vec(X) in the solver's row order and ``st``
+    is its transpose, built once for A(X) and A*(y). ``c_hat`` is the
+    scaled objective stack."""
 
     def __init__(self, problem: SdpProblem):
         k, n = problem.objective.shape[:2]
         self.k, self.n = k, n
-        nn = n * n
-        m = problem.n_constraints
-        a = problem.a
-        coo = a.tocoo()
-        r, v = coo.row, coo.data
-        row_norm = np.sqrt(np.bincount(r, weights=v * v, minlength=m))
-        b = problem.rhs
-
-        zero_rows = [j for j in range(m) if row_norm[j] == 0.0]
-        self.inconsistent_zero = [j for j in zero_rows if abs(b[j]) > 1e-12]
-        if zero_rows:
-            log.info("presolve: dropping all-zero constraint rows %s", zero_rows)
-        kept = [j for j in range(m) if row_norm[j] > 0.0]
-        self.s = sp.csr_matrix(
-            (v / row_norm[r], a.indices, a.indptr), shape=a.shape
-        )[kept]
+        ns, no = problem.shared.shape[0], problem.own.shape[0]
+        self.n_shared, self.n_own = ns, no
+        self.m = problem.n_constraints
+        rows = sp.vstack([problem.shared, problem.own], format="csr")
+        r = np.repeat(np.arange(ns + no), np.diff(rows.indptr))
+        sq = rows.data * rows.data
+        # a shared row's squares in block order, then each own row's
+        cut = rows.indptr[ns]
+        norm = np.sqrt(np.bincount(
+            np.concatenate([np.tile(r[:cut], k), r[cut:]]),
+            weights=np.concatenate([np.tile(sq[:cut], k), sq[cut:]]),
+            minlength=ns + no,
+        ))
+        scaled = rows.data / norm[r]
+        self.s_block = sp.csr_matrix(
+            (scaled, rows.indices, rows.indptr), shape=rows.shape
+        )
+        # each block's copy of the rows, own row r of block b at r + b * no;
+        # every row lists its entries block by block, so they stay sorted
+        blk = np.arange(k)[:, None]
+        self.s = sp.csr_matrix((
+            np.tile(scaled, k),
+            (np.where(r < ns, r, r + blk * no).ravel(),
+             (rows.indices + blk * n * n).ravel()),
+        ), shape=(self.m, k * n * n))
         self.st = self.s.T.tocsr()
-        self.kept = kept
-        self.removed = tuple(zero_rows)
-        self.row_scale = row_norm
+        self.row_scale = np.concatenate([norm[:ns], np.tile(norm[ns:], k)])
 
         self.c = problem.objective
         self.c_scale = max(1.0, math.sqrt(sum(float(np.sum(c * c)) for c in self.c)))
         self.c_hat = self.c / self.c_scale
-
-        # block-arrow layout of the Schur complement: a kept row touching one
-        # block is that block's own row, every other row is a border row
-        coo = self.s.tocoo()
-        touch = np.zeros((self.s.shape[0], k), dtype=bool)
-        touch[coo.row, coo.col // nn] = True
-        single = touch.sum(axis=1) == 1
-        self.border = np.flatnonzero(~single)
-        s_border = self.s[self.border]
-        self.own = []  # per block: own-row indices and their coefficients, or None
-        self.bord = []  # per block: the border rows restricted to it
-        for i in range(k):
-            rows = np.flatnonzero(single & touch[:, i])
-            self.own.append((rows, self.s[rows][:, i * nn:(i + 1) * nn]
-                             if rows.size else None))
-            self.bord.append(s_border[:, i * nn:(i + 1) * nn])
         tp, tq = np.triu_indices(n)
         self.tri = (tp, tq, np.where(tp == tq, 1.0, math.sqrt(2.0)))
 
-        bn = b[kept] / row_norm[kept] if kept else np.empty(0)
-        self.b_scale = max(1.0, float(np.linalg.norm(bn)) if bn.size else 0.0)
+        b = np.concatenate([problem.rhs, np.zeros(k * no)])
+        bn = b / self.row_scale
+        self.b_scale = max(1.0, float(np.linalg.norm(bn)))
         self.b_hat = bn / self.b_scale
         self.b_true = b
-        self.b_max = float(np.abs(b).max()) if b.size else 0.0
+        self.b_max = float(np.abs(b).max())
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -377,8 +371,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 resid = pre.s @ x_hat.ravel() - pre.b_hat
                 x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
         x = _sym(x_hat) * pre.b_scale
-        y = np.zeros(problem.n_constraints)
-        y[pre.kept] = y_hat * pre.c_scale / pre.row_scale[pre.kept]
+        y = y_hat * pre.c_scale / pre.row_scale
         pobj = sum(float(np.sum(c * xb)) for c, xb in zip(pre.c, x))
         dobj = float(y @ pre.b_true)
         return SdpSolution(
@@ -391,25 +384,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
             gap=gap,
             primal_residual=rp,
             dual_residual=rd,
-            removed_rows=pre.removed,
+            removed_rows=(),
         )
 
-    if pre.inconsistent_zero:
-        log.info("presolve: inconsistent constraint rows %s", pre.inconsistent_zero)
-        return finish(
-            eye, np.zeros(len(pre.kept)),
-            "infeasible", 0, math.inf, math.inf, math.inf,
-        )
-    if not pre.kept:
-        raise ValueError("problem has no independent constraints")
-
-    mk = len(pre.kept)
     s_mat = pre.s
     b_hat = pre.b_hat
     c_hat = pre.c_hat
 
     x = z = max(10.0, math.sqrt(n)) * eye
-    y = np.zeros(mk)
+    y = np.zeros(pre.m)
 
     unit_scale = pre.b_scale * pre.c_scale
 
@@ -428,9 +411,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         pobj_true = pobj_hat * unit_scale
         dobj_true = dobj_hat * unit_scale
         # residuals in original units
-        rp_true = float(np.max(
-            np.abs(rp) * pre.b_scale * pre.row_scale[pre.kept]
-        )) if mk else 0.0
+        rp_true = float(np.max(np.abs(rp) * pre.b_scale * pre.row_scale))
         rd_true = float(np.abs(rd).max()) * pre.c_scale
         gap_true = (mu * ntot) * unit_scale
         # objective bias carried by residuals against possibly large duals
@@ -476,7 +457,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        # dtrtri per block (a stacked inverse is slower here), each inverse kept
+        # dtrtri per block (a stacked inverse is slower here), each inverse held
         # column-major as returned: the layout picks the BLAS kernel's rounding
         lxinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lx]))
         lzinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lz]))
@@ -532,3 +513,4 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "optimal"
         return finish(best[1], best[2], status, it, *best[3:6])
     return finish(x, y, status, it, math.inf, math.inf, math.inf)
+

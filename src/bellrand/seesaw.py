@@ -147,7 +147,7 @@ def optimize(
     best_meas reproduces best_report even when a start ends on its
     iteration cap or on a failed solve. starts_used counts the starts that
     produced at least one certified value."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails every comparison
         raise ValueError("epsilon must be positive")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")

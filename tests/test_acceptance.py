@@ -8,7 +8,6 @@ audit every instance the suite produced.
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from bellrand import analytic, guessprob, qstate, sdp, seesaw
 
@@ -228,40 +227,44 @@ def test_criterion_9_seesaw_descent():
 def test_criterion_10_solver_unit_suite():
     checks = []
 
-    # rows over vec(X): each block raveled, blocks concatenated
+    # shared rows over vec(X) of one block, raveled row-major, posed on the
+    # sum of the blocks; own rows posed on every block with right-hand side 0
+    none = np.zeros((0, 4))
     trace_one = sdp.SdpProblem(
-        [np.diag([1.0, 0.0])], sp.csr_matrix(np.eye(2).reshape(1, 4)), [1.0]
+        [np.diag([1.0, 0.0])], np.eye(2).reshape(1, 4), [1.0], none
     )
     sol1 = sdp.solve(trace_one)
     checks.append(abs(sol1.primal_objective - 1.0) <= 1e-7)
 
-    scalar = sdp.SdpProblem([np.array([[1.0]])], sp.csr_matrix([[1.0]]), [0.3])
+    scalar = sdp.SdpProblem([np.array([[1.0]])], [[1.0]], [0.3], np.zeros((0, 1)))
     sol2 = sdp.solve(scalar)
     checks.append(abs(sol2.primal_objective - 0.3) <= 1e-7)
     checks.append(abs(sol2.dual_vector[0] - 1.0) <= 1e-6)
 
     offdiag = sdp.SdpProblem(
         [np.array([[0.0, 1.0], [1.0, 0.0]])],
-        sp.csr_matrix([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
         [0.5, 0.5],
+        none,
     )
     sol3 = sdp.solve(offdiag)
     checks.append(abs(sol3.primal_objective - 1.0) <= 1e-7)
     checks.append(np.allclose(sol3.dual_vector, [1.0, 1.0], atol=1e-6))
 
-    rescaled = sdp.SdpProblem([np.array([[1.0]])], sp.csr_matrix([[10.0]]), [3.0])
+    rescaled = sdp.SdpProblem([np.array([[1.0]])], [[10.0]], [3.0], np.zeros((0, 1)))
     sol4 = sdp.solve(rescaled)
     checks.append(abs(sol4.primal_objective - sol2.primal_objective) <= 1e-7)
     checks.append(abs(sol4.dual_vector[0] - sol2.dual_vector[0] / 10.0) <= 1e-7)
 
-    swapped = sdp.SdpProblem(
-        [np.zeros((2, 2)), np.diag([1.0, 0.0])],
-        sp.csr_matrix([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                       [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]),
-        [0.25, 1.0],
-    )
-    sol5 = sdp.solve(swapped)
-    checks.append(abs(sol5.primal_objective - 1.0) <= 1e-7)
+    # two blocks under tr(X_1 + X_2) = 1 and X_i[0,1] = 0: the optimum 1
+    # follows diag(1, 0) to whichever block carries it
+    for objective in ([np.zeros((2, 2)), np.diag([1.0, 0.0])],
+                      [np.diag([1.0, 0.0]), np.zeros((2, 2))]):
+        two_block = sdp.SdpProblem(
+            objective, np.eye(2).reshape(1, 4), [1.0], [[0.0, 1.0, 1.0, 0.0]]
+        )
+        sol5 = sdp.solve(two_block)
+        checks.append(abs(sol5.primal_objective - 1.0) <= 1e-7)
 
     ok = all(checks)
     _verdict(

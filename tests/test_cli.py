@@ -141,6 +141,22 @@ def test_bellbound_requires_an_operator(capsys):
     assert cli.main(["bellbound", "--ibeta-value", "2.6"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--value", "inf"], "values must be finite"),
+    (["--value", "nan"], "values must be finite"),
+    (["--value", "2.5", "--beta", "nan", "--ibeta-value", "2.6"],
+     "coefficients must be finite"),
+    (["--value", "2.5", "--beta", "inf", "--ibeta-value", "2.6"],
+     "coefficients must be finite"),
+    (["--beta", "0.5", "--ibeta-value", "inf"], "values must be finite"),
+])
+def test_bellbound_rejects_non_finite_input(flags, message, capsys):
+    # an input error before any rank test or solve, with no numpy warning
+    assert cli.main(["bellbound", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: operator {message}\n"
+
+
 def test_optimize_summary_and_trace(tmp_path):
     out = tmp_path / "summary.txt"
     trace = tmp_path / "trace.csv"
@@ -166,6 +182,9 @@ def test_optimize_summary_and_trace(tmp_path):
 def test_optimize_rejects_bad_epsilon(capsys):
     assert cli.main(["optimize", "--epsilon", "0"]) == 1
     assert "epsilon" in capsys.readouterr().err
+    # NaN passes an `epsilon <= 0` test and would never stop a start early
+    assert cli.main(["optimize", "--level", "1", "--epsilon", "nan"]) == 1
+    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
 
 
 def test_sweep_deterministic_and_parallel(tmp_path):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -77,16 +76,17 @@ def test_primal_structure_level_two(phi_plus_behavior):
     cg += [b.prob(1, 1, x, 1) + b.prob(1, -1, x, 1) for x in (1, 2)]
     cg += [b.prob(1, 1, 1, y) + b.prob(-1, 1, 1, y) for y in (1, 2)]
     cg += [b.prob(1, 1, x, y) for x in (1, 2) for y in (1, 2)]
-    assert np.allclose(problem.rhs[:9], cg, rtol=0.0, atol=1e-12)
-    # each row's blocks, upper triangles only
-    blocks = np.triu(problem.a.toarray().reshape(-1, 4, 13, 13))
-    for row in blocks[:9]:
-        assert [np.count_nonzero(m) for m in row] == [1, 1, 1, 1]
-    # then the structural rows, each inside one block
-    assert np.all(problem.rhs[9:] == 0.0)
-    assert problem.n_constraints > 9
-    for row in blocks[9:]:
-        assert sum(np.count_nonzero(m) > 0 for m in row) == 1
+    assert np.allclose(problem.rhs, cg, rtol=0.0, atol=1e-12)
+    # each shared row reads one upper-triangle entry, the same in every block
+    shared = np.triu(problem.shared.toarray().reshape(-1, 13, 13))
+    assert [np.count_nonzero(m) for m in shared] == [1] * 9
+    # every own row equates two upper-triangle entries of one block, and
+    # each block carries the whole pattern
+    own = problem.own.toarray().reshape(-1, 13, 13)
+    assert own.shape[0] > 0
+    assert all(np.count_nonzero(np.triu(m)) == 2 for m in own)
+    assert np.all(own.sum(axis=(1, 2)) == 0.0)
+    assert problem.n_constraints == 9 + 4 * own.shape[0]
 
 
 def test_generation_setting_validated(phi_plus_behavior):
@@ -368,10 +368,12 @@ def test_rows_independent_and_primal_on_rows(name, solves):
     assert solves
     for problem, sol in solves:
         assert sol.removed_rows == ()
-        x = np.concatenate([x.ravel() for x in sol.primal_blocks])
-        for row, rhs in zip(problem.a.toarray(), problem.rhs):
-            value = float(row @ x)
+        x = sol.primal_blocks.reshape(len(sol.primal_blocks), -1)
+        # shared rows on the sum of the blocks, own rows on every block
+        for row, rhs in zip(problem.shared.toarray(), problem.rhs):
+            value = float(np.sum(x @ row))
             assert abs(value - rhs) <= 1e-9 * (1.0 + abs(rhs))
+        assert np.abs(x @ problem.own.toarray().T).max() <= 1e-9
 
 
 def test_dependent_operators_equal_values():
@@ -400,27 +402,32 @@ def test_dependent_operators_unequal_values_infeasible():
 
 
 def test_dual_combination_matches_direct_sum():
-    # sparse random rows over three blocks, some blocks untouched by a row
+    # sparse random shared and own rows over three blocks of order 3
     rng = np.random.default_rng(5)
-    orders = (3, 3, 3)
-    cons = []
-    for _ in range(6):
+    n, k = 3, 3
+
+    def rows(count):
         mats = []
-        for n in orders:
+        for _ in range(count):
             a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
-            mats.append(a + a.T if rng.random() < 0.8 else np.zeros((n, n)))
-        cons.append((mats, float(rng.normal())))
-    assert any(not m.any() for mats, _ in cons for m in mats)
+            a[0, 0] = 1.0 + rng.random()  # no row without a coefficient
+            mats.append(a + a.T)
+        return mats
+
+    shared, own = rows(4), rows(3)
     problem = sdp.SdpProblem(
-        [np.zeros((n, n)) for n in orders],
-        sp.csr_matrix([np.concatenate([m.ravel() for m in mats]) for mats, _ in cons]),
-        [rhs for _, rhs in cons],
+        np.zeros((k, n, n)),
+        [m.ravel() for m in shared],
+        rng.normal(size=len(shared)),
+        [m.ravel() for m in own],
     )
-    y = rng.normal(size=len(cons))
+    y = rng.normal(size=problem.n_constraints)
     got = guessprob._dual_combination(problem, y)
     assert got.shape == (3, 3, 3)
-    for b, n in enumerate(orders):
-        want = sum(y[j] * mats[b] for j, (mats, _) in enumerate(cons))
+    y_own = y[len(shared):].reshape(k, len(own))
+    for b in range(k):
+        want = sum(y[j] * m for j, m in enumerate(shared))
+        want = want + sum(y_own[b, r] * m for r, m in enumerate(own))
         assert np.abs(got[b] - want).max() <= 1e-12
 
 

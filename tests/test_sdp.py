@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from bellrand import guessprob, qstate, sdp
 
 
-def vec(*blocks):
-    """One constraint row over vec(X): the blocks raveled, in block order."""
-    return np.concatenate([np.ravel(b) for b in blocks])
+def vec(m):
+    """One row over vec(X) of one block: the matrix raveled row-major."""
+    return np.ravel(m)
 
 
 def sym(n, *entries):
@@ -22,9 +22,12 @@ def sym(n, *entries):
     return m
 
 
-def problem_of(objective, rows, rhs):
-    rows = sp.csr_matrix(np.array(rows, ndmin=2))
-    return sdp.SdpProblem(objective, rows, rhs)
+def problem_of(objective, shared, rhs, own=None):
+    """Problem over the blocks of ``objective``, all of one order n: dense
+    ``shared`` and ``own`` rows over one block's vec (no own rows if None)."""
+    n = len(objective[0])
+    own = np.zeros((0, n * n)) if own is None else np.array(own, ndmin=2)
+    return sdp.SdpProblem(objective, np.array(shared, ndmin=2), rhs, own)
 
 
 def solve_ok(problem):
@@ -43,12 +46,6 @@ def test_trace_one_extremal():
     assert abs(sol.primal_objective - 1.0) < 1e-7
     assert abs(sol.dual_objective - 1.0) < 1e-7
     assert np.allclose(sol.primal_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_solve_without_border_rows_is_silent(capfd):
-    # every row touches one block, so the border factor has order zero
-    solve_ok(trace_one_problem())
-    assert capfd.readouterr() == ("", "")
 
 
 def test_scalar_equality():
@@ -81,64 +78,53 @@ def test_row_rescaling_rescales_dual():
     assert abs(b.dual_vector[0] - a.dual_vector[0] / 10.0) < 1e-7
 
 
-def _block_columns(problem):
-    """The dense rows of ``problem.a`` split into one column range per block."""
-    return np.split(problem.a.toarray(), len(problem.block_orders), axis=1)
-
-
 def _permuted(problem, perm):
-    """The same program with its blocks listed in the order ``perm``."""
-    cols = _block_columns(problem)
-    return problem_of(
-        [problem.objective[i] for i in perm],
-        np.hstack([cols[i] for i in perm]),
-        problem.rhs,
+    """The same program with its blocks listed in the order ``perm``: every
+    row is posed on every block alike, so only the objective moves."""
+    return sdp.SdpProblem(
+        problem.objective[list(perm)], problem.shared, problem.rhs, problem.own
     )
 
 
-def _unique_optimum_problem(orders, seed):
-    # tr X_i fixed for all but the last block, tr of the sum fixed by one
-    # border row: each X_i is t_i v v^T for the top eigenvector v of C_i
+def _unique_optimum_problem(k, seed):
+    # the sum of k order-3 blocks pinned to P by shared rows, and an own
+    # row X_i[0,2] = X_i[1,2] on every block (P obeys it too); a random
+    # objective, whose optimum is unique
     rng = np.random.default_rng(seed)
     obj = []
-    for n in orders:
-        a = rng.normal(size=(n, n))
+    for _ in range(k):
+        a = rng.normal(size=(3, 3))
         obj.append(a + a.T)
-    rows = [
-        vec(*(np.eye(n) * (j == i) for j, n in enumerate(orders)))
-        for i in range(len(orders) - 1)
-    ]
-    rows.append(vec(*(np.eye(n) for n in orders)))
-    rhs = [0.2 + 0.1 * i for i in range(len(orders) - 1)] + [1.0]
-    return problem_of(obj, rows, rhs)
+    p = np.array([[0.5, 0.1, 0.05], [0.1, 0.3, 0.05], [0.05, 0.05, 0.2]])
+    shared = [vec(sym(3, (i, j, 1.0))) for i in range(3) for j in range(i, 3)]
+    rhs = [p[i, j] for i in range(3) for j in range(i, 3)]
+    own = vec(sym(3, (0, 2, 1.0)) - sym(3, (1, 2, 1.0)))
+    return problem_of(obj, shared, rhs, [own])
 
 
 def test_block_permutation_invariance():
+    # X0[0,0] + 2 X1[1,1] under diag(X0 + X1) = (1, 0.25): the optimum
+    # X0 = diag(1, 0), X1 = diag(0, 0.25) moves with its objective block
     obj = [np.diag([1.0, 0.0]), np.diag([0.0, 2.0])]
-    cons = [
-        ([np.eye(2), np.zeros((2, 2))], 1.0),
-        ([np.zeros((2, 2)), np.eye(2)], 0.25),
-    ]
-    forward = problem_of(obj, [vec(*c) for c, _ in cons], [r for _, r in cons])
-    swapped = problem_of(
-        [obj[1], obj[0]],
-        [vec(c[1], c[0]) for c, _ in cons],
-        [r for _, r in cons],
-    )
+    rows = [vec(sym(2, (0, 0, 1.0))), vec(sym(2, (1, 1, 1.0)))]
+    forward = problem_of(obj, rows, [1.0, 0.25])
+    swapped = problem_of(obj[::-1], rows, [1.0, 0.25])
     a = solve_ok(forward)
     b = solve_ok(swapped)
+    assert abs(a.primal_objective - 1.5) < 1e-7
     assert abs(a.primal_objective - b.primal_objective) < 1e-7
+    assert np.allclose(a.primal_blocks[0], np.diag([1.0, 0.0]), atol=1e-6)
     assert np.allclose(a.primal_blocks[0], b.primal_blocks[1], atol=1e-6)
     assert np.allclose(a.primal_blocks[1], b.primal_blocks[0], atol=1e-6)
     # three blocks, two of them trading places, and all three reversed
-    problem = _unique_optimum_problem((2, 2, 2), seed=5)
+    problem = _unique_optimum_problem(3, seed=5)
     a = solve_ok(problem)
     for perm in ((0, 2, 1), (2, 1, 0)):
         b = solve_ok(_permuted(problem, perm))
         assert abs(a.primal_objective - b.primal_objective) < 1e-7
         for sol in (a, b):
             assert isinstance(sol.primal_blocks, np.ndarray)
-            assert sol.primal_blocks.shape == (3, 2, 2)
+            assert sol.primal_blocks.shape == (3, 3, 3)
         for k, i in enumerate(perm):
             assert np.allclose(a.primal_blocks[i], b.primal_blocks[k], atol=1e-6)
 
@@ -159,21 +145,6 @@ def test_iteration_cap_reported(monkeypatch):
     assert abs(np.trace(sol.primal_blocks[0]) - 1.0) <= 1e-12
 
 
-def test_all_zero_rows_rejected():
-    problem = problem_of([np.array([[1.0]])], [[0.0]], [0.0])
-    with pytest.raises(ValueError, match="independent"):
-        sdp.solve(problem)
-
-
-def test_all_zero_row_with_nonzero_rhs_is_infeasible():
-    # 0 = 0.5 cannot hold: the presolve reports it before any iteration
-    problem = problem_of([np.eye(2)], [vec(np.eye(2)), np.zeros(4)], [1.0, 0.5])
-    sol = sdp.solve(problem)
-    assert sol.status == "infeasible"
-    assert sol.removed_rows == (1,)
-    assert sol.iterations == 0
-
-
 def test_entry_accumulation_and_validation():
     # repeated entries of the sparse rows accumulate, explicit zeros are
     # dropped, and the objective is mirrored from its upper triangle
@@ -181,44 +152,57 @@ def test_entry_accumulation_and_validation():
         [np.array([[1.0, 0.5], [0.5 + 1e-14, 0.0]])],
         sp.coo_matrix(([0.5, 0.5, 0.0], ([0, 0, 0], [0, 0, 1])), shape=(1, 4)),
         [0.3],
+        sp.coo_matrix(([1.0, 0.0, -1.0], ([0, 0, 0], [0, 1, 3])), shape=(1, 4)),
     )
-    assert problem.a.toarray().tolist() == [[1.0, 0.0, 0.0, 0.0]]
-    assert problem.a.nnz == 1
+    assert problem.shared.toarray().tolist() == [[1.0, 0.0, 0.0, 0.0]]
+    assert problem.shared.nnz == 1
+    assert problem.own.toarray().tolist() == [[1.0, 0.0, 0.0, -1.0]]
     assert problem.objective[0][1, 0] == 0.5
     one = [np.eye(2)]
-    row = sp.csr_matrix(vec(np.eye(2)))
+    row = [vec(np.eye(2))]
+    none = np.zeros((0, 4))
     with pytest.raises(ValueError, match=r"got shape \(1, 0, 0\)"):
-        sdp.SdpProblem(np.zeros((1, 0, 0)), sp.csr_matrix((0, 0)), [])
-    with pytest.raises(ValueError, match="needs 4 columns"):
-        sdp.SdpProblem(one, sp.csr_matrix(np.ones((1, 5))), [1.0])
-    with pytest.raises(TypeError, match="sparse"):
-        sdp.SdpProblem(one, vec(np.eye(2))[None, :], [1.0])
+        sdp.SdpProblem(np.zeros((1, 0, 0)), np.zeros((1, 0)), [1.0], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"shared rows need 4 columns"):
+        sdp.SdpProblem(one, np.ones((1, 5)), [1.0], none)
+    with pytest.raises(ValueError, match=r"own rows need 4 columns"):
+        sdp.SdpProblem(one, row, [1.0], np.zeros((0, 8)))
     with pytest.raises(ValueError, match="objective block 0: matrix is not symmetric"):
-        sdp.SdpProblem([np.array([[0.0, 1.0], [0.0, 0.0]])], row, [1.0])
+        sdp.SdpProblem([np.array([[0.0, 1.0], [0.0, 0.0]])], row, [1.0], none)
     with pytest.raises(ValueError, match="objective block 1: matrix is not symmetric"):
+        sdp.SdpProblem([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]], row, [1.0], none)
+    with pytest.raises(ValueError, match="own row 1 is not symmetric"):
         sdp.SdpProblem(
-            [np.eye(2), [[0.0, 1.0], [0.0, 0.0]]],
-            sp.csr_matrix(vec(np.eye(2), np.eye(2))), [1.0],
+            one, row, [1.0], [vec(np.diag([1.0, -1.0])), [0.0, 1.0, 0.0, 0.0]]
         )
-    with pytest.raises(ValueError, match="constraint 1 is not symmetric in block 1"):
-        sdp.SdpProblem(
-            [np.eye(2), np.eye(2)],
-            sp.csr_matrix([
-                vec(np.eye(2), np.eye(2)),
-                vec(np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]),
-            ]),
-            [1.0, 0.0],
-        )
-    with pytest.raises(ValueError, match="constraint 0 is not symmetric in block 0"):
-        sdp.SdpProblem(one, sp.csr_matrix(vec([[0.0, 1.0], [2.0, 0.0]])), [0.0])
+    with pytest.raises(ValueError, match="shared row 0 is not symmetric"):
+        sdp.SdpProblem(one, [vec([[0.0, 1.0], [2.0, 0.0]])], [0.0], none)
     with pytest.raises(ValueError, match="objective block 0: non-finite"):
-        sdp.SdpProblem([np.diag([1.0, np.inf])], row, [1.0])
-    with pytest.raises(ValueError, match="constraint matrix: non-finite"):
-        sdp.SdpProblem(one, sp.csr_matrix(vec(np.diag([1.0, np.nan]))), [1.0])
-    with pytest.raises(ValueError, match="constraint 0: non-finite right-hand side"):
-        sdp.SdpProblem(one, row, [np.nan])
+        sdp.SdpProblem([np.diag([1.0, np.inf])], row, [1.0], none)
+    with pytest.raises(ValueError, match="shared rows: non-finite coefficient"):
+        sdp.SdpProblem(one, [vec(np.diag([1.0, np.nan]))], [1.0], none)
+    with pytest.raises(ValueError, match="own rows: non-finite coefficient"):
+        sdp.SdpProblem(one, row, [1.0], [vec(np.diag([1.0, np.inf]))])
+    with pytest.raises(ValueError, match="shared row 0: non-finite right-hand side"):
+        sdp.SdpProblem(one, row, [np.nan], none)
     with pytest.raises(ValueError, match="expected 1 right-hand sides"):
-        sdp.SdpProblem(one, row, [1.0, 2.0])
+        sdp.SdpProblem(one, row, [1.0, 2.0], none)
+
+
+def test_rows_without_coefficients_rejected():
+    # a row whose every coefficient is zero, stored or not, poses nothing,
+    # and a problem needs a shared row to fix the scale of its blocks
+    one = [np.eye(2)]
+    row = [vec(np.eye(2))]
+    none = np.zeros((0, 4))
+    with pytest.raises(ValueError, match="shared row 1 has no coefficient"):
+        sdp.SdpProblem(one, [vec(np.eye(2)), np.zeros(4)], [1.0, 0.0], none)
+    with pytest.raises(ValueError, match="own row 0 has no coefficient"):
+        sdp.SdpProblem(
+            one, row, [1.0], sp.csr_matrix(([0.0], ([0], [1])), shape=(1, 4))
+        )
+    with pytest.raises(ValueError, match="at least one shared row"):
+        sdp.SdpProblem(one, none, [], [vec(np.diag([1.0, -1.0]))])
 
 
 @pytest.mark.parametrize("objective, shape", [
@@ -229,7 +213,7 @@ def test_entry_accumulation_and_validation():
 def test_objective_must_be_one_stack(objective, shape):
     # blocks of different orders have no (k, n, n) stack
     with pytest.raises(ValueError, match=f"one \\(k, n, n\\) stack, got .*{shape}"):
-        sdp.SdpProblem(objective, sp.csr_matrix((1, 4)), [0.0])
+        sdp.SdpProblem(objective, np.ones((1, 4)), [0.0], np.zeros((0, 4)))
 
 
 def test_residual_report_on_solution():
@@ -262,34 +246,36 @@ def test_pinned_diagonal_value(n, seed):
     assert abs(sol.primal_objective - float(c @ b)) < 1e-6 * (1 + abs(float(c @ b)))
 
 
-def _random_problem(rng, orders, touched):
-    # one random symmetric row per entry of ``touched``, nonzero in the
-    # blocks it lists; a zero objective
-    rows, rhs = [], []
-    for blocks in touched:
-        mats = [np.zeros((n, n)) for n in orders]
-        for i in blocks:
-            a = rng.normal(size=(orders[i], orders[i]))
-            mats[i] = a + a.T
-        rows.append(vec(*mats))
-        rhs.append(float(rng.normal()))
-    return problem_of([np.zeros((n, n)) for n in orders], rows, rhs)
+def _random_problem(rng, k, n, n_shared, n_own):
+    # random symmetric shared and own rows over k blocks of order n; a zero
+    # objective
+    def rows(count):
+        return [vec(a + a.T) for a in rng.normal(size=(count, n, n))]
+
+    return problem_of(
+        np.zeros((k, n, n)), rows(n_shared), rng.normal(size=n_shared),
+        rows(n_own) if n_own else None,
+    )
 
 
 def _check_schur_against_dense(problem, pre, rng):
-    orders = problem.block_orders
-    cols = _block_columns(problem)
-    a = [
-        [cols[b][j].reshape(n, n) / pre.row_scale[j] for b, n in enumerate(orders)]
-        for j in pre.kept
-    ]
+    # the rows in solver order, one n x n matrix per block: a shared row on
+    # every block, normalized over its k copies, then each block's own rows
+    k, n = problem.objective.shape[:2]
+    shared = problem.shared.toarray().reshape(-1, n, n)
+    own = problem.own.toarray().reshape(-1, n, n)
+    norms = [np.linalg.norm(m) * math.sqrt(k) for m in shared]
+    norms += [np.linalg.norm(m) for m in own] * k
+    assert np.allclose(pre.row_scale, norms, rtol=1e-14, atol=0.0)
+    a = [[m] * k for m in shared]
+    a += [[m * (i == b) for i in range(k)] for b in range(k) for m in own]
+    a = [[m / norm for m in row] for row, norm in zip(a, norms)]
     for _ in range(3):
-        gfac = rng.normal(size=(pre.k, pre.n, pre.n)) + pre.n * np.eye(pre.n)
+        gfac = rng.normal(size=(k, n, n)) + n * np.eye(n)
         w = [g @ g.T for g in gfac]
         dense = np.array([
-            [sum(np.sum(a[j][b] * (w[b] @ a[k][b] @ w[b])) for b in range(len(orders)))
-             for k in range(len(a))]
-            for j in range(len(a))
+            [sum(np.sum(aj[b] * (w[b] @ ak[b] @ w[b])) for b in range(k)) for ak in a]
+            for aj in a
         ])
         rhs = rng.normal(size=len(a))
         want = np.linalg.solve(dense, rhs)
@@ -297,44 +283,32 @@ def _check_schur_against_dense(problem, pre, rng):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def _own_sizes(pre):
-    return [rows.size for rows, _ in pre.own]
-
-
-@pytest.mark.parametrize("with_border", [True, False])
-def test_block_schur_solve_matches_dense(with_border):
-    # three blocks, each with its own products: own rows in blocks 0 and 1,
-    # block 2 has none unless the border is empty
-    rng = np.random.default_rng(7)
-    orders = (3, 3, 3)
-    touched = [(0,), (0,), (0,), (1,), (1,)]
-    if with_border:
-        touched += [(0, 1), (1, 2), (0, 1, 2)]
-    else:
-        touched += [(2,)]
-    problem = _random_problem(rng, orders, touched)
+def _check_block_schur(k, with_own):
+    # order 4: the 8 rows a block meets stay independent in its 10 dimensions
+    rng = np.random.default_rng(11)
+    n_shared, n_own = 5, 3 if with_own else 0
+    problem = _random_problem(rng, k, 4, n_shared, n_own)
     pre = sdp._Presolved(problem)
-    assert len(pre.kept) == len(touched)
-    assert (pre.k, pre.n, len(pre.bord)) == (3, 3, 3)
-    assert _own_sizes(pre) == [3, 2, 0 if with_border else 1]
-    assert pre.border.size == (3 if with_border else 0)
+    assert (pre.k, pre.n, pre.n_shared, pre.n_own) == (k, 4, n_shared, n_own)
+    assert pre.m == problem.n_constraints == n_shared + k * n_own
+    schur = sdp._BlockSchur(pre, np.tile(np.eye(4), (k, 1, 1)))
+    own_shapes = [d.shape for _, d, _ in schur.own]
+    assert own_shapes == [(n_own, n_own)] * (k if with_own else 0)
     _check_schur_against_dense(problem, pre, rng)
 
 
 @pytest.mark.parametrize("with_own", [True, False])
+def test_block_schur_solve_matches_dense(with_own):
+    # one block: shared rows only make one dense factor; with own rows it
+    # has the shape of an operator-range bound
+    _check_block_schur(1, with_own)
+
+
+@pytest.mark.parametrize("with_own", [True, False])
 def test_block_schur_stack_matches_dense(with_own):
-    # four blocks of order 3, with border rows and, as in NPA relaxations,
-    # own rows in every block; or border rows alone
-    rng = np.random.default_rng(11)
-    orders = (3, 3, 3, 3)
-    own = [(0,), (0,), (1,), (2,), (2,), (2,), (3,)] if with_own else []
-    border = [(0, 1, 2, 3), (0, 1, 2, 3), (1, 3), (0, 2), (0, 1, 2, 3)]
-    problem = _random_problem(rng, orders, own + border)
-    pre = sdp._Presolved(problem)
-    assert (pre.k, pre.n, len(pre.bord)) == (4, 3, 4)
-    assert _own_sizes(pre) == ([2, 1, 3, 1] if with_own else [0, 0, 0, 0])
-    assert pre.border.size == len(border)
-    _check_schur_against_dense(problem, pre, rng)
+    # four blocks: own rows in every block, as in NPA relaxations, or the
+    # border alone
+    _check_block_schur(4, with_own)
 
 
 def test_block_schur_factors_column_major():
@@ -346,6 +320,6 @@ def test_block_schur_factors_column_major():
     rng = np.random.default_rng(5)
     gfac = rng.normal(size=(pre.k, pre.n, pre.n)) + pre.n * np.eye(pre.n)
     schur = sdp._BlockSchur(pre, gfac)
-    assert len(schur.l_own) == pre.k and schur.border.size > 1
+    assert len(schur.l_own) == pre.k and pre.n_shared > 1
     for l in [*schur.l_own, schur.l_border]:
         assert l.shape[0] > 1 and l.flags.f_contiguous

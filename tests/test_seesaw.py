@@ -114,8 +114,9 @@ def test_update_exact_on_general_real_states(mx, my, rank):
 
 def test_optimize_parameter_validation():
     state = make_state(0.9, math.pi / 4)
-    with pytest.raises(ValueError, match="epsilon"):
-        seesaw.optimize(state, epsilon=0.0)
+    for epsilon in (0.0, math.nan):  # NaN fails every comparison
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            seesaw.optimize(state, epsilon=epsilon)
     with pytest.raises(ValueError, match="n_starts"):
         seesaw.optimize(state, n_starts=0)
     with pytest.raises(ValueError, match="grid_size"):
