@@ -10,6 +10,7 @@ from .guessprob import (
     guessing_probability,
     ibeta_coefficients,
     tomographic_guessing,
+    tomographic_program,
     verify_bell_expression,
 )
 from .qstate import (
@@ -59,6 +60,7 @@ __all__ = [
     "pure_state_guessing",
     "tomographic_guessing",
     "tomographic_optimize",
+    "tomographic_program",
     "update_measurements",
     "verify_bell_expression",
 ]

@@ -31,7 +31,7 @@ from .guessprob import (
     guessing_probability,
     ibeta_coefficients,
     report_to_text,
-    tomographic_guessing,
+    tomographic_program,
 )
 from .qstate import MeasurementSet
 
@@ -316,12 +316,12 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         )
     map_path = args.angle_map
     if map_path:
-        state = qstate.make_state(args.v, args.theta)
+        evaluate = tomographic_program(qstate.make_state(args.v, args.theta))
         n = args.map_grid
         rows = ["alpha1,beta1,hmin"]
         for alpha in np.arange(n) * math.pi / n:
             for beta in np.arange(n) * math.pi / n:
-                rep = tomographic_guessing(state, alpha, beta)
+                rep = evaluate(alpha, beta)
                 rows.append(f"{_fmt(alpha)},{_fmt(beta)},{_fmt(rep.hmin)}")
         _write(map_path, "\n".join(rows) + "\n")
         _write(

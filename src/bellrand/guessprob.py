@@ -275,12 +275,15 @@ def _farkas_infeasible(
     return gain < -(10.0 * eps * trace_cap + 1e-7)
 
 
-def _operator_range(op, level: int, mx: int, my: int):
-    """Certified enclosure of one Bell operator, given in Collins-Gisin
-    coordinates, over the level-l moment set.
+@lru_cache(maxsize=32)
+def _operator_range(op: bytes, level: int, mx: int, my: int):
+    """Certified enclosure of one Bell operator, given as the bytes of its
+    float64 Collins-Gisin coordinates, over the level-l moment set; cached,
+    since a sweep bounds the same operator at every point.
 
     Single normalized moment block; diagonal moments are bounded by one, so
     the block trace is at most dim and the dual certificate bounds apply."""
+    op = np.frombuffer(op)
     layout = _moment_layout(level, mx, my)
     dim = layout.structure.dim
     bounds = []
@@ -547,7 +550,7 @@ def bell_constrained_bound(
         # infeasible instance, also when its certificate passes the coarse
         # health test; confirm against the certified operator range
         for k, val in zip(keep[1:], values[ops]):
-            lo, hi = _operator_range(rows[k], level, mx, my)
+            lo, hi = _operator_range(rows[k].tobytes(), level, mx, my)
             tol = 1e-6 * (1.0 + abs(float(val)))
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
@@ -584,7 +587,7 @@ def _product_basis(alpha: float, beta: float) -> np.ndarray:
         c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
         return np.array([[-s, c], [c, s]])
 
-    return np.kron(local(alpha), local(beta))
+    return qstate.kron2(local(alpha), local(beta))
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -665,13 +668,11 @@ def _discriminate(v: np.ndarray, start: np.ndarray):
     return cert, steps, "optimal"
 
 
-def tomographic_guessing(
-    state: DensityMatrix,
-    alice_angle: float,
-    bob_angle: float,
-) -> GuessReport:
-    """Guessing probability when Eve is constrained by the state itself:
-    maximize sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho.
+def tomographic_program(state: DensityMatrix):
+    """The tomographic program of one state, as a function of the angles:
+    ``(alice_angle, bob_angle) -> GuessReport``, the guessing probability
+    when Eve is constrained by the state itself, maximize
+    sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho.
 
     Each pi_a x pi_b projects onto a product unit vector e_ab. Writing the
     blocks as rho~_ab = sqrt(rho) M_ab sqrt(rho) turns the program into
@@ -695,46 +696,71 @@ def tomographic_guessing(
     to lambda and the optimum is G = lambda * max_ab <psi|pi_a x pi_b|psi>,
     returned exactly: 0 iterations, zero gap, residuals and defect, and all
     attack weight on the maximizing pair. Level is reported as 0 and there
-    is no behavior-space Bell expression (the certificate is an operator)."""
+    is no behavior-space Bell expression (the certificate is an operator).
+
+    What depends on the state alone is computed here, once: the
+    eigendecomposition of rho, the rank test, and psi and lambda for a
+    pure state or sqrt(rho) for a mixed one. Each call of the returned
+    function builds the product basis of its angles and evaluates the
+    closed form or runs the ascent."""
     rho = state.entries
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 1e-12
     if keep.sum() == 1:
-        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
-        # program over a simplex, maximized at its best vertex; the dual
-        # y = max_ab p_ab is feasible as it stands, so the defect is zero
         psi = evecs[:, keep]
-        p = [
-            float((psi.T @ np.kron(
-                qstate.projector(alice_angle, a), qstate.projector(bob_angle, b)
-            ) @ psi)[0, 0])
-            for a, b in OUTCOME_PAIRS
-        ]
-        best = int(np.argmax(p))
         lam = float((psi.T @ rho @ psi)[0, 0])
-        g = min(max(lam * p[best], 0.25), 1.0)
-        return GuessReport(
-            guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
-            status="optimal",
-            attack_weights={
-                k: lam if i == best else 0.0 for i, k in enumerate(OUTCOME_PAIRS)
-            },
-            bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
-            dual_residual=0.0, certificate_defect=0.0,
-        )
+
+        def pure(alice_angle: float, bob_angle: float) -> GuessReport:
+            # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
+            # program over a simplex, maximized at its best vertex; the dual
+            # y = max_ab p_ab is feasible as it stands, so the defect is zero
+            alice = {a: qstate.projector(alice_angle, a) for a in qstate.OUTCOMES}
+            bob = {b: qstate.projector(bob_angle, b) for b in qstate.OUTCOMES}
+            p = [
+                float((psi.T @ qstate.kron2(alice[a], bob[b]) @ psi)[0, 0])
+                for a, b in OUTCOME_PAIRS
+            ]
+            best = int(np.argmax(p))
+            g = min(max(lam * p[best], 0.25), 1.0)
+            return GuessReport(
+                guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
+                status="optimal",
+                attack_weights={
+                    k: lam if i == best else 0.0 for i, k in enumerate(OUTCOME_PAIRS)
+                },
+                bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
+                dual_residual=0.0, certificate_defect=0.0,
+            )
+
+        return pure
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    basis = _product_basis(alice_angle, bob_angle)
-    cert, steps, status = _discriminate(root @ basis, basis)
-    weights = np.sum((root @ cert.m) ** 2, axis=0)
-    return GuessReport(
-        guessing_probability=cert.g, hmin=_hmin(cert.g), level=0, xstar=1,
-        ystar=1, status=status,
-        attack_weights=_clean_weights(
-            {k: float(w) for k, w in zip(OUTCOME_PAIRS, weights)}
-        ),
-        bell_expression=None, iterations=steps, gap=cert.g - cert.f,
-        primal_residual=0.0, dual_residual=0.0, certificate_defect=cert.defect,
-    )
+
+    def mixed(alice_angle: float, bob_angle: float) -> GuessReport:
+        basis = _product_basis(alice_angle, bob_angle)
+        cert, steps, status = _discriminate(root @ basis, basis)
+        weights = np.sum((root @ cert.m) ** 2, axis=0)
+        return GuessReport(
+            guessing_probability=cert.g, hmin=_hmin(cert.g), level=0, xstar=1,
+            ystar=1, status=status,
+            attack_weights=_clean_weights(
+                {k: float(w) for k, w in zip(OUTCOME_PAIRS, weights)}
+            ),
+            bell_expression=None, iterations=steps, gap=cert.g - cert.f,
+            primal_residual=0.0, dual_residual=0.0, certificate_defect=cert.defect,
+        )
+
+    return mixed
+
+
+def tomographic_guessing(
+    state: DensityMatrix,
+    alice_angle: float,
+    bob_angle: float,
+) -> GuessReport:
+    """The tomographic program of ``state`` (see tomographic_program) at one
+    pair of angles. It decomposes the state on every call; to evaluate one
+    state at many angles, build tomographic_program(state) once."""
+    return tomographic_program(state)(alice_angle, bob_angle)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,12 @@ def projector(angle: float, outcome: int) -> np.ndarray:
     return np.array([[1.0 + c, s], [s, 1.0 - c]]) / 2.0
 
 
+def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2x2 matrices: entry (2i+k, 2j+l) is the
+    single product a[i, j] * b[k, l], as in np.kron, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
     """Planar measurement angles for both sides, one angle per input."""
@@ -234,7 +240,7 @@ def behavior(state: DensityMatrix, meas: MeasurementSet) -> Behavior:
     pb = {(y, b): meas.projector(1, y, b) for y in range(1, my + 1) for b in OUTCOMES}
     probs = np.empty(4 * mx * my)
     for a, b, x, y in components(mx, my):
-        val = float(np.trace(rho @ np.kron(pa[(x, a)], pb[(y, b)])))
+        val = float(np.trace(rho @ kron2(pa[(x, a)], pb[(y, b)])))
         probs[component_index(a, b, x, y, mx, my)] = val
     out = Behavior(mx, my, probs)
     out.validate()

@@ -255,7 +255,7 @@ def test_iteration_and_map_counts_validated_before_any_solve(
 
     monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
     monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
-    monkeypatch.setattr(cli, "tomographic_guessing", no_solve)
+    monkeypatch.setattr(cli, "tomographic_program", no_solve)
     amap = str(tmp_path / "map.csv")
     for grid in ("0", "-3"):
         assert cli.main(["tomography", "--v", "0.9", "--grid-size", "8",

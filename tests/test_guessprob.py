@@ -218,6 +218,28 @@ def test_chsh_bound_just_above_tsirelson_infeasible():
         assert math.isnan(report.guessing_probability)
 
 
+def test_operator_range_solved_once_per_operator(monkeypatch):
+    # the Tsirelson bound's solve stalls, so its operator range is checked;
+    # a second identical bound reads that range from the cache
+    guessprob._operator_range.cache_clear()
+    solves = []
+
+    def counting(problem):
+        solves.append(problem)
+        return sdp.solve(problem)
+
+    monkeypatch.setattr(guessprob, "solve", counting)
+    texts, counts = [], []
+    for _ in range(2):
+        texts.append(guessprob.report_to_text(guessprob.bell_constrained_bound(
+            guessprob.chsh_coefficients(), [TSIRELSON], 2, 2, level=2
+        )))
+        counts.append(len(solves))
+    # the bound's solve and the two range solves, then the bound's solve alone
+    assert counts == [3, 4]
+    assert texts[0] == texts[1]
+
+
 def test_stacked_operators_not_looser(interior_behavior):
     beta = 0.5
     chsh = guessprob.chsh_coefficients()
@@ -705,6 +727,26 @@ def test_tomographic_discrimination_primal_and_certificate(v, theta, alpha, beta
     for k in range(4):
         slack = lifted - np.outer(vecs[:, k], vecs[:, k])
         assert np.linalg.eigvalsh(slack).min() >= -1e-12
+
+
+def _rank_two_state():
+    # half |phi+><phi+|, half |01><01|: singular but not pure
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    e01 = np.array([0.0, 1.0, 0.0, 0.0])
+    return qstate.DensityMatrix((np.outer(phi, phi) + np.outer(e01, e01)) / 2.0)
+
+
+@pytest.mark.parametrize("state,rank", [
+    (make_state(1.0, 0.3), 1), (_rank_two_state(), 2), (make_state(0.9, 0.3), 4),
+], ids=["pure", "rank-two", "full-rank"])
+def test_tomographic_program_matches_one_call_form(state, rank):
+    assert np.sum(np.linalg.eigvalsh(state.entries) > 1e-12) == rank
+    evaluate = guessprob.tomographic_program(state)
+    rng = np.random.default_rng(18)
+    for alpha, beta in rng.uniform(0.0, math.pi, (6, 2)):
+        assert evaluate(alpha, beta) == guessprob.tomographic_guessing(
+            state, alpha, beta
+        )
 
 
 # G of the interior-point solve these instances had before the

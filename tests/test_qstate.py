@@ -72,6 +72,12 @@ def test_make_state_validates_range():
         make_state(-0.1, 0.1)
 
 
+def test_kron2_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for a, b in rng.standard_normal((2000, 2, 2, 2)):
+        assert qstate.kron2(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 def _oracle_prob(state, alpha, beta, a, b):
     # direct trace formula, independent of the behavior assembly
     pa = 0.5 * (np.eye(2) + a * (math.cos(alpha) * np.diag([1.0, -1.0])

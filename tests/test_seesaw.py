@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellrand
+import bellrand.cli
 from bellrand import analytic, guessprob, qstate, seesaw
 from bellrand.guessprob import BellExpression
 from bellrand.qstate import MeasurementSet, behavior, chsh_value, make_state
@@ -283,6 +286,23 @@ def test_tomographic_optimize_reports_its_endpoint():
     assert report == guessprob.tomographic_guessing(state, alice, bob)
 
 
+@pytest.mark.parametrize("v", [1.0, 0.95])
+def test_tomographic_optimize_decomposes_the_state_once(monkeypatch, v):
+    # the ascent's Newton steps take eigh of 6x6 Hessians; only the
+    # state's decomposition is 4x4
+    decompositions = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (4, 4):
+            decompositions.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    seesaw.tomographic_optimize(make_state(v, 0.3), grid_size=8)
+    assert len(decompositions) == 1
+
+
 @pytest.mark.parametrize("grid_size,theta", [
     (8, 23 * math.pi / 128), (12, 13 * math.pi / 64),
 ])
@@ -315,3 +335,19 @@ def test_only_tomographic_refine_loads_scipy_optimize():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py replaces module attributes by name; a renamed or
+    # dropped one breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer(bellrand)
+    try:
+        tracer.install()
+    finally:
+        tracer.remove()
+    # and puts every original back
+    assert seesaw.tomographic_guessing is guessprob.tomographic_guessing
