@@ -7,7 +7,8 @@ Each option is declared once, as a flag with its type and default.
 Configuration comes from those defaults, then a flat key=value file given
 with --config, then command-line flags, later sources winning. A config
 value goes through its flag's own parser; a config key that no subcommand
-knows is an input error; keys of other subcommands are ignored. All grids and counts are validated before any solve. Identical
+knows is an input error; keys of other subcommands are ignored. All grids,
+counts and output directories are validated before any solve. Identical
 configuration (including seed) run at the same BLAS thread count produces
 byte-identical output files; a different thread count can change the last
 digits.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -75,6 +77,17 @@ def validate(args: argparse.Namespace):
         # same slack as qstate.make_state, so pi/4 itself passes
         if not 0.0 <= theta <= math.pi / 4 + 1e-12:
             raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
+    # outputs are written after the work: a path that cannot be opened
+    # would lose all of it
+    for key in ("out", "trace", "angle_map"):
+        path = getattr(args, key, None)
+        if not path:
+            continue
+        flag = key.replace("_", "-")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} directory {os.path.dirname(path)!r} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} path {path!r} is a directory")
 
 
 def _parse_grid(spec: str) -> tuple[float, ...]:

@@ -466,6 +466,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
         g = lx @ _t(vt) / np.sqrt(s_g)[:, None, :]
         ginv = (np.sqrt(s_g)[:, :, None] * vt) @ lxinv
 
+        # drop the last factorization before building the next: each holds
+        # every block's D_b, L_b and E_b
+        schur = None
         try:
             schur = _BlockSchur(pre, g)
         except np.linalg.LinAlgError:
@@ -505,6 +508,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         z = _sym(z + ad * dz)
         y = y + ad * dy
 
+    # and drop the last one before finish builds the Gram factor
+    schur = None
     if status == "optimal":
         return finish(x, y, status, it, *best[3:6])
     # fall back to the best iterate seen; it may already satisfy everything

@@ -35,11 +35,13 @@ logger = logging.getLogger(__name__)
 _INNER_TOL = 1e-10
 _INNER_CAP = 200
 # the tomographic refine: Nelder-Mead from this many of the best grid points,
-# stopping at these tolerances in radians and in G; one start missed the
-# pure-state optimum at some theta on grids 8 and 12
+# stopping at these tolerances in radians and in G, or at this many
+# evaluations or iterations (scipy's default for two coordinates); one start
+# missed the pure-state optimum at some theta on grids 8 and 12
 _REFINE_STARTS = 3
 _REFINE_XATOL = 1e-6
 _REFINE_FATOL = 1e-12
+_REFINE_CAP = 400
 # I, sigma_x, sigma_z: the planar part of the Pauli basis
 _PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
 
@@ -208,43 +210,115 @@ def optimize(
     )
 
 
+class _CapReached(Exception):
+    """The refine asked for an evaluation past _REFINE_CAP."""
+
+
+def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float]:
+    """Minimize f over the plane from x0 by the simplex search of Nelder and
+    Mead (Comput. J. 7, 308, 1965) with reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2. It is scipy's minimize with method
+    "Nelder-Mead" at those defaults, step for step: the same initial simplex,
+    stable vertex order, stop rule and cap, and each vertex from the same
+    floating-point operations, so both evaluate the same points in the same
+    order. Past the cap the step in progress is abandoned as it stands.
+    Returns the best vertex and the lowest value."""
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        if evals >= _REFINE_CAP:
+            raise _CapReached
+        evals += 1
+        return f(x)
+
+    def order():
+        # stable, as numpy's argsort is on three values
+        idx = sorted(range(3), key=fsim.__getitem__)
+        sim[:] = [sim[i] for i in idx]
+        fsim[:] = [fsim[i] for i in idx]
+
+    a, b = x0
+    sim = [x0, (1.05 * a if a else 0.00025, b), (a, 1.05 * b if b else 0.00025)]
+    fsim = [call(x) for x in sim]
+    order()
+    try:
+        # scipy counts its first iteration as iteration 1
+        for _ in range(_REFINE_CAP - 1):
+            s0, s1, w = sim
+            if (
+                max(abs(s[i] - s0[i]) for s in (s1, w) for i in (0, 1)) <= _REFINE_XATOL
+                and max(abs(fsim[0] - fsim[1]), abs(fsim[0] - fsim[2])) <= _REFINE_FATOL
+            ):
+                break
+            xbar = ((s0[0] + s1[0]) / 2, (s0[1] + s1[1]) / 2)
+
+            def toward(c, d):
+                # c * xbar - d * w: reflection (2, 1), expansion (3, 2),
+                # outside (1.5, 0.5) and inside (0.5, -0.5) contraction
+                return (c * xbar[0] - d * w[0], c * xbar[1] - d * w[1])
+
+            xr = toward(2.0, 1.0)
+            fr = call(xr)
+            if fr < fsim[0]:
+                xe = toward(3.0, 2.0)
+                fe = call(xe)
+                sim[2], fsim[2] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < fsim[1]:
+                sim[2], fsim[2] = xr, fr
+            else:
+                if fr < fsim[2]:
+                    xc = toward(1.5, 0.5)
+                    fc = call(xc)
+                    accept = fc <= fr
+                else:
+                    xc = toward(0.5, -0.5)
+                    fc = call(xc)
+                    accept = fc < fsim[2]
+                if accept:
+                    sim[2], fsim[2] = xc, fc
+                else:
+                    for j in (1, 2):
+                        sim[j] = (
+                            s0[0] + 0.5 * (sim[j][0] - s0[0]),
+                            s0[1] + 0.5 * (sim[j][1] - s0[1]),
+                        )
+                        fsim[j] = call(sim[j])
+            order()
+    except _CapReached:
+        order()
+    return sim[0], min(fsim)
+
+
 def tomographic_optimize(
     state: DensityMatrix,
     grid_size: int = 12,
 ) -> tuple[float, float, GuessReport]:
     """Scan (alice, bob) angles over [0, pi)^2 for the tomographic program,
     then refine each of the _REFINE_STARTS best grid points with a simplex
-    search and keep the lowest endpoint, ties going to grid order. The
-    returned report is the one computed when the search evaluated its
-    endpoint. The state is decomposed once, by tomographic_program, and
-    every grid point and simplex vertex reuses that decomposition."""
-    # scipy.optimize costs 19 MB resident, so only this refine loads it
-    from scipy.optimize import minimize
-
+    search (_nelder_mead) and keep the lowest endpoint, ties going to grid
+    order. The returned report is the one computed when the search
+    evaluated its endpoint. The state is decomposed once, by
+    tomographic_program, and each angle pair is evaluated once: a simplex
+    vertex at a pair already seen reuses its report."""
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     angles = np.arange(grid_size) * math.pi / grid_size
     reports: dict[tuple[float, float], GuessReport] = {}
     evaluate = tomographic_program(state)
 
-    def g_of(v) -> float:
-        pair = (float(v[0]), float(v[1]))
-        rep = reports[pair] = evaluate(*pair)
-        return rep.guessing_probability
+    def g_of(pair: tuple[float, float]) -> float:
+        if pair not in reports:
+            reports[pair] = evaluate(*pair)
+        return reports[pair].guessing_probability
 
-    grid = [(alpha, beta) for alpha in angles for beta in angles]
+    grid = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
     values = [g_of(pair) for pair in grid]
     # sorted is stable: equal values keep grid order
     starts = sorted(range(len(grid)), key=values.__getitem__)[:_REFINE_STARTS]
     best_g, best = math.inf, None
     for k in starts:
-        res = minimize(
-            g_of,
-            x0=np.asarray(grid[k]),
-            method="Nelder-Mead",
-            options={"xatol": _REFINE_XATOL, "fatol": _REFINE_FATOL},
-        )
-        if res.fun < best_g:
-            alpha, beta = float(res.x[0]), float(res.x[1])
-            best_g, best = res.fun, (alpha, beta, reports[alpha, beta])
+        (alpha, beta), g = _nelder_mead(g_of, grid[k])
+        if g < best_g:
+            best_g, best = g, (alpha, beta, reports[alpha, beta])
     return best

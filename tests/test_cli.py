@@ -266,6 +266,30 @@ def test_iteration_and_map_counts_validated_before_any_solve(
         assert "max-iterations must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,flag", [
+    (["optimize", "--v", "0.95", "--theta", "0.4", "--starts", "1"], "--trace"),
+    (["optimize", "--v", "0.95", "--theta", "0.4", "--starts", "1"], "--out"),
+    (["sweep", "--v-grid", "0.95", "--theta-grid", "0.4"], "--out"),
+    (["tomography", "--v", "0.95", "--grid-size", "8"], "--angle-map"),
+])
+def test_output_paths_checked_before_any_solve(
+    monkeypatch, capsys, tmp_path, sub, flag
+):
+    # outputs are written after the work, which a path in a missing
+    # directory, or naming a directory, would lose
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the output path was validated")
+
+    monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
+    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.main(sub + [flag, str(path)]) == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert not path.parent.exists()
+    assert cli.main(sub + [flag, str(tmp_path)]) == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
 def test_tomography_outputs_with_plot_companion(tmp_path):
     out = tmp_path / "tomo.csv"
     amap = tmp_path / "map.csv"

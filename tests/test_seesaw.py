@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import bellrand
 import bellrand.cli
@@ -314,24 +315,101 @@ def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
     assert abs(report.guessing_probability - target) <= 1e-6
 
 
+def _replay(f, x0):
+    """Check that _nelder_mead and scipy's Nelder-Mead evaluate the same
+    points in the same order and return the same vertex and value; return
+    scipy's result and the points."""
+    ours, theirs = [], []
+
+    def recording(points):
+        def g(x):
+            points.append((float(x[0]), float(x[1])))
+            return f(x)
+        return g
+
+    x, value = seesaw._nelder_mead(recording(ours), x0)
+    res = minimize(
+        recording(theirs), np.asarray(x0), method="Nelder-Mead",
+        options={"xatol": seesaw._REFINE_XATOL, "fatol": seesaw._REFINE_FATOL},
+    )
+    assert ours == theirs
+    assert x == (float(res.x[0]), float(res.x[1]))
+    assert value == res.fun
+    return res, ours
+
+
+def test_nelder_mead_replays_scipy_on_the_tomographic_refine():
+    state = make_state(0.999, math.pi / 8)
+    evaluate = guessprob.tomographic_program(state)
+
+    def g(x):
+        return evaluate(float(x[0]), float(x[1])).guessing_probability
+
+    angles = np.arange(8) * math.pi / 8
+    grid = [(float(a), float(b)) for a in angles for b in angles]
+    values = [g(pair) for pair in grid]
+    for k in sorted(range(len(grid)), key=values.__getitem__)[:3]:
+        _replay(g, grid[k])
+
+
+@pytest.mark.parametrize("f,x0", [
+    # a zero coordinate moves to 0.00025 in the initial simplex, where
+    # another is scaled by 1.05
+    (lambda x: (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.1) ** 2, (0.0, 0.5)),
+    # a bowl rounded to two decimals: some outside contraction ties with its
+    # reflection, and a tie keeps the contraction
+    (lambda x: round(x[0] ** 2 + x[1] ** 2, 2), (-1.3, 0.2)),
+], ids=["zero-coordinate", "ties"])
+def test_nelder_mead_replays_scipy(f, x0):
+    _replay(f, x0)
+
+
+def test_nelder_mead_replays_scipy_through_shrinks():
+    # flat around the start: every value ties, so each step's contraction
+    # fails and the simplex shrinks (reflect, contract, two shrink
+    # evaluations) until it is within the tolerance
+    res, _ = _replay(lambda x: max(1.0, x[0] ** 2 + x[1] ** 2), (0.3, 0.2))
+    assert res.nfev == 3 + 4 * (res.nit - 1)
+
+
+def test_nelder_mead_replays_scipy_at_the_evaluation_cap():
+    # unbounded below, so the cap stops the search inside a step: its last
+    # point beats every vertex, and the abandoned step never stored it
+    def f(x):
+        return -(x[0] + x[1])
+
+    res, points = _replay(f, (1.0, 1.0))
+    assert res.nfev == len(points) == seesaw._REFINE_CAP
+    assert res.fun > min(f(p) for p in points)
+
+
 _IMPORT_GRAPH_SCRIPT = """
 import math, sys
 import bellrand, bellrand.cli
-assert "scipy.optimize" not in sys.modules, "import bellrand loaded scipy.optimize"
-from bellrand import qstate, seesaw
+from bellrand import cli, qstate, seesaw
 seesaw.tomographic_optimize(qstate.make_state(0.999, math.pi / 8), 8)
-assert "scipy.optimize" in sys.modules, "the refine did not load scipy.optimize"
+fast = ["--level", "1", "--starts", "1", "--max-iterations", "2"]
+for argv in (
+    ["certify", "--v", "0.95", "--theta", "0.4", "--level", "1"],
+    ["bellbound", "--value", "2.6", "--level", "1"],
+    ["optimize", "--v", "0.95", "--theta", "0.4", *fast],
+    ["sweep", "--v-grid", "0.95", "--theta-grid", "0.4", *fast],
+    ["tomography", "--v", "0.95", "--theta", "0.3", "--grid-size", "8",
+     "--map-grid", "2", "--angle-map", sys.argv[1]],
+):
+    assert cli.main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules, "a command loaded scipy.optimize"
 """
 
 
-def test_only_tomographic_refine_loads_scipy_optimize():
+def test_no_command_loads_scipy_optimize(tmp_path):
     # a fresh interpreter: other test modules import scipy.optimize into
     # this one
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT],
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(tmp_path / "map.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
