@@ -330,12 +330,13 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     map_path = args.angle_map
     if map_path:
         evaluate = tomographic_program(qstate.make_state(args.v, args.theta))
-        n = args.map_grid
+        angles = np.arange(args.map_grid) * math.pi / args.map_grid
+        pairs = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
         rows = ["alpha1,beta1,hmin"]
-        for alpha in np.arange(n) * math.pi / n:
-            for beta in np.arange(n) * math.pi / n:
-                rep = evaluate(alpha, beta)
-                rows.append(f"{_fmt(alpha)},{_fmt(beta)},{_fmt(rep.hmin)}")
+        for (alpha, beta), rep in zip(pairs, evaluate.batch(pairs)):
+            if rep.status != "optimal":
+                worst = rep.status
+            rows.append(f"{_fmt(alpha)},{_fmt(beta)},{_fmt(rep.hmin)}")
         _write(map_path, "\n".join(rows) + "\n")
         _write(
             map_path + ".gp",

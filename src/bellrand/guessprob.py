@@ -41,7 +41,7 @@ basis m_ab gives the primal value sum_ab (m_ab.v_ab)^2, and any Y with
 Y + defect*I >= v_ab v_ab^T for every ab certifies G <= tr Y + 4*defect.
 A Newton ascent over orthonormal bases makes the two meet. For a pure
 state rho = lambda |psi><psi| the blocks are weights on a simplex, and the
-optimum lambda * max_ab <psi|pi_a x pi_b|psi> is returned exactly.
+optimum lambda * max_ab (psi.e_ab)^2 is returned exactly.
 """
 
 from __future__ import annotations
@@ -578,16 +578,27 @@ _SKEW[range(6), _P, _Q], _SKEW[range(6), _Q, _P] = 1.0, -1.0
 _SKEW_PAIRS = np.einsum("sij,tjk->stki", _SKEW, _SKEW).reshape(36, 16)
 
 
-def _product_basis(alpha: float, beta: float) -> np.ndarray:
-    """Columns e_ab, the unit vectors of pi_a x pi_b in OUTCOME_PAIRS order:
+def _product_basis(pairs) -> np.ndarray:
+    """The (B, 4, 4) stack of columns e_ab, the unit vectors of pi_a x pi_b
+    in OUTCOME_PAIRS order, one matrix per (alpha, beta) of ``pairs``:
     pi_+(phi) projects onto (cos phi/2, sin phi/2), pi_-(phi) onto
     (-sin phi/2, cos phi/2)."""
 
     def local(phi):
-        c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-        return np.array([[-s, c], [c, s]])
+        s, c = math.sin(phi / 2.0), math.cos(phi / 2.0)
+        return -s, c, c, s
 
-    return qstate.kron2(local(alpha), local(beta))
+    parts = np.array([x for pair in pairs for phi in pair for x in local(phi)])
+    parts = parts.reshape(-1, 2, 2, 2)
+    alice, bob = parts[:, 0, :, None, :, None], parts[:, 1, None, :, None, :]
+    return (alice * bob).reshape(-1, 4, 4)
+
+
+def _primal(m: np.ndarray, v: np.ndarray):
+    """c_k = m_k.v_k and the primal value f = c.c, for each matrix of the two
+    (B, 4, 4) stacks; f is a list of floats."""
+    c = np.einsum("bik,bik->bk", m, v)
+    return c, (c[:, None, :] @ c[:, :, None]).ravel().tolist()
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -596,83 +607,240 @@ def _polar(a: np.ndarray) -> np.ndarray:
 
 
 class _Certificate(NamedTuple):
-    """An orthonormal measurement m (columns m_k) with its primal value
-    f = sum_k (m_k.v_k)^2, the certificate y = sym(V diag(c) M^T) with
-    c_k = m_k.v_k, its defect max(0, -min_k lambda_min(y - v_k v_k^T)) and
-    the bound g = tr y + 4*defect clipped to [1/4, 1]. tr y = f, and
-    y + defect*I dominates every v_k v_k^T."""
+    """Per matrix of a stack: an orthonormal measurement m (columns m_k)
+    with its primal value f = sum_k (m_k.v_k)^2, the certificate
+    y = sym(V diag(c) M^T) with c_k = m_k.v_k, its defect
+    max(0, -min_k lambda_min(y - v_k v_k^T)) and the bound
+    g = tr y + 4*defect clipped to [1/4, 1]. tr y = f, and y + defect*I
+    dominates every v_k v_k^T. m and y are stacks, f, g and the defect
+    lists of floats."""
 
     m: np.ndarray
     y: np.ndarray
-    f: float
-    g: float
-    defect: float
+    f: list
+    g: list
+    defect: list
 
 
-def _certify(v: np.ndarray, m: np.ndarray, outer: np.ndarray) -> _Certificate:
-    """Certificate of m; ``outer`` is the (4, 4, 4) stack of v_k v_k^T."""
-    c = np.einsum("ik,ik->k", m, v)
-    y = (v * c) @ m.T
-    y = (y + y.T) / 2.0
-    defect = max(0.0, -float(np.linalg.eigvalsh(y - outer).min()))
-    f = float(c @ c)
-    return _Certificate(m, y, f, min(max(f + 4.0 * defect, 0.25), 1.0), defect)
+def _certify(v, m, c, f, outer) -> _Certificate:
+    """Certificates of the stack m, whose c and f are given (see _primal);
+    ``outer`` is the (B, 4, 4, 4) stack of v_k v_k^T."""
+    y = (v * c[:, None, :]) @ m.swapaxes(1, 2)
+    y = (y + y.swapaxes(1, 2)) / 2.0
+    lowest = np.linalg.eigvalsh(y[:, None] - outer)
+    lowest = np.minimum.reduce(lowest, axis=(1, 2)).tolist()
+    defect = [max(0.0, -x) for x in lowest]
+    g = [min(max(fk + 4.0 * dk, 0.25), 1.0) for fk, dk in zip(f, defect)]
+    return _Certificate(m, y, f, g, defect)
 
 
-def _newton(v: np.ndarray, m: np.ndarray, f: float) -> np.ndarray | None:
-    """Newton step M R(L), R = polar(I - L + L^2/2) ~ exp(-L), over the six
-    coordinates of a skew-symmetric L, or None when the Hessian is not
-    negative definite or the step lowers f. With B = M^T V and d = diag B
-    the gradient is 2 (d_p B_qp - d_q B_pq) = 2 J^T d, J_ks = (E_s B)_kk,
-    and the Hessian is 2 (J^T J + sym K), K_st = tr(E_s E_t B diag d)."""
-    b = m.T @ v
-    d = np.diag(b)
-    jac = np.einsum("skj,jk->ks", _SKEW, b)
-    curv = (_SKEW_PAIRS @ (b * d).ravel()).reshape(6, 6)
-    lam, vec = np.linalg.eigh(2.0 * (jac.T @ jac + (curv + curv.T) / 2.0))
-    if lam.max() >= 0.0:
-        return None
-    step = -vec @ (vec.T @ (2.0 * (jac.T @ d)) / lam)
-    skew = np.einsum("s,sij->ij", step, _SKEW)
+def _select(cert: _Certificate, keep) -> _Certificate:
+    """The certificates of the matrices at the indices ``keep``."""
+    return _Certificate(
+        cert.m[keep], cert.y[keep], *([x[i] for i in keep] for x in cert[2:])
+    )
+
+
+def _assign(out: _Certificate, rows, cert: _Certificate):
+    """Write the certificates of ``cert`` into ``out`` at the indices ``rows``."""
+    out.m[rows], out.y[rows] = cert.m, cert.y
+    for field, values in zip(out[2:], cert[2:]):
+        for row, value in zip(rows, values):
+            field[row] = value
+
+
+def _newton(v: np.ndarray, m: np.ndarray, f: list):
+    """Newton steps M R(L), R = polar(I - L + L^2/2) ~ exp(-L), over the
+    six coordinates of a skew-symmetric L, one per matrix of the stacks.
+    A step is taken where the Hessian is negative definite and the step
+    does not lower f. With B = M^T V and d = diag B the gradient is
+    2 (d_p B_qp - d_q B_pq) = 2 J^T d, J_ks = (E_s B)_kk, and the Hessian is
+    2 (J^T J + sym K), K_st = tr(E_s E_t B diag d). Returns d, the trial
+    bases with their c and f (see _primal), and whether each matrix takes
+    its step; elsewhere the trial is of no use, and where no step is taken
+    the trials are None."""
+    n = len(v)
+    b = m.swapaxes(1, 2) @ v
+    d = np.diagonal(b, axis1=1, axis2=2)
+    # J^T in C order: each matrix's layout, and with it the BLAS path of
+    # J^T d, is the same whatever the batch size
+    jt = np.einsum("skj,bjk->bsk", _SKEW, b, order="C")
+    curv = (_SKEW_PAIRS @ (b * d[:, None, :]).reshape(n, 16, 1)).reshape(n, 6, 6)
+    # 2 (J^T J + sym K), with the halving of sym K and the doubling exact
+    hess = 2.0 * (jt @ jt.swapaxes(1, 2)) + (curv + curv.swapaxes(1, 2))
+    lam, vec = np.linalg.eigh(hess)
+    # eigenvalues ascend; a stand-in curvature keeps the unused steps finite
+    negative = lam[:, -1] < 0.0
+    definite = negative.tolist()
+    if not any(definite):
+        return d, None, None, None, definite
+    if not all(definite):
+        lam[~negative] = -1.0
+    grad = 2.0 * (jt @ d[:, :, None])
+    step = -vec @ ((vec.swapaxes(1, 2) @ grad) / lam[:, :, None])
+    # L = sum_s step_s E_s, each entry a single signed step or zero
+    skew = (step.reshape(n, 1, 6) @ _SKEW.reshape(6, 16)).reshape(n, 4, 4)
     trial = m @ _polar(np.eye(4) - skew + skew @ skew / 2.0)
-    c = np.einsum("ik,ik->k", trial, v)
-    return trial if c @ c >= f else None
+    c, f_trial = _primal(trial, v)
+    ok = [k and ft >= fk for k, ft, fk in zip(definite, f_trial, f)]
+    return d, trial, c, f_trial, ok
 
 
 def _discriminate(v: np.ndarray, start: np.ndarray):
-    """Ascend f(M) = sum_k (m_k.v_k)^2 over orthogonal M from ``start``
-    until the certified g is within _ASCENT_GAP_TOL*(1 + f) of f, or
-    _ASCENT_MAX_STEPS steps have been taken. Each step is a Newton
-    step where one is taken (see _newton), else M <- polar(V diag(c)),
-    which never lowers f: f is convex in M and the polar factor maximizes
-    its linearization. Newton squares the gap near the optimum, so once
-    within tolerance one more Newton step, kept if it lowers g, takes g
-    to within rounding of the optimum. Returns the last certificate, the
-    step count and the status."""
-    outer = np.einsum("ik,jk->kij", v, v)
-    cert = _certify(v, start, outer)
-    steps = 0
-    while cert.g - cert.f > _ASCENT_GAP_TOL * (1.0 + cert.f):
-        if steps == _ASCENT_MAX_STEPS:
-            return cert, steps, "max_iterations"
-        steps += 1
-        trial = _newton(v, cert.m, cert.f)
-        if trial is None:
-            trial = _polar(v * np.diag(cert.m.T @ v))
-        cert = _certify(v, trial, outer)
-    trial = _newton(v, cert.m, cert.f)
-    if trial is not None:
-        polished = _certify(v, trial, outer)
-        if polished.g < cert.g:
-            return polished, steps + 1, "optimal"
-    return cert, steps, "optimal"
+    """For each matrix V of the (B, 4, 4) stack ``v``, ascend
+    f(M) = sum_k (m_k.v_k)^2 over orthogonal M from the matching matrix of
+    ``start`` until the certified g is within _ASCENT_GAP_TOL*(1 + f) of f,
+    or _ASCENT_MAX_STEPS steps have been taken. Each step is a Newton step
+    where one is taken (see _newton), else M <- polar(V diag(c)), which
+    never lowers f: f is convex in M and the polar factor maximizes its
+    linearization. Newton squares the gap near the optimum, so once within
+    tolerance one more Newton step, kept if it lowers g, takes g to within
+    rounding of the optimum.
+
+    The matrices ascend in lockstep, each with its own stopping rule and
+    choice of step: a round steps the stack of those still ascending, and
+    a matrix leaves it when it stops; the polish then takes one batch.
+    Every operation acts on each matrix alone, so a matrix gets the same
+    certificate whatever else is in the stack. Returns the certificates,
+    the step counts and the statuses."""
+    n = len(v)
+    outer = np.einsum("bik,bjk->bkij", v, v)
+    cert = _certify(v, start.copy(), *_primal(start, v), outer)
+    capped = [False] * n
+    # the ascending matrices: their rows of the output, stacks and step
+    # count; and the rows, certificates and step count of each group that
+    # stopped
+    rows, vs, outers, taken, stopped = list(range(n)), v, outer, 0, []
+    while True:
+        ascending = [
+            g - f > _ASCENT_GAP_TOL * (1.0 + f) for g, f in zip(cert.g, cert.f)
+        ]
+        if taken == _ASCENT_MAX_STEPS:
+            # every matrix stops: those still ascending at the cap
+            for row, up in zip(rows, ascending):
+                capped[row] = up
+            ascending = [False] * len(rows)
+        if not any(ascending):
+            stopped.append((rows, cert, taken))
+            break
+        if not all(ascending):
+            left = [i for i, up in enumerate(ascending) if not up]
+            stopped.append(([rows[i] for i in left], _select(cert, left), taken))
+            on = [i for i, up in enumerate(ascending) if up]
+            rows, vs, outers = [rows[i] for i in on], vs[on], outers[on]
+            cert = _select(cert, on)
+        d, trial, c, f, ok = _newton(vs, cert.m, cert.f)
+        if not any(ok):
+            trial = _polar(vs * d[:, None, :])
+            c, f = _primal(trial, vs)
+        elif not all(ok):
+            at = [i for i, k in enumerate(ok) if not k]
+            trial[at] = _polar(vs[at] * d[at][:, None, :])
+            c[at], f_at = _primal(trial[at], vs[at])
+            for i, x in zip(at, f_at):
+                f[i] = x
+        cert = _certify(vs, trial, c, f, outers)
+        taken += 1
+    if len(stopped) == 1:
+        _, out, taken = stopped[0]
+        steps = [taken] * n
+    else:
+        out = _Certificate(
+            np.empty_like(v), np.empty_like(v), [0.0] * n, [0.0] * n, [0.0] * n
+        )
+        steps = [0] * n
+        for group_rows, group, group_taken in stopped:
+            _assign(out, group_rows, group)
+            for row in group_rows:
+                steps[row] = group_taken
+    # the polish of the converged matrices, kept where it lowers g
+    _, trial, c, f, ok = _newton(v, out.m, out.f)
+    polish = [k and not cap for k, cap in zip(ok, capped)]
+    if any(polish):
+        new = _certify(v, trial, c, f, outer)
+        better = [k and g < old for k, g, old in zip(polish, new.g, out.g)]
+        if all(better):
+            out = new
+        else:
+            at = [i for i, k in enumerate(better) if k]
+            _assign(out, at, _select(new, at))
+        steps = [s + k for s, k in zip(steps, better)]
+    return out, steps, ["max_iterations" if cap else "optimal" for cap in capped]
 
 
-def tomographic_program(state: DensityMatrix):
+class TomographicProgram:
+    """The tomographic program of one state, evaluated at angle pairs (see
+    tomographic_program). ``program(alice_angle, bob_angle)`` is one
+    pair's report, and ``program.batch(pairs)`` gives one report per pair
+    of a list from one evaluation of the whole stack. A pair's report does
+    not depend on the batch it is evaluated in."""
+
+    def __init__(self, state: DensityMatrix):
+        rho = state.entries
+        evals, evecs = np.linalg.eigh(rho)
+        keep = evals > 1e-12
+        self._pure = bool(keep.sum() == 1)
+        if self._pure:
+            psi = evecs[:, keep]
+            self._lam = float((psi.T @ rho @ psi)[0, 0])
+            self._psi = psi[:, 0]
+        else:
+            self._root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+    def __call__(self, alice_angle: float, bob_angle: float) -> GuessReport:
+        return self.batch([(alice_angle, bob_angle)])[0]
+
+    def batch(self, pairs) -> list[GuessReport]:
+        if not pairs:
+            return []
+        basis = _product_basis(pairs)
+        if self._pure:
+            return self._pure_reports(basis)
+        return self._mixed_reports(basis)
+
+    def _pure_reports(self, basis: np.ndarray) -> list[GuessReport]:
+        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
+        # program over a simplex, maximized at its best vertex; the dual
+        # y = max_ab p_ab is feasible as it stands, so the defect is zero
+        p = (self._psi @ basis) ** 2
+        best = p.argmax(axis=1)
+        g = np.clip(self._lam * p[np.arange(len(p)), best], 0.25, 1.0)
+        return [
+            GuessReport(
+                guessing_probability=gb, hmin=_hmin(gb), level=0, xstar=1, ystar=1,
+                status="optimal",
+                attack_weights={
+                    k: self._lam if i == kb else 0.0
+                    for i, k in enumerate(OUTCOME_PAIRS)
+                },
+                bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
+                dual_residual=0.0, certificate_defect=0.0,
+            )
+            for gb, kb in zip(g.tolist(), best.tolist())
+        ]
+
+    def _mixed_reports(self, basis: np.ndarray) -> list[GuessReport]:
+        cert, steps, status = _discriminate(self._root @ basis, basis)
+        weights = np.sum((self._root @ cert.m) ** 2, axis=1).tolist()
+        rows = zip(cert.g, cert.f, cert.defect, steps, status, weights)
+        return [
+            GuessReport(
+                guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
+                status=st,
+                attack_weights=_clean_weights(dict(zip(OUTCOME_PAIRS, w))),
+                bell_expression=None, iterations=n, gap=g - f, primal_residual=0.0,
+                dual_residual=0.0, certificate_defect=defect,
+            )
+            for g, f, defect, n, st, w in rows
+        ]
+
+
+def tomographic_program(state: DensityMatrix) -> TomographicProgram:
     """The tomographic program of one state, as a function of the angles:
     ``(alice_angle, bob_angle) -> GuessReport``, the guessing probability
     when Eve is constrained by the state itself, maximize
-    sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho.
+    sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho; its
+    ``batch(pairs)`` evaluates a list of angle pairs at once.
 
     Each pi_a x pi_b projects onto a product unit vector e_ab. Writing the
     blocks as rho~_ab = sqrt(rho) M_ab sqrt(rho) turns the program into
@@ -693,63 +861,17 @@ def tomographic_program(state: DensityMatrix):
 
     When rho's support (eigenvalues above 1e-12) has rank one, a pure
     state rho = lambda |psi><psi|, the blocks are weights x_ab >= 0 summing
-    to lambda and the optimum is G = lambda * max_ab <psi|pi_a x pi_b|psi>,
+    to lambda and the optimum is G = lambda * max_ab (psi.e_ab)^2,
     returned exactly: 0 iterations, zero gap, residuals and defect, and all
     attack weight on the maximizing pair. Level is reported as 0 and there
     is no behavior-space Bell expression (the certificate is an operator).
 
     What depends on the state alone is computed here, once: the
     eigendecomposition of rho, the rank test, and psi and lambda for a
-    pure state or sqrt(rho) for a mixed one. Each call of the returned
-    function builds the product basis of its angles and evaluates the
-    closed form or runs the ascent."""
-    rho = state.entries
-    evals, evecs = np.linalg.eigh(rho)
-    keep = evals > 1e-12
-    if keep.sum() == 1:
-        psi = evecs[:, keep]
-        lam = float((psi.T @ rho @ psi)[0, 0])
-
-        def pure(alice_angle: float, bob_angle: float) -> GuessReport:
-            # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
-            # program over a simplex, maximized at its best vertex; the dual
-            # y = max_ab p_ab is feasible as it stands, so the defect is zero
-            alice = {a: qstate.projector(alice_angle, a) for a in qstate.OUTCOMES}
-            bob = {b: qstate.projector(bob_angle, b) for b in qstate.OUTCOMES}
-            p = [
-                float((psi.T @ qstate.kron2(alice[a], bob[b]) @ psi)[0, 0])
-                for a, b in OUTCOME_PAIRS
-            ]
-            best = int(np.argmax(p))
-            g = min(max(lam * p[best], 0.25), 1.0)
-            return GuessReport(
-                guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
-                status="optimal",
-                attack_weights={
-                    k: lam if i == best else 0.0 for i, k in enumerate(OUTCOME_PAIRS)
-                },
-                bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
-                dual_residual=0.0, certificate_defect=0.0,
-            )
-
-        return pure
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-
-    def mixed(alice_angle: float, bob_angle: float) -> GuessReport:
-        basis = _product_basis(alice_angle, bob_angle)
-        cert, steps, status = _discriminate(root @ basis, basis)
-        weights = np.sum((root @ cert.m) ** 2, axis=0)
-        return GuessReport(
-            guessing_probability=cert.g, hmin=_hmin(cert.g), level=0, xstar=1,
-            ystar=1, status=status,
-            attack_weights=_clean_weights(
-                {k: float(w) for k, w in zip(OUTCOME_PAIRS, weights)}
-            ),
-            bell_expression=None, iterations=steps, gap=cert.g - cert.f,
-            primal_residual=0.0, dual_residual=0.0, certificate_defect=cert.defect,
-        )
-
-    return mixed
+    pure state or sqrt(rho) for a mixed one. An evaluation builds the
+    product bases of its pairs and evaluates the closed form, or runs the
+    ascent on all of them in lockstep; one pair is the batch of one."""
+    return TomographicProgram(state)
 
 
 def tomographic_guessing(
@@ -759,7 +881,8 @@ def tomographic_guessing(
 ) -> GuessReport:
     """The tomographic program of ``state`` (see tomographic_program) at one
     pair of angles. It decomposes the state on every call; to evaluate one
-    state at many angles, build tomographic_program(state) once."""
+    state at many angles, build tomographic_program(state) once and pass
+    the angle pairs to its batch."""
     return tomographic_program(state)(alice_angle, bob_angle)
 
 

@@ -214,15 +214,16 @@ class _CapReached(Exception):
     """The refine asked for an evaluation past _REFINE_CAP."""
 
 
-def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float]:
-    """Minimize f over the plane from x0 by the simplex search of Nelder and
+def _simplex_search(x0: tuple[float, float]):
+    """Minimize over the plane from x0 by the simplex search of Nelder and
     Mead (Comput. J. 7, 308, 1965) with reflection 1, expansion 2,
-    contraction 1/2 and shrink 1/2. It is scipy's minimize with method
-    "Nelder-Mead" at those defaults, step for step: the same initial simplex,
-    stable vertex order, stop rule and cap, and each vertex from the same
-    floating-point operations, so both evaluate the same points in the same
-    order. Past the cap the step in progress is abandoned as it stands.
-    Returns the best vertex and the lowest value."""
+    contraction 1/2 and shrink 1/2, as a generator: it yields each point to
+    evaluate, is sent that point's value, and returns the best vertex and
+    the lowest value. It is scipy's minimize with method "Nelder-Mead" at
+    those defaults, step for step: the same initial simplex, stable vertex
+    order, stop rule and cap, and each vertex from the same floating-point
+    operations, so both evaluate the same points in the same order. Past
+    the cap the step in progress is abandoned as it stands."""
     evals = 0
 
     def call(x):
@@ -230,7 +231,7 @@ def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float
         if evals >= _REFINE_CAP:
             raise _CapReached
         evals += 1
-        return f(x)
+        return (yield x)
 
     def order():
         # stable, as numpy's argsort is on three values
@@ -240,7 +241,9 @@ def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float
 
     a, b = x0
     sim = [x0, (1.05 * a if a else 0.00025, b), (a, 1.05 * b if b else 0.00025)]
-    fsim = [call(x) for x in sim]
+    fsim = []
+    for x in sim:
+        fsim.append((yield from call(x)))
     order()
     try:
         # scipy counts its first iteration as iteration 1
@@ -259,21 +262,21 @@ def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float
                 return (c * xbar[0] - d * w[0], c * xbar[1] - d * w[1])
 
             xr = toward(2.0, 1.0)
-            fr = call(xr)
+            fr = yield from call(xr)
             if fr < fsim[0]:
                 xe = toward(3.0, 2.0)
-                fe = call(xe)
+                fe = yield from call(xe)
                 sim[2], fsim[2] = (xe, fe) if fe < fr else (xr, fr)
             elif fr < fsim[1]:
                 sim[2], fsim[2] = xr, fr
             else:
                 if fr < fsim[2]:
                     xc = toward(1.5, 0.5)
-                    fc = call(xc)
+                    fc = yield from call(xc)
                     accept = fc <= fr
                 else:
                     xc = toward(0.5, -0.5)
-                    fc = call(xc)
+                    fc = yield from call(xc)
                     accept = fc < fsim[2]
                 if accept:
                     sim[2], fsim[2] = xc, fc
@@ -283,11 +286,23 @@ def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float
                             s0[0] + 0.5 * (sim[j][0] - s0[0]),
                             s0[1] + 0.5 * (sim[j][1] - s0[1]),
                         )
-                        fsim[j] = call(sim[j])
+                        fsim[j] = yield from call(sim[j])
             order()
     except _CapReached:
         order()
     return sim[0], min(fsim)
+
+
+def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float]:
+    """Minimize f over the plane from x0 by _simplex_search, evaluating f at
+    each point it asks for. Returns the best vertex and the lowest value."""
+    search = _simplex_search(x0)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 def tomographic_optimize(
@@ -296,29 +311,41 @@ def tomographic_optimize(
 ) -> tuple[float, float, GuessReport]:
     """Scan (alice, bob) angles over [0, pi)^2 for the tomographic program,
     then refine each of the _REFINE_STARTS best grid points with a simplex
-    search (_nelder_mead) and keep the lowest endpoint, ties going to grid
-    order. The returned report is the one computed when the search
+    search (_simplex_search) and keep the lowest endpoint, ties going to
+    grid order. The returned report is the one computed when the search
     evaluated its endpoint. The state is decomposed once, by
     tomographic_program, and each angle pair is evaluated once: a simplex
-    vertex at a pair already seen reuses its report."""
+    vertex at a pair already seen reuses its report.
+
+    The grid is one batch of the program. The refines run in lockstep:
+    each round, the pairs that the running searches wait for and that have
+    not been evaluated yet form one batch, and then each search is sent its
+    value. A pair's report does not depend on its batch, so every search
+    takes the path it takes alone, and the result is that of running the
+    refines one after another."""
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     angles = np.arange(grid_size) * math.pi / grid_size
-    reports: dict[tuple[float, float], GuessReport] = {}
     evaluate = tomographic_program(state)
-
-    def g_of(pair: tuple[float, float]) -> float:
-        if pair not in reports:
-            reports[pair] = evaluate(*pair)
-        return reports[pair].guessing_probability
-
     grid = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
-    values = [g_of(pair) for pair in grid]
+    reports = dict(zip(grid, evaluate.batch(grid)))
+    values = [reports[pair].guessing_probability for pair in grid]
     # sorted is stable: equal values keep grid order
     starts = sorted(range(len(grid)), key=values.__getitem__)[:_REFINE_STARTS]
+    searches = [_simplex_search(grid[k]) for k in starts]
+    waiting = {i: next(search) for i, search in enumerate(searches)}
+    ends = [None] * len(searches)
+    while waiting:
+        new = [x for x in dict.fromkeys(waiting.values()) if x not in reports]
+        reports.update(zip(new, evaluate.batch(new)))
+        for i, x in list(waiting.items()):
+            try:
+                waiting[i] = searches[i].send(reports[x].guessing_probability)
+            except StopIteration as done:
+                ends[i] = done.value
+                del waiting[i]
     best_g, best = math.inf, None
-    for k in starts:
-        (alpha, beta), g = _nelder_mead(g_of, grid[k])
+    for (alpha, beta), g in ends:
         if g < best_g:
             best_g, best = g, (alpha, beta, reports[alpha, beta])
     return best

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bellrand import cli, qstate
+from bellrand import cli, guessprob, qstate
 from bellrand.qstate import behavior, behavior_to_csv, chsh_optimal_settings, make_state
 
 
@@ -309,6 +309,21 @@ def test_tomography_outputs_with_plot_companion(tmp_path):
     assert map_rows[0] == "alpha1,beta1,hmin"
     assert len(map_rows) == 1 + 64
     assert (tmp_path / "map.csv.gp").exists()
+
+
+def test_tomography_capped_map_point_exits_solver(monkeypatch, tmp_path):
+    # the rows are pure states, solved in closed form and optimal; the map
+    # at v = 0.95 runs the ascent, which a zero step cap stops at once
+    monkeypatch.setattr(guessprob, "_ASCENT_MAX_STEPS", 0)
+    amap = tmp_path / "map.csv"
+    code = cli.main(
+        ["tomography", "--v-grid", "1.0", "--theta-grid", "0.3", "--grid-size", "8",
+         "--v", "0.95", "--theta", "0.3", "--map-grid", "3", "--angle-map", str(amap)]
+    )
+    assert code == 2
+    map_rows = amap.read_text().strip().splitlines()
+    assert map_rows[0] == "alpha1,beta1,hmin"
+    assert len(map_rows) == 1 + 9
 
 
 def test_config_file_precedence(tmp_path):

@@ -708,12 +708,13 @@ def test_tomographic_discrimination_primal_and_certificate(v, theta, alpha, beta
     rho = state.entries
     w, q = np.linalg.eigh(rho)
     root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
-    basis = guessprob._product_basis(alpha, beta)
+    basis = guessprob._product_basis([(alpha, beta)])[0]
     for k, (a, b) in enumerate(OUTCOME_PAIRS):
         pi = np.kron(qstate.projector(alpha, a), qstate.projector(beta, b))
         assert np.abs(np.outer(basis[:, k], basis[:, k]) - pi).max() <= 1e-15
     vecs = root @ basis
-    cert, _, status = guessprob._discriminate(vecs, basis)
+    stacked, _, (status,) = guessprob._discriminate(vecs[None], basis[None])
+    cert = guessprob._Certificate(*(field[0] for field in stacked))
     report = guessprob.tomographic_guessing(state, alpha, beta)
     assert status == report.status == "optimal"
     assert report.guessing_probability == cert.g
@@ -747,6 +748,27 @@ def test_tomographic_program_matches_one_call_form(state, rank):
         assert evaluate(alpha, beta) == guessprob.tomographic_guessing(
             state, alpha, beta
         )
+
+
+@pytest.mark.parametrize("state", [
+    make_state(1.0, 0.3), _rank_two_state(), make_state(0.9, 0.3),
+], ids=["pure", "rank-two", "full-rank"])
+def test_tomographic_batch_matches_one_pair_calls(monkeypatch, state):
+    # a pair's report does not depend on the batch it is evaluated in: the
+    # tomographic refine follows last-bit differences in G
+    evaluate = guessprob.tomographic_program(state)
+    pairs = [tuple(p) for p in np.random.default_rng(20).uniform(0.0, math.pi, (16, 2))]
+    single = [evaluate(alpha, beta) for alpha, beta in pairs]
+    assert evaluate.batch(pairs) == single
+    assert evaluate.batch(pairs[::-1]) == single[::-1]
+    assert evaluate.batch(pairs[:7]) + evaluate.batch(pairs[7:]) == single
+    # at cap 2 some full-rank pairs stop capped and some converge
+    for cap in (1, 2):
+        monkeypatch.setattr(guessprob, "_ASCENT_MAX_STEPS", cap)
+        capped = [evaluate(alpha, beta) for alpha, beta in pairs]
+        assert [(r.status, r.iterations) for r in evaluate.batch(pairs)] == [
+            (r.status, r.iterations) for r in capped
+        ]
 
 
 # G of the interior-point solve these instances had before the

@@ -315,6 +315,48 @@ def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
     assert abs(report.guessing_probability - target) <= 1e-6
 
 
+def _refine_one_at_a_time(state, grid_size):
+    """tomographic_optimize's search with one-pair evaluations and the
+    refines run one after another; returns its result and the number of
+    distinct pairs evaluated."""
+    evaluate = guessprob.tomographic_program(state)
+    reports = {}
+
+    def g(x):
+        if x not in reports:
+            reports[x] = evaluate(*x)
+        return reports[x].guessing_probability
+
+    angles = np.arange(grid_size) * math.pi / grid_size
+    grid = [(float(a), float(b)) for a in angles for b in angles]
+    values = [g(pair) for pair in grid]
+    best_g, best = math.inf, None
+    for k in sorted(range(len(grid)), key=values.__getitem__)[:3]:
+        (alpha, beta), value = seesaw._nelder_mead(g, grid[k])
+        if value < best_g:
+            best_g, best = value, (alpha, beta, reports[alpha, beta])
+    return best, len(reports)
+
+
+@pytest.mark.parametrize("grid_size", [8, 12])
+@pytest.mark.parametrize("v", [1.0, 0.999, 0.95])
+def test_tomographic_lockstep_matches_one_refine_at_a_time(monkeypatch, v, grid_size):
+    state = make_state(v, math.pi / 8)
+    expected, distinct = _refine_one_at_a_time(state, grid_size)
+    program = guessprob.tomographic_program(state)
+    evaluate = program.batch
+    evaluated = []
+
+    def batch(pairs):
+        evaluated.extend(pairs)
+        return evaluate(pairs)
+
+    monkeypatch.setattr(program, "batch", batch)
+    monkeypatch.setattr(seesaw, "tomographic_program", lambda _: program)
+    assert seesaw.tomographic_optimize(state, grid_size) == expected
+    assert len(evaluated) == len(set(evaluated)) == distinct
+
+
 def _replay(f, x0):
     """Check that _nelder_mead and scipy's Nelder-Mead evaluate the same
     points in the same order and return the same vertex and value; return
