@@ -3,7 +3,9 @@
 Subcommands: certify (bound from a behavior), bellbound (bound from Bell
 operator values), optimize (see-saw over settings), sweep (grid over state
 parameters with optimized settings), tomography (state-constrained bounds).
-Each option is declared once, as a flag with its type and default.
+Each option is declared once, as a flag with its type and default, in one
+of five parent groups (io, state, scenario, search, grids); a subcommand
+takes only the groups it reads, so a flag it does not read is a usage error.
 Configuration comes from those defaults, then a flat key=value file given
 with --config, then command-line flags, later sources winning. A config
 value goes through its flag's own parser; a config key that no subcommand
@@ -19,6 +21,7 @@ Exit codes: 0 success, 1 input error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,47 +46,43 @@ EXIT_SOLVER = 2
 
 
 def validate(args: argparse.Namespace):
-    """Reject settings no solve can use, before any solve. Options that the
-    chosen subcommand does not declare are absent from ``args``."""
-    if args.level not in (1, 2, 3):
+    """Reject settings no solve can use, before any solve. Only the options
+    that the chosen subcommand declares are in ``args``; each is checked
+    when it is there."""
+    if "level" in args and args.level not in (1, 2, 3):
         raise ValueError("level must be 1, 2, or 3")
-    if not 0.0 <= args.v <= 1.0:
+    if "v" in args and not 0.0 <= args.v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
-    if not args.epsilon > 0.0:  # NaN fails every comparison
+    if "epsilon" in args and not args.epsilon > 0.0:  # NaN fails every comparison
         raise ValueError("epsilon must be > 0")
-    if args.starts < 1:
-        raise ValueError("starts must be >= 1")
-    if getattr(args, "jobs", 1) < 1:
-        raise ValueError("jobs must be >= 1")
-    if args.max_iterations < 1:
-        raise ValueError("max-iterations must be >= 1")
-    if getattr(args, "map_grid", 1) < 1:
-        raise ValueError("map-grid must be >= 1")
-    if args.mx < 1 or args.my < 1:
+    for key in ("starts", "jobs", "max_iterations", "map_grid"):
+        if key in args and getattr(args, key) < 1:
+            raise ValueError(f"{key.replace('_', '-')} must be >= 1")
+    if "mx" in args and (args.mx < 1 or args.my < 1):
         raise ValueError("scenario needs at least one input per side")
-    if not getattr(args, "behavior", None):
-        # with a behavior file, the scenario comes from the file instead
+    # certify checks the generation pair against the behavior it measures
+    if "xstar" in args and "behavior" not in args:
         if not (1 <= args.xstar <= args.mx):
             raise ValueError("xstar outside scenario")
         if not (1 <= args.ystar <= args.my):
             raise ValueError("ystar outside scenario")
-    for key in ("v_grid", "theta_grid"):
-        if getattr(args, key, None) == ():
-            raise ValueError(f"{key.replace('_', '-')} is empty")
-    for v in getattr(args, "v_grid", None) or ():
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"v-grid value {v} outside [0, 1]")
-    for theta in getattr(args, "theta_grid", None) or ():
-        # same slack as qstate.make_state, so pi/4 itself passes
-        if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-            raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
+    if "v_grid" in args:
+        for key in ("v_grid", "theta_grid"):
+            if getattr(args, key) == ():
+                raise ValueError(f"{key.replace('_', '-')} is empty")
+        for v in args.v_grid or ():
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"v-grid value {v} outside [0, 1]")
+        for theta in args.theta_grid or ():
+            # same slack as qstate.make_state, so pi/4 itself passes
+            if not 0.0 <= theta <= math.pi / 4 + 1e-12:
+                raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
     # outputs are written after the work: a path that cannot be opened
     # would lose all of it
     for key in ("out", "trace", "angle_map"):
-        path = getattr(args, key, None)
-        if not path:
+        if key not in args or not getattr(args, key):
             continue
-        flag = key.replace("_", "-")
+        path, flag = getattr(args, key), key.replace("_", "-")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} directory {os.path.dirname(path)!r} does not exist")
         if os.path.isdir(path):
@@ -157,22 +156,16 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"
 
 
-def _settings_for(args: argparse.Namespace) -> MeasurementSet:
-    base = seesaw.initial_settings(args.mx, args.my)
-    return MeasurementSet(
-        args.alice or base.alice_angles, args.bob or base.bob_angles
-    )
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
+    # the generation pair is checked against the behavior's own scenario
     if args.behavior:
-        # scenario comes from the file; generation flags are checked against it
         with open(args.behavior) as fh:
             b = qstate.behavior_from_csv(fh.read())
     else:
-        meas = _settings_for(args)
-        state = qstate.make_state(args.v, args.theta)
-        b = qstate.behavior(state, meas)
+        base = seesaw.initial_settings(args.mx, args.my)
+        meas = MeasurementSet(args.alice or base.alice_angles,
+                              args.bob or base.bob_angles)
+        b = qstate.behavior(qstate.make_state(args.v, args.theta), meas)
     if not (1 <= args.xstar <= b.mx and 1 <= args.ystar <= b.my):
         raise ValueError("generation setting outside the behavior's scenario")
     report = guessing_probability(b, args.level, args.xstar, args.ystar)
@@ -347,70 +340,71 @@ def cmd_tomography(args: argparse.Namespace) -> int:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name. Each option is
-    declared here once, with its type and default."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
-    common.add_argument("--v", type=float, default=1.0)
-    common.add_argument("--theta", type=float, default=math.pi / 4)
-    common.add_argument("--mx", type=int, default=2)
-    common.add_argument("--my", type=int, default=2)
-    common.add_argument("--xstar", type=int, default=1)
-    common.add_argument("--ystar", type=int, default=1)
-    common.add_argument("--epsilon", type=float, default=1e-6)
-    common.add_argument("--starts", type=int, default=8)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-iterations", dest="max_iterations", type=int,
-                        default=50)
-    common.add_argument("--out", type=str)
-    common.add_argument("--config", type=str)
-
-    grids = argparse.ArgumentParser(add_help=False)
-    grids.add_argument("--v-grid", dest="v_grid", type=_parse_grid)
-    grids.add_argument("--theta-grid", dest="theta_grid", type=_parse_grid)
+    declared here once, with its type and default, in the parent group of
+    the subcommands that read it."""
+    io, state, scenario, search, grids = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5)
+    )
+    io.add_argument("--out", type=str)
+    io.add_argument("--config", type=str)
+    state.add_argument("--v", type=float, default=1.0)
+    state.add_argument("--theta", type=float, default=math.pi / 4)
+    scenario.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    scenario.add_argument("--mx", type=int, default=2)
+    scenario.add_argument("--my", type=int, default=2)
+    scenario.add_argument("--xstar", type=int, default=1)
+    scenario.add_argument("--ystar", type=int, default=1)
+    search.add_argument("--epsilon", type=float, default=1e-6)
+    search.add_argument("--starts", type=int, default=8)
+    search.add_argument("--seed", type=int, default=0)
+    search.add_argument("--max-iterations", type=int, default=50)
+    grids.add_argument("--v-grid", type=_parse_grid)
+    grids.add_argument("--theta-grid", type=_parse_grid)
 
     parser = argparse.ArgumentParser(
         prog="bellrand",
         description="Certified randomness bounds for two-qubit Bell experiments",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # no prefix passes for a whole flag: bellbound would read --v as --value
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="bound randomness from a behavior")
+    p = add("certify", parents=[io, state, scenario],
+            help="bound randomness from a behavior",
+            description="Bound randomness from a behavior: a --behavior file, "
+            "or the state --v/--theta measured at --alice/--bob. --mx/--my "
+            "only size the default settings when --alice/--bob are not given, "
+            "and --xstar/--ystar are checked against the settings measured.")
     p.add_argument("--behavior", type=str, help="behavior CSV path")
     p.add_argument("--alice", type=_parse_angles)
     p.add_argument("--bob", type=_parse_angles)
+    p.set_defaults(run=cmd_certify)
 
-    p = sub.add_parser("bellbound", parents=[common],
-                       help="bound randomness from Bell operator values")
+    p = add("bellbound", parents=[io, scenario],
+            help="bound randomness from Bell operator values")
     p.add_argument("--value", type=float, help="CHSH value")
     p.add_argument("--beta", type=float, help="marginal weight of the tilted operator")
-    p.add_argument("--ibeta-value", dest="ibeta_value", type=float,
-                   help="tilted-operator value")
+    p.add_argument("--ibeta-value", type=float, help="tilted-operator value")
+    p.set_defaults(run=cmd_bellbound)
 
-    p = sub.add_parser("optimize", parents=[common],
-                       help="see-saw search over measurement settings")
+    p = add("optimize", parents=[io, state, scenario, search],
+            help="see-saw search over measurement settings")
     p.add_argument("--trace", type=str, help="per-start trajectory CSV path")
+    p.set_defaults(run=cmd_optimize)
 
-    p = sub.add_parser("sweep", parents=[common, grids],
-                       help="optimized bounds over a (v, theta) grid")
+    p = add("sweep", parents=[io, state, scenario, search, grids],
+            help="optimized bounds over a (v, theta) grid")
     p.add_argument("--jobs", type=int, default=1)
+    p.set_defaults(run=cmd_sweep)
 
-    p = sub.add_parser("tomography", parents=[common, grids],
-                       help="state-constrained bounds over a grid")
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=12)
-    p.add_argument("--angle-map", dest="angle_map", type=str,
+    p = add("tomography", parents=[io, state, grids],
+            help="state-constrained bounds over a grid")
+    p.add_argument("--grid-size", type=int, default=12)
+    p.add_argument("--angle-map", type=str,
                    help="write an alpha/beta map CSV at the fixed (v, theta)")
-    p.add_argument("--map-grid", dest="map_grid", type=int, default=24)
+    p.add_argument("--map-grid", type=int, default=24)
+    p.set_defaults(run=cmd_tomography)
     return parser, sub.choices
-
-
-_COMMANDS = {
-    "certify": cmd_certify,
-    "bellbound": cmd_bellbound,
-    "optimize": cmd_optimize,
-    "sweep": cmd_sweep,
-    "tomography": cmd_tomography,
-}
 
 
 def main(argv=None) -> int:
@@ -423,7 +417,7 @@ def main(argv=None) -> int:
             _apply_config(args.config, subparsers, args.subcommand)
             args = parser.parse_args(argv)
         validate(args)
-        return _COMMANDS[args.subcommand](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

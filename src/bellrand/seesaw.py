@@ -293,18 +293,6 @@ def _simplex_search(x0: tuple[float, float]):
     return sim[0], min(fsim)
 
 
-def _nelder_mead(f, x0: tuple[float, float]) -> tuple[tuple[float, float], float]:
-    """Minimize f over the plane from x0 by _simplex_search, evaluating f at
-    each point it asks for. Returns the best vertex and the lowest value."""
-    search = _simplex_search(x0)
-    try:
-        x = next(search)
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
-
-
 def tomographic_optimize(
     state: DensityMatrix,
     grid_size: int = 12,

@@ -1,9 +1,13 @@
+import argparse
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from bellrand import cli, guessprob, qstate
-from bellrand.qstate import behavior, behavior_to_csv, chsh_optimal_settings, make_state
+from bellrand.qstate import (
+    MeasurementSet, behavior, behavior_to_csv, chsh_optimal_settings, make_state,
+)
 
 
 def interior_csv():
@@ -103,6 +107,19 @@ def test_certify_generation_outside_file_scenario(tmp_path, capsys):
         ["certify", "--behavior", str(src), "--level", "1", "--ystar", "3"]
     )
     assert code == 1
+    assert "generation" in capsys.readouterr().err
+
+
+def test_certify_generation_checked_against_measured_settings(capsys):
+    # three Alice settings make x* = 3 valid, whatever --mx says
+    code = cli.main(
+        ["certify", "--alice", "0,1,2", "--bob", "0,1", "--xstar", "3",
+         "--level", "1", "--v", "0.95", "--theta", "0.4"]
+    )
+    assert code == 0
+    assert parse_report(capsys.readouterr().out)["xstar"] == "3"
+    # the default settings have two
+    assert cli.main(["certify", "--xstar", "3", "--level", "1"]) == 1
     assert "generation" in capsys.readouterr().err
 
 
@@ -402,10 +419,79 @@ def test_rejected_flags_exit_via_argparse():
     with pytest.raises(SystemExit) as info:
         cli.main(["certify", "--level", "5"])
     assert info.value.code == 2
-    # solver tolerances are fixed, not flags
-    with pytest.raises(SystemExit) as info:
-        cli.main(["certify", "--gap-tol", "1e-6"])
-    assert info.value.code == 2
+    # solver tolerances are fixed, not flags; a subcommand declares only the
+    # options it reads, and a prefix does not pass for another flag
+    for argv in (
+        ["certify", "--gap-tol", "1e-6"],
+        ["tomography", "--level", "2"],
+        ["tomography", "--starts", "3"],
+        ["bellbound", "--v", "0.9", "--value", "2.6"],
+        ["certify", "--epsilon", "1e-4"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
+
+
+_STUB_REPORT = guessprob.GuessReport(
+    guessing_probability=0.5, hmin=1.0, level=1, xstar=1, ystar=1,
+    status="optimal",
+    attack_weights={key: 0.25 for key in ((1, 1), (1, -1), (-1, 1), (-1, -1))},
+    bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
+    dual_residual=0.0, certificate_defect=0.0,
+)
+
+
+def test_every_listed_option_is_read(monkeypatch, tmp_path):
+    # each subcommand's options, read through an args object that records
+    # attribute reads, with every solve replaced by a cheap stub; a read by
+    # validate alone does not count, since checking a value is not using it
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    def validate_unrecorded(args):
+        seen = set(reads)
+        validate(args)
+        reads.intersection_update(seen)
+
+    parse, validate = argparse.ArgumentParser.parse_args, cli.validate
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, argv: Recording(**vars(parse(self, argv))))
+    monkeypatch.setattr(cli, "validate", validate_unrecorded)
+    meas = MeasurementSet((0.0, 1.0), (0.5, -0.5))
+    monkeypatch.setattr(cli.seesaw, "optimize", lambda *a: SimpleNamespace(
+        best_report=_STUB_REPORT, best_meas=meas, starts_used=1,
+        converged=True, trajectory=[0.5], start_trajectories=[[0.5]],
+    ))
+    monkeypatch.setattr(cli.seesaw, "tomographic_optimize",
+                        lambda *a: (0.0, 0.5, _STUB_REPORT))
+    monkeypatch.setattr(cli, "guessing_probability", lambda *a: _STUB_REPORT)
+    monkeypatch.setattr(cli, "bell_constrained_bound", lambda *a: _STUB_REPORT)
+    monkeypatch.setattr(cli, "tomographic_program", lambda state: SimpleNamespace(
+        batch=lambda pairs: [_STUB_REPORT] * len(pairs)
+    ))
+    src = tmp_path / "behavior.csv"
+    src.write_text(interior_csv())
+    out = ["--out", str(tmp_path / "out")]
+    runs = {
+        "certify": [["--behavior", str(src)], []],
+        "bellbound": [["--value", "2.5", "--beta", "0.5", "--ibeta-value", "2.6"]],
+        "optimize": [["--trace", str(tmp_path / "trace.csv")]],
+        "sweep": [[]],
+        "tomography": [["--angle-map", str(tmp_path / "map.csv")]],
+    }
+    _, subparsers = cli._build_parser()
+    assert set(runs) == set(subparsers)
+    for name, variants in runs.items():
+        reads.clear()
+        for flags in variants:
+            assert cli.main([name, *flags, *out]) == 0
+        listed = {a.dest for a in subparsers[name]._actions} - {"help"}
+        assert listed - reads == set(), name
 
 
 def test_v_out_of_range(capsys):

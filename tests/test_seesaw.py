@@ -315,6 +315,18 @@ def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
     assert abs(report.guessing_probability - target) <= 1e-6
 
 
+def _nelder_mead(f, x0):
+    """Run seesaw._simplex_search from x0 with f evaluated at each point it
+    asks for; return its best vertex and lowest value."""
+    search = seesaw._simplex_search(x0)
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
 def _refine_one_at_a_time(state, grid_size):
     """tomographic_optimize's search with one-pair evaluations and the
     refines run one after another; returns its result and the number of
@@ -332,7 +344,7 @@ def _refine_one_at_a_time(state, grid_size):
     values = [g(pair) for pair in grid]
     best_g, best = math.inf, None
     for k in sorted(range(len(grid)), key=values.__getitem__)[:3]:
-        (alpha, beta), value = seesaw._nelder_mead(g, grid[k])
+        (alpha, beta), value = _nelder_mead(g, grid[k])
         if value < best_g:
             best_g, best = value, (alpha, beta, reports[alpha, beta])
     return best, len(reports)
@@ -358,7 +370,7 @@ def test_tomographic_lockstep_matches_one_refine_at_a_time(monkeypatch, v, grid_
 
 
 def _replay(f, x0):
-    """Check that _nelder_mead and scipy's Nelder-Mead evaluate the same
+    """Check that the simplex search and scipy's Nelder-Mead evaluate the same
     points in the same order and return the same vertex and value; return
     scipy's result and the points."""
     ours, theirs = [], []
@@ -369,7 +381,7 @@ def _replay(f, x0):
             return f(x)
         return g
 
-    x, value = seesaw._nelder_mead(recording(ours), x0)
+    x, value = _nelder_mead(recording(ours), x0)
     res = minimize(
         recording(theirs), np.asarray(x0), method="Nelder-Mead",
         options={"xatol": seesaw._REFINE_XATOL, "fatol": seesaw._REFINE_FATOL},
