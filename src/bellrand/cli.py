@@ -25,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -272,6 +271,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = [(v, th) for th in thetas for v in vs]
     tasks = [(idx, v, th, args) for idx, (v, th) in enumerate(points)]
     if args.jobs > 1:
+        # concurrent.futures and multiprocessing load only for a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -42,6 +42,13 @@ Y + defect*I >= v_ab v_ab^T for every ab certifies G <= tr Y + 4*defect.
 A Newton ascent over orthonormal bases makes the two meet. For a pure
 state rho = lambda |psi><psi| the blocks are weights on a simplex, and the
 optimum lambda * max_ab (psi.e_ab)^2 is returned exactly.
+
+Only the relaxations use scipy, through scipy.sparse for their moment
+layouts. As in ``sdp``, the bare ``scipy`` package is imported and
+scipy.sparse is reached as its attribute where a layout is built, so scipy
+loads it at the first relaxation posed. The tomographic program and every
+instance decided without a solve (signalling, local or inconsistent
+values) never load it; the bare import keeps scipy in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from . import npa, qstate
 from .qstate import Behavior, DensityMatrix, MeasurementSet, component_index, components
@@ -138,17 +145,19 @@ def _clean_weights(raw: dict[tuple[int, int], float]) -> dict[tuple[int, int], f
 
 class _Layout(NamedTuple):
     structure: npa.MomentStructure
-    cg: sp.csr_matrix  # reads each Collins-Gisin moment off a block
+    cg: scipy.sparse.csr_matrix  # reads each Collins-Gisin moment off a block
     to_cg: np.ndarray  # M, behavior -> Collins-Gisin coordinates
     from_cg: np.ndarray  # R, with R M p = p on no-signaling behaviors p
-    structural: sp.csr_matrix  # equalities tying duplicate moment entries
+    structural: scipy.sparse.csr_matrix  # equalities tying duplicate moment entries
 
 
-def _reader(n: int, i, j) -> sp.csr_matrix:
+def _reader(n: int, i, j) -> scipy.sparse.csr_matrix:
     """Rows over the row-major vectorization of a symmetric n x n block,
     row k reading the entry (i[k], j[k]): 1/2 at (i, j) and 1/2 at (j, i)."""
     rows, cols = np.tile(np.arange(len(i)), 2), np.concatenate([i * n + j, j * n + i])
-    return sp.csr_matrix((np.full(cols.size, 0.5), (rows, cols)), shape=(len(i), n * n))
+    return scipy.sparse.csr_matrix(
+        (np.full(cols.size, 0.5), (rows, cols)), shape=(len(i), n * n)
+    )
 
 
 def _collins_gisin(mx: int, my: int):
@@ -518,9 +527,10 @@ def bell_constrained_bound(
         raise ValueError("operator coefficients must be finite")
     if not np.all(np.isfinite(values)):
         raise ValueError("operator values must be finite")
-    layout = _moment_layout(level, mx, my)
-    # normalization, then the operators, in Collins-Gisin coordinates
-    rows = np.vstack([np.eye(1, len(layout.to_cg)), exprs @ layout.from_cg])
+    # normalization, then the operators, in Collins-Gisin coordinates; the
+    # moment layout is built only for a solve
+    _, to_cg, from_cg = _collins_gisin(mx, my)
+    rows = np.vstack([np.eye(1, len(to_cg)), exprs @ from_cg])
     vals = np.concatenate([[1.0], values])
     keep = [0]
     for k in range(1, len(rows)):
@@ -539,6 +549,7 @@ def bell_constrained_bound(
             weights[at_lo] += 1.0 - t
             weights[at_hi] += t
             return _local_report(mx, my, level, xstar, ystar, weights)
+    layout = _moment_layout(level, mx, my)
     problem = _npa_problem(
         layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
         _block_objective(layout, mx, my, xstar, ystar),

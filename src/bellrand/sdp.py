@@ -47,6 +47,20 @@ and the returned primal), so each of their updates is one stacked numpy
 call; only the Schur complement is assembled block by block. NPA
 relaxations are four blocks of one order, an operator-range bound is one
 block.
+
+A factorization or decomposition that fails (numpy's LinAlgError) ends the
+solve ``numerical_failure`` with its best iterate, never an exception; if
+the Gram factor of the final projection fails, that iterate is returned
+unprojected. The dual vector is never touched, so a bound read from it
+stays valid.
+
+scipy.sparse and scipy.linalg are reached as attributes of the bare
+``scipy`` package where they are used, and scipy loads each subpackage at
+its first such access. Importing this module therefore loads neither; the
+first problem built does, so a process that poses no SDP never pays for
+them, nor for what scipy.sparse pulls in. The bare ``import scipy`` stays:
+it binds the name those accesses go through, loads no subpackage, and puts
+scipy in ``sys.modules``, where the benchmark harness reads its version.
 """
 
 from __future__ import annotations
@@ -55,8 +69,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dtrtri, dtrtrs
+import scipy
 
 # fraction-to-boundary damping of both step lengths
 _STEP_FRACTION = 0.98
@@ -73,10 +86,10 @@ def _t(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2)
 
 
-def _block_rows(rows, n: int, kind: str) -> sp.csr_matrix:
+def _block_rows(rows, n: int, kind: str) -> scipy.sparse.csr_matrix:
     """``rows`` as a canonical CSR matrix over one n x n block's vec, each
     row finite, symmetric and with at least one coefficient."""
-    a = sp.csr_matrix(rows, dtype=float, copy=True)
+    a = scipy.sparse.csr_matrix(rows, dtype=float, copy=True)
     if a.ndim != 2 or a.shape[1] != n * n:
         raise ValueError(f"{kind} rows need {n * n} columns, got shape {a.shape}")
     a.sum_duplicates()
@@ -104,9 +117,9 @@ class SdpProblem:
     and every row needs a coefficient."""
 
     objective: np.ndarray = field(repr=False)
-    shared: sp.csr_matrix = field(repr=False)
+    shared: scipy.sparse.csr_matrix = field(repr=False)
     rhs: np.ndarray = field(repr=False)
-    own: sp.csr_matrix = field(repr=False)
+    own: scipy.sparse.csr_matrix = field(repr=False)
 
     def __init__(self, objective, shared, rhs, own):
         try:
@@ -203,7 +216,12 @@ def _max_step(chol_inv: np.ndarray, direction: np.ndarray) -> float:
 
 def _tri_solve(chol_l: np.ndarray, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
     """L^-1 rhs, or L^-T rhs with trans=1, for a lower Cholesky factor L."""
-    return dtrtrs(chol_l, rhs, lower=1, trans=trans)[0]
+    return scipy.linalg.lapack.dtrtrs(chol_l, rhs, lower=1, trans=trans)[0]
+
+
+def _tri_inv(chol_l: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower Cholesky factor L."""
+    return scipy.linalg.lapack.dtrtri(chol_l, lower=1)[0]
 
 
 def _scaled_basis(g: np.ndarray, tri) -> np.ndarray:
@@ -313,7 +331,7 @@ class _Presolved:
         ns, no = problem.shared.shape[0], problem.own.shape[0]
         self.n_shared, self.n_own = ns, no
         self.m = problem.n_constraints
-        rows = sp.vstack([problem.shared, problem.own], format="csr")
+        rows = scipy.sparse.vstack([problem.shared, problem.own], format="csr")
         r = np.repeat(np.arange(ns + no), np.diff(rows.indptr))
         sq = rows.data * rows.data
         # a shared row's squares in block order, then each own row's
@@ -324,13 +342,13 @@ class _Presolved:
             minlength=ns + no,
         ))
         scaled = rows.data / norm[r]
-        self.s_block = sp.csr_matrix(
+        self.s_block = scipy.sparse.csr_matrix(
             (scaled, rows.indices, rows.indptr), shape=rows.shape
         )
         # each block's copy of the rows, own row r of block b at r + b * no;
         # every row lists its entries block by block, so they stay sorted
         blk = np.arange(k)[:, None]
-        self.s = sp.csr_matrix((
+        self.s = scipy.sparse.csr_matrix((
             np.tile(scaled, k),
             (np.where(r < ns, r, r + blk * no).ravel(),
              (rows.indices + blk * n * n).ravel()),
@@ -352,6 +370,57 @@ class _Presolved:
         self.b_max = float(np.abs(b).max())
 
 
+def _step(pre: _Presolved, x, z, rp, rd, mu: float):
+    """One predictor-corrector step from the iterate's x and z, its
+    residuals rp, rd and complementarity mu: the damped step lengths
+    (ap, ad) and the direction (dx, dy, dz). Raises LinAlgError when a
+    factorization or a decomposition fails. The Schur factorization lives
+    only in this call, so one step's is freed before the next one's is
+    built."""
+    k, n = x.shape[:2]
+    ntot = k * n
+    # Nesterov-Todd scaling, one stacked call for all blocks
+    lx = _chol(x)
+    lz = _chol(z)
+    # dtrtri per block (a stacked inverse is slower here), each inverse held
+    # column-major as returned: the layout picks the BLAS kernel's rounding
+    lxinv = _t(np.array([_tri_inv(l).T for l in lx]))
+    lzinv = _t(np.array([_tri_inv(l).T for l in lz]))
+    _, s_g, vt = np.linalg.svd(_t(lz) @ lx)
+    s_g = np.maximum(s_g, 1e-150)
+    g = lx @ _t(vt) / np.sqrt(s_g)[:, None, :]
+    ginv = (np.sqrt(s_g)[:, :, None] * vt) @ lxinv
+    schur = _BlockSchur(pre, g)
+
+    def solve_direction(t0):
+        wrdw = g @ (_t(g) @ rd @ g) @ _t(g)
+        rhs = pre.s @ (t0 - wrdw).ravel() - rp
+        dy = schur.solve(rhs)
+        dz = _sym((pre.st @ dy).reshape(k, n, n)) + rd
+        dx = _sym(t0 - g @ (_t(g) @ dz @ g) @ _t(g))
+        return dx, dy, dz
+
+    # predictor: pure Newton step toward complementarity zero
+    dx_a, dy_a, dz_a = solve_direction(-x)
+    ap = min(1.0, _max_step(lxinv, dx_a))
+    ad = min(1.0, _max_step(lzinv, dz_a))
+    mu_aff = _inner(x + ap * dx_a, z + ad * dz_a) / ntot
+    sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+
+    # corrector with the second-order term in the scaled space
+    dxh = ginv @ dx_a @ _t(ginv)
+    dzh = _t(g) @ dz_a @ g
+    rc = -_sym(dxh @ dzh)
+    diag = np.arange(n)
+    rc[:, diag, diag] = rc[:, diag, diag] + sigma * mu - s_g ** 2
+    denom = (s_g[:, :, None] + s_g[:, None, :]) / 2.0
+    dx, dy, dz = solve_direction(g @ (rc / denom) @ _t(g))
+
+    ap = min(1.0, _STEP_FRACTION * _max_step(lxinv, dx))
+    ad = min(1.0, _STEP_FRACTION * _max_step(lzinv, dz))
+    return ap, ad, dx, dy, dz
+
+
 def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method on ``problem``."""
     pre = _Presolved(problem)
@@ -365,11 +434,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
     def finish(x_hat, y_hat, status, iters, gap, rp, rd):
         if status != "infeasible":
             # least-norm projection onto A(X) = b; the Gram matrix of the
-            # rows is the Schur complement at W = I
-            gram = _BlockSchur(pre, eye)
-            for _ in range(2):
-                resid = pre.s @ x_hat.ravel() - pre.b_hat
-                x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
+            # rows is the Schur complement at W = I. Without its factor the
+            # iterate stays unprojected; y, and so the bound, is untouched
+            try:
+                gram = _BlockSchur(pre, eye)
+            except np.linalg.LinAlgError:
+                status = "numerical_failure"
+            else:
+                for _ in range(2):
+                    resid = pre.s @ x_hat.ravel() - pre.b_hat
+                    x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
         x = _sym(x_hat) * pre.b_scale
         y = y_hat * pre.c_scale / pre.row_scale
         pobj = sum(float(np.sum(c * xb)) for c, xb in zip(pre.c, x))
@@ -450,57 +524,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "numerical_failure"
             break
 
-        # Nesterov-Todd scaling, one stacked call for all blocks
         try:
-            lx = _chol(x)
-            lz = _chol(z)
+            ap, ad, dx, dy, dz = _step(pre, x, z, rp, rd, mu)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        # dtrtri per block (a stacked inverse is slower here), each inverse held
-        # column-major as returned: the layout picks the BLAS kernel's rounding
-        lxinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lx]))
-        lzinv = _t(np.array([dtrtri(l, lower=1)[0].T for l in lz]))
-        _, s_g, vt = np.linalg.svd(_t(lz) @ lx)
-        s_g = np.maximum(s_g, 1e-150)
-        g = lx @ _t(vt) / np.sqrt(s_g)[:, None, :]
-        ginv = (np.sqrt(s_g)[:, :, None] * vt) @ lxinv
-
-        # drop the last factorization before building the next: each holds
-        # every block's D_b, L_b and E_b
-        schur = None
-        try:
-            schur = _BlockSchur(pre, g)
-        except np.linalg.LinAlgError:
-            status = "numerical_failure"
-            break
-
-        def solve_direction(t0):
-            wrdw = g @ (_t(g) @ rd @ g) @ _t(g)
-            rhs = s_mat @ (t0 - wrdw).ravel() - rp
-            dy = schur.solve(rhs)
-            dz = unvec(pre.st @ dy) + rd
-            dx = _sym(t0 - g @ (_t(g) @ dz @ g) @ _t(g))
-            return dx, dy, dz
-
-        # predictor: pure Newton step toward complementarity zero
-        dx_a, dy_a, dz_a = solve_direction(-x)
-        ap = min(1.0, _max_step(lxinv, dx_a))
-        ad = min(1.0, _max_step(lzinv, dz_a))
-        mu_aff = _inner(x + ap * dx_a, z + ad * dz_a) / ntot
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-
-        # corrector with the second-order term in the scaled space
-        dxh = ginv @ dx_a @ _t(ginv)
-        dzh = _t(g) @ dz_a @ g
-        rc = -_sym(dxh @ dzh)
-        diag = np.arange(n)
-        rc[:, diag, diag] = rc[:, diag, diag] + sigma * mu - s_g ** 2
-        denom = (s_g[:, :, None] + s_g[:, None, :]) / 2.0
-        dx, dy, dz = solve_direction(g @ (rc / denom) @ _t(g))
-
-        ap = min(1.0, _STEP_FRACTION * _max_step(lxinv, dx))
-        ad = min(1.0, _STEP_FRACTION * _max_step(lzinv, dz))
         if ap < 1e-10 and ad < 1e-10:
             stall += 10
             continue
@@ -508,8 +536,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         z = _sym(z + ad * dz)
         y = y + ad * dy
 
-    # and drop the last one before finish builds the Gram factor
-    schur = None
     if status == "optimal":
         return finish(x, y, status, it, *best[3:6])
     # fall back to the best iterate seen; it may already satisfy everything

@@ -243,6 +243,20 @@ def test_sweep_tsirelson_row_beats_chsh_bound(tmp_path):
     assert float(fields["hmin"]) >= float(fields["hmin_chsh"]) - 1e-6
 
 
+def test_sweep_row_survives_failed_gram_factor(failing_gram_factor, capsys):
+    # numpy's LinAlgError is a ValueError, which main reports as an input
+    # error (exit 1, no CSV); one raised by the solver's final projection
+    # must instead end that solve numerical_failure and keep the row
+    code = cli.main(["sweep", "--v-grid", "0.95", "--theta-grid", "0.4",
+                     "--level", "2", "--starts", "1", "--epsilon", "1e-4",
+                     "--jobs", "1"])
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header == ",".join(cli._SWEEP_COLUMNS)
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["v"], fields["theta"]) == ("0.95", "0.4")
+    assert code == (0 if fields["status"] == "optimal" else 2)
+
+
 def test_sweep_rejects_empty_grid(capsys):
     assert cli.main(["sweep", "--v-grid", ""]) == 1
     assert "v-grid is empty" in capsys.readouterr().err

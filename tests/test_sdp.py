@@ -146,6 +146,40 @@ def test_iteration_cap_reported(monkeypatch):
     assert abs(np.trace(sol.primal_blocks[0]) - 1.0) <= 1e-12
 
 
+def test_failed_gram_factor_keeps_dual(request):
+    # a LinAlgError is a ValueError, which callers read as bad input: a
+    # failed projection ends the solve numerical_failure with the same y
+    reference = solve_ok(trace_one_problem())
+    request.getfixturevalue("failing_gram_factor")
+    sol = sdp.solve(trace_one_problem())
+    assert sol.status == "numerical_failure"
+    assert np.array_equal(sol.dual_vector, reference.dual_vector)
+    assert sol.dual_objective == reference.dual_objective
+    assert sol.iterations == reference.iterations
+
+
+def test_failed_decomposition_ends_numerical_failure(monkeypatch):
+    # an eigvalsh or svd that does not converge mid-iteration ends the
+    # solve with its best iterate instead of raising; here the first
+    # step-length eigvalsh of the third iteration (four per iteration)
+    calls = []
+    real = sdp._max_step
+
+    def max_step(chol_inv, direction):
+        calls.append(None)
+        if len(calls) > 8:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(chol_inv, direction)
+
+    monkeypatch.setattr(sdp, "_max_step", max_step)
+    sol = sdp.solve(trace_one_problem())
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 3
+    assert np.all(np.isfinite(sol.dual_vector))
+    # the best iterate is projected onto the rows as usual
+    assert abs(np.trace(sol.primal_blocks[0]) - 1.0) <= 1e-12
+
+
 def test_entry_accumulation_and_validation():
     # repeated entries of the sparse rows accumulate, explicit zeros are
     # dropped, and the objective is mirrored from its upper triangle

@@ -456,17 +456,50 @@ assert "scipy.optimize" not in sys.modules, "a command loaded scipy.optimize"
 """
 
 
-def test_no_command_loads_scipy_optimize(tmp_path):
-    # a fresh interpreter: other test modules import scipy.optimize into
-    # this one
+_NO_SDP_SCRIPT = """
+import sys
+import bellrand, bellrand.cli
+from bellrand import cli
+for argv in (
+    ["tomography", "--v", "0.95", "--theta", "0.3", "--grid-size", "8",
+     "--map-grid", "2", "--angle-map", sys.argv[1]],
+    ["bellbound", "--value", "1.5"],
+    ["certify", "--v", "0.5", "--theta", "0.3"],
+    ["--help"],
+):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0, argv
+assert "scipy" in sys.modules, "scipy itself was not loaded"
+loaded = [name for name in ("scipy.sparse", "scipy.linalg", "concurrent.futures")
+          if name in sys.modules]
+assert not loaded, f"a command that poses no SDP loaded {loaded}"
+"""
+
+
+def run_fresh(script, tmp_path):
+    # a fresh interpreter: other test modules import scipy's subpackages
+    # into this one
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(tmp_path / "map.csv")],
+        [sys.executable, "-c", script, str(tmp_path / "map.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_no_command_loads_scipy_optimize(tmp_path):
+    run_fresh(_IMPORT_GRAPH_SCRIPT, tmp_path)
+
+
+def test_commands_without_sdp_load_no_sdp_stack(tmp_path):
+    # the import, tomography, a local bellbound or certify and --help pose
+    # no SDP, so scipy.sparse, scipy.linalg and the process pool stay out
+    run_fresh(_NO_SDP_SCRIPT, tmp_path)
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
