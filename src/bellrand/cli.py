@@ -52,6 +52,9 @@ def validate(args: argparse.Namespace):
         raise ValueError("level must be 1, 2, or 3")
     if "v" in args and not 0.0 <= args.v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
+    # same slack as qstate.make_state, so pi/4 itself passes
+    if "theta" in args and not 0.0 <= args.theta <= math.pi / 4 + 1e-12:
+        raise ValueError("theta must lie in [0, pi/4]")
     if "epsilon" in args and not args.epsilon > 0.0:  # NaN fails every comparison
         raise ValueError("epsilon must be > 0")
     for key in ("starts", "jobs", "max_iterations", "map_grid"):
@@ -73,7 +76,6 @@ def validate(args: argparse.Namespace):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"v-grid value {v} outside [0, 1]")
         for theta in args.theta_grid or ():
-            # same slack as qstate.make_state, so pi/4 itself passes
             if not 0.0 <= theta <= math.pi / 4 + 1e-12:
                 raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
     # outputs are written after the work: a path that cannot be opened
@@ -173,14 +175,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bellbound(args: argparse.Namespace) -> int:
+    if args.beta is None and args.ibeta_value is not None:
+        raise ValueError("--ibeta-value requires --beta")
+    if args.beta is not None and args.ibeta_value is None:
+        raise ValueError("--beta requires --ibeta-value")
     exprs = []
     values = []
     if args.value is not None:
         exprs.append(chsh_coefficients(args.mx, args.my))
         values.append(args.value)
     if args.ibeta_value is not None:
-        if args.beta is None:
-            raise ValueError("--ibeta-value requires --beta")
         exprs.append(ibeta_coefficients(args.beta, args.mx, args.my))
         values.append(args.ibeta_value)
     if not exprs:

@@ -433,13 +433,15 @@ def guessing_probability(
     A behavior whose marginals or normalizations depend on the other
     party's input by more than ``qstate.SIGNALING_INPUT_TOL`` is reported
     infeasible without a solve. Infeasible instances get G = NaN and no
-    expression.
+    expression. A level other than 1, 2 or 3 raises ValueError, also where
+    no solve is made.
 
     A behavior with a local model, decided exactly where one side has at
     most two inputs (see _has_local_model), is reported without a solve:
     G = 1, hmin 0, status optimal, attack weights p(a,b|x*,y*), the Bell
     expression f = 0 with offset 1, 0 iterations and zero gap, residuals
     and defect. Every other behavior, 3x3 included, is solved."""
+    npa.check_level(level)
     _check_generation(b.mx, b.my, xstar, ystar)
     sums = b.probs.reshape(4, b.mx * b.my).sum(axis=0)
     signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
@@ -502,7 +504,8 @@ def bell_constrained_bound(
     sum_ab expr.p~_ab = value for each, plus normalization sum_ab q_ab = 1.
     The reported Bell expression recombines the operator multipliers, with
     the normalization multiplier (plus any repair) as offset. A non-finite
-    coefficient or value raises ValueError.
+    coefficient or value, or a level other than 1, 2 or 3, raises
+    ValueError.
 
     An operator dependent on normalization and earlier operators is not
     posed and keeps multiplier zero; if its value disagrees, the instance
@@ -514,6 +517,7 @@ def bell_constrained_bound(
     that mixture perfectly, so the report is G = 1 exactly, without a
     solve, as in guessing_probability, with her guesses' weights read off
     the two strategies at (x*, y*)."""
+    npa.check_level(level)
     _check_generation(mx, my, xstar, ystar)
     exprs = np.atleast_2d(np.asarray(exprs, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))

@@ -54,14 +54,19 @@ def moment_word(word: Sequence[Letter]) -> Monomial:
     return min(w, _reverse_blocks(w))
 
 
+def check_level(level: int):
+    """Reject a relaxation level the hierarchy does not build."""
+    if level not in (1, 2, 3):
+        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+
+
 def monomials(level: int, mx: int, my: int) -> list[Monomial]:
     """All canonical words of length <= level, identity first.
 
     Deterministic order: by length, then lexicographically by
     (party, input) letters.
     """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    check_level(level)
     if mx < 1 or my < 1:
         raise ValueError("need at least one input per side")
     letters: list[Letter] = [(0, x) for x in range(1, mx + 1)]

@@ -156,6 +156,10 @@ def test_bellbound_dependent_operators_infeasible(capsys):
 def test_bellbound_requires_an_operator(capsys):
     assert cli.main(["bellbound"]) == 1
     assert cli.main(["bellbound", "--ibeta-value", "2.6"]) == 1
+    assert "--ibeta-value requires --beta" in capsys.readouterr().err
+    # a weight without its value would be dropped in silence
+    assert cli.main(["bellbound", "--value", "2.5", "--beta", "0.7"]) == 1
+    assert "--beta requires --ibeta-value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -511,3 +515,17 @@ def test_every_listed_option_is_read(monkeypatch, tmp_path):
 def test_v_out_of_range(capsys):
     assert cli.main(["certify", "--v", "1.5", "--level", "1"]) == 1
     assert "v must lie" in capsys.readouterr().err
+
+
+def test_tomography_theta_out_of_range_before_any_work(monkeypatch, capsys, tmp_path):
+    # --theta only places the angle map, written after the rows
+    def no_solve(*args, **kwargs):
+        raise AssertionError("grid work started before --theta was validated")
+
+    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
+    out, amap = tmp_path / "o.csv", tmp_path / "m.csv"
+    assert cli.main(["tomography", "--v-grid", "0.9", "--theta-grid", "0.3",
+                     "--grid-size", "8", "--theta", "2", "--angle-map", str(amap),
+                     "--out", str(out)]) == 1
+    assert "theta must lie in [0, pi/4]" in capsys.readouterr().err
+    assert not out.exists() and not amap.exists()

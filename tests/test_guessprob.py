@@ -508,6 +508,23 @@ def test_chsh_local_value_closed_form(monkeypatch, mx, my, value):
     check_local_report(report, mx, my, 2, mx, my, weights)
 
 
+@pytest.mark.parametrize("bound", [
+    lambda level: guessprob.guessing_probability(
+        behavior(make_state(0.6, math.pi / 4), chsh_optimal_settings(math.pi / 4)),
+        level=level),
+    lambda level: guessprob.guessing_probability(signalling_behavior(), level=level),
+    lambda level: guessprob.bell_constrained_bound(
+        guessprob.chsh_coefficients(), [1.5], 2, 2, level=level),
+], ids=["local", "signalling", "locally-reachable-value"])
+@pytest.mark.parametrize("level", [0, 4, 7])
+def test_unknown_level_rejected_without_solve(monkeypatch, bound, level):
+    # these instances are decided before any moment layout is built, so
+    # the level is checked at entry
+    monkeypatch.setattr(guessprob, "solve", no_solve)
+    with pytest.raises(ValueError, match=f"level must be 1, 2 or 3, got {level}"):
+        bound(level)
+
+
 def deterministic_behaviors(mx, my):
     # (Alice's outcomes, Bob's outcomes, flat behavior) of every
     # deterministic strategy
