@@ -296,7 +296,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 _GNUPLOT = """\
-# plot companion for {csv}
+# plot companion for {csv}; run gnuplot from its directory
 set datafile separator ","
 set key autotitle columnhead
 set xlabel "{xlabel}"
@@ -324,7 +324,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     if args.out:
         _write(
             args.out + ".gp",
-            _GNUPLOT.format(csv=args.out, xlabel="theta", using="2:6"),
+            _GNUPLOT.format(
+                csv=os.path.basename(args.out), xlabel="theta", using="2:6"
+            ),
         )
     map_path = args.angle_map
     if map_path:
@@ -339,7 +341,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         _write(map_path, "\n".join(rows) + "\n")
         _write(
             map_path + ".gp",
-            _GNUPLOT.format(csv=map_path, xlabel="alpha1", using="1:2:3"),
+            _GNUPLOT.format(
+                csv=os.path.basename(map_path), xlabel="alpha1", using="1:2:3"
+            ),
         )
     return EXIT_OK if worst == "optimal" else EXIT_SOLVER
 

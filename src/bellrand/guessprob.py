@@ -563,10 +563,11 @@ def bell_constrained_bound(
     if sol.status != "optimal" and status != "infeasible":
         # a diverged solve on a value outside the relaxation's reach is an
         # infeasible instance, also when its certificate passes the coarse
-        # health test; confirm against the certified operator range
+        # health test; confirm against the certified operator range, whose
+        # ends are certified bounds already: the slack absorbs rounding only
         for k, val in zip(keep[1:], values[ops]):
             lo, hi = _operator_range(rows[k].tobytes(), level, mx, my)
-            tol = 1e-6 * (1.0 + abs(float(val)))
+            tol = 1e-12 * (1.0 + abs(float(val)))
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
                 break
@@ -714,34 +715,27 @@ def _discriminate(v: np.ndarray, start: np.ndarray):
 
     The matrices ascend in lockstep, each with its own stopping rule and
     choice of step: a round steps the stack of those still ascending, and
-    a matrix leaves it when it stops; the polish then takes one batch.
-    Every operation acts on each matrix alone, so a matrix gets the same
-    certificate whatever else is in the stack. Returns the certificates,
-    the step counts and the statuses."""
+    when a matrix stops its certificate is written into place in the
+    output, with the round number as its step count; the polish then takes
+    one batch. Every operation acts on each matrix alone, so a matrix gets
+    the same certificate whatever else is in the stack. Returns the
+    certificates, the step counts and the statuses."""
     n = len(v)
     outer = np.einsum("bik,bjk->bkij", v, v)
-    cert = _certify(v, start.copy(), *_primal(start, v), outer)
-    capped = [False] * n
-    # the ascending matrices: their rows of the output, stacks and step
-    # count; and the rows, certificates and step count of each group that
-    # stopped
-    rows, vs, outers, taken, stopped = list(range(n)), v, outer, 0, []
-    while True:
-        ascending = [
-            g - f > _ASCENT_GAP_TOL * (1.0 + f) for g, f in zip(cert.g, cert.f)
-        ]
-        if taken == _ASCENT_MAX_STEPS:
-            # every matrix stops: those still ascending at the cap
-            for row, up in zip(rows, ascending):
-                capped[row] = up
-            ascending = [False] * len(rows)
-        if not any(ascending):
-            stopped.append((rows, cert, taken))
+    out = _certify(v, start.copy(), *_primal(start, v), outer)
+    steps = [0] * n
+    # the ascending matrices: their rows of the output, stacks and certificates
+    rows, vs, outers, cert = list(range(n)), v, outer, out
+    for taken in range(_ASCENT_MAX_STEPS + 1):
+        up = [g - f > _ASCENT_GAP_TOL * (1.0 + f) for g, f in zip(cert.g, cert.f)]
+        if taken == _ASCENT_MAX_STEPS or not any(up):
             break
-        if not all(ascending):
-            left = [i for i, up in enumerate(ascending) if not up]
-            stopped.append(([rows[i] for i in left], _select(cert, left), taken))
-            on = [i for i, up in enumerate(ascending) if up]
+        if not all(up):
+            left = [i for i, u in enumerate(up) if not u]
+            _assign(out, [rows[i] for i in left], _select(cert, left))
+            for i in left:
+                steps[rows[i]] = taken
+            on = [i for i, u in enumerate(up) if u]
             rows, vs, outers = [rows[i] for i in on], vs[on], outers[on]
             cert = _select(cert, on)
         d, trial, c, f, ok = _newton(vs, cert.m, cert.f)
@@ -755,19 +749,11 @@ def _discriminate(v: np.ndarray, start: np.ndarray):
             for i, x in zip(at, f_at):
                 f[i] = x
         cert = _certify(vs, trial, c, f, outers)
-        taken += 1
-    if len(stopped) == 1:
-        _, out, taken = stopped[0]
-        steps = [taken] * n
-    else:
-        out = _Certificate(
-            np.empty_like(v), np.empty_like(v), [0.0] * n, [0.0] * n, [0.0] * n
-        )
-        steps = [0] * n
-        for group_rows, group, group_taken in stopped:
-            _assign(out, group_rows, group)
-            for row in group_rows:
-                steps[row] = group_taken
+    # the last set stops here; those still ascending at the cap are capped
+    _assign(out, rows, cert)
+    capped = [False] * n
+    for row, u in zip(rows, up):
+        steps[row], capped[row] = taken, u
     # the polish of the converged matrices, kept where it lowers g
     _, trial, c, f, ok = _newton(v, out.m, out.f)
     polish = [k and not cap for k, cap in zip(ok, capped)]

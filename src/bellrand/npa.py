@@ -89,16 +89,15 @@ def monomials(level: int, mx: int, my: int) -> list[Monomial]:
 class MomentStructure:
     """Index map from moment-matrix entries to moment identifiers.
 
-    entry_to_moment[i, j] is the identifier of <basis[i]^T basis[j]>; the
-    map is symmetric. representative[m] is the first upper-triangle entry
-    (row-major) carrying moment m, which is where linear functionals of
-    moment m are anchored.
+    entry_to_moment[i, j] is the identifier of <basis[i]^T basis[j]> for
+    the basis given to moment_structure; the map is symmetric.
+    representative[m] is the first upper-triangle entry (row-major)
+    carrying moment m, which is where linear functionals of moment m are
+    anchored.
     """
 
-    basis: tuple[Monomial, ...]
     dim: int
     entry_to_moment: np.ndarray
-    moment_words: tuple[Monomial, ...]
     representative: tuple[tuple[int, int], ...]
     word_to_moment: dict = field(repr=False)
 
@@ -115,7 +114,6 @@ def moment_structure(basis: Sequence[Monomial]) -> MomentStructure:
         raise ValueError("basis words must be distinct")
     dim = len(basis)
     entry = np.full((dim, dim), -1, dtype=int)
-    words: list[Monomial] = []
     reps: list[tuple[int, int]] = []
     ids: dict[Monomial, int] = {}
     for i in range(dim):
@@ -123,18 +121,15 @@ def moment_structure(basis: Sequence[Monomial]) -> MomentStructure:
             w = moment_word(basis[i][::-1] + basis[j])
             mid = ids.get(w)
             if mid is None:
-                mid = len(words)
+                mid = len(reps)
                 ids[w] = mid
-                words.append(w)
                 reps.append((i, j))
             entry[i, j] = mid
             entry[j, i] = mid
     entry.setflags(write=False)
     return MomentStructure(
-        basis=basis,
         dim=dim,
         entry_to_moment=entry,
-        moment_words=tuple(words),
         representative=tuple(reps),
         word_to_moment=ids,
     )

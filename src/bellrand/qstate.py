@@ -51,16 +51,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A 4x4 real symmetric density matrix.
-
-    ``v`` and ``theta`` record the family parameters when the state was
-    built by :func:`make_state`; they stay None for externally supplied
-    matrices.
-    """
+    """A 4x4 real symmetric density matrix."""
 
     entries: np.ndarray
-    v: float | None = None
-    theta: float | None = None
 
     def __post_init__(self):
         m = _as_real(self.entries, "density matrix")
@@ -89,7 +82,7 @@ def make_state(v: float, theta: float) -> DensityMatrix:
         raise ValueError(f"theta={theta} outside [0, pi/4]")
     psi = np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)])
     rho = v * np.outer(psi, psi) + (1.0 - v) * np.eye(4) / 4.0
-    return DensityMatrix(rho, v=v, theta=theta)
+    return DensityMatrix(rho)
 
 
 def projector(angle: float, outcome: int) -> np.ndarray:

@@ -471,7 +471,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     unit_scale = pre.b_scale * pre.c_scale
 
     status = "max_iterations"
-    it = 0
     stall = 0
     best = None  # (score, x, y, gap, rp, rd, optimal_flag)
 
@@ -539,9 +538,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if status == "optimal":
         return finish(x, y, status, it, *best[3:6])
     # fall back to the best iterate seen; it may already satisfy everything
-    if best is not None:
-        if best[6]:
-            status = "optimal"
-        return finish(best[1], best[2], status, it, *best[3:6])
-    return finish(x, y, status, it, math.inf, math.inf, math.inf)
+    if best[6]:
+        status = "optimal"
+    return finish(best[1], best[2], status, it, *best[3:6])
 

@@ -338,12 +338,14 @@ def test_tomography_outputs_with_plot_companion(tmp_path):
     assert len(rows) == 2
     assert rows[1].endswith("optimal")
     assert abs(float(rows[1].split(",")[5]) - 2.0) <= 1e-3
+    # the companions name their CSV by basename, so gnuplot finds it when
+    # started in the directory that holds both
     gp = (tmp_path / "tomo.csv.gp").read_text()
-    assert "plot" in gp and "tomo.csv" in gp
+    assert 'plot "tomo.csv" using 2:6' in gp
     map_rows = amap.read_text().strip().splitlines()
     assert map_rows[0] == "alpha1,beta1,hmin"
     assert len(map_rows) == 1 + 64
-    assert (tmp_path / "map.csv.gp").exists()
+    assert 'plot "map.csv" using 1:2:3' in (tmp_path / "map.csv.gp").read_text()
 
 
 def test_tomography_capped_map_point_exits_solver(monkeypatch, tmp_path):

@@ -87,13 +87,13 @@ def test_moment_partition_matches_oracle(level, mx, my):
 
 def test_moment_count_level_one():
     structure = npa.moment_structure(npa.monomials(1, 2, 2))
-    assert len(structure.moment_words) == 11
+    assert len(structure.representative) == 11
 
 
 def test_positions_cover_upper_triangle():
     structure = npa.moment_structure(npa.monomials(2, 2, 2))
     seen = set()
-    for mid in range(len(structure.moment_words)):
+    for mid in range(len(structure.representative)):
         # the upper-triangle entries (i <= j) carrying moment mid
         for pos in zip(*np.nonzero(np.triu(structure.entry_to_moment == mid))):
             assert pos not in seen
@@ -159,6 +159,6 @@ def test_moment_matrix_of_realization_is_psd():
             m[i, j] = _word_moment(word, alice, bob, rho)
     assert np.allclose(m, m.T, atol=1e-10)
     assert np.linalg.eigvalsh(m).min() > -1e-10
-    for mid in range(len(structure.moment_words)):
+    for mid in range(len(structure.representative)):
         vals = m[np.triu(structure.entry_to_moment == mid)]
         assert max(vals) - min(vals) < 1e-10
