@@ -17,8 +17,11 @@ feasibility repair term, so it upper-bounds the relaxation optimum (the safe
 direction for randomness bounds) even when the interior-point iteration
 terminates early. Extremal inputs (pure states, maximal Bell values) make
 the primal lose its interior, so the raw solver statuses are mapped to a
-certificate-health status here. Attack weights are read off the solver's
-primal, which it returns projected onto the matching rows.
+certificate-health status here. Only the certificate calls a solved
+instance infeasible, from a Farkas ray of the returned dual; the solver
+itself reports just how its iteration ended. Attack weights are read off the
+solver's primal, which it returns projected onto the matching rows; an
+infeasible instance gets NaN weights instead.
 
 Two variants share the machinery: full statistics (match the behavior's
 Collins-Gisin coordinates) and Bell-value constrained (match only the
@@ -261,27 +264,10 @@ def _dual_combination(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
     ]).reshape(k, n, n)
 
 
-def _dual_slack_defect(problem: SdpProblem, sol: SdpSolution) -> float:
-    """Exact feasibility defect of the dual certificate: max over blocks of
-    -lambda_min(A*(y) - C), clipped at zero."""
-    z = _dual_combination(problem, sol.dual_vector)
+def _dual_slack_defect(problem: SdpProblem, z: np.ndarray) -> float:
+    """Exact feasibility defect of a dual certificate with combination
+    z = A*(y): max over blocks of -lambda_min(z - C), clipped at zero."""
     return max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
-
-
-def _farkas_infeasible(
-    problem: SdpProblem, y: np.ndarray, trace_cap: float
-) -> bool:
-    """Ray certificate of primal infeasibility. With yhat = y/|y|, any
-    feasible X satisfies b.yhat = <A*(yhat), X> >= lambda_min tr X, so
-    A*(yhat) >= -eps together with b.yhat well below -eps*trace_cap rules
-    every feasible point out."""
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0 or not math.isfinite(norm):
-        return False
-    yhat = y / norm
-    eps = max(0.0, -float(np.linalg.eigvalsh(_dual_combination(problem, yhat)).min()))
-    gain = float(problem.rhs @ yhat[:problem.rhs.size])
-    return gain < -(10.0 * eps * trace_cap + 1e-7)
 
 
 @lru_cache(maxsize=32)
@@ -301,24 +287,33 @@ def _operator_range(op: bytes, level: int, mx: int, my: int):
             layout, np.eye(1, len(op)), [1.0], [sign * np.asarray(op)]
         )
         sol = solve(problem)
-        defect = _dual_slack_defect(problem, sol)
+        defect = _dual_slack_defect(
+            problem, _dual_combination(problem, sol.dual_vector)
+        )
         bounds.append(sign * (sol.dual_objective + defect * dim))
     return bounds[1], bounds[0]
 
 
 def _certified(problem: SdpProblem, sol: SdpSolution, trace_cap: float):
-    """Certified guessing-probability value and certificate-health status.
+    """Certified guessing-probability value and certificate-health status;
+    the only place where a solved instance is called infeasible.
 
     Any y gives G <= b.y + defect*trace_cap since A*(y) + defect*I - C >= 0
-    and the primal optimum has trace at most trace_cap.
+    and the primal optimum has trace at most trace_cap. A solve that did not
+    end optimal is first tested for a Farkas ray of primal infeasibility:
+    with yhat = y/|y|, any feasible X satisfies b.yhat = <A*(yhat), X> >=
+    lambda_min tr X, so A*(yhat) >= -eps together with b.yhat well below
+    -eps*trace_cap rules every feasible point out.
     """
-    if sol.status == "infeasible":
-        return math.nan, math.inf, "infeasible"
-    if sol.status != "optimal" and _farkas_infeasible(
-        problem, sol.dual_vector, trace_cap
-    ):
-        return math.nan, math.inf, "infeasible"
-    defect = _dual_slack_defect(problem, sol)
+    y = sol.dual_vector
+    z = _dual_combination(problem, y)
+    norm = float(np.linalg.norm(y))
+    if sol.status != "optimal" and 0.0 < norm < math.inf:
+        eps = max(0.0, -float(np.linalg.eigvalsh(z).min())) / norm
+        gain = float(problem.rhs @ y[:problem.rhs.size]) / norm
+        if gain < -(10.0 * eps * trace_cap + 1e-7):
+            return math.nan, math.inf, "infeasible"
+    defect = _dual_slack_defect(problem, z)
     gcert = sol.dual_objective + defect * trace_cap
     # the feasible set pins the optimum inside [1/4, 1] (guessed components
     # are bounded by the identity moments, which sum to one), so clipping
@@ -334,7 +329,14 @@ def _certified(problem: SdpProblem, sol: SdpSolution, trace_cap: float):
     return gcert, defect, status
 
 
-def _report(sol, g, defect, status, level, xstar, ystar, expr, weights):
+def _report(sol, g, defect, status, level, xstar, ystar, expr):
+    """Report of a solved instance. An infeasible one reads no attack
+    weights off its primal, which then matches no behavior."""
+    weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
+    if status != "infeasible":
+        weights = {
+            ab: float(sol.primal_blocks[i][0, 0]) for i, ab in enumerate(OUTCOME_PAIRS)
+        }
     return GuessReport(
         guessing_probability=g,
         hmin=_hmin(g),
@@ -432,9 +434,9 @@ def guessing_probability(
     its Collins-Gisin coordinates M p; the Bell expression is f = M^T y.
     A behavior whose marginals or normalizations depend on the other
     party's input by more than ``qstate.SIGNALING_INPUT_TOL`` is reported
-    infeasible without a solve. Infeasible instances get G = NaN and no
-    expression. A level other than 1, 2 or 3 raises ValueError, also where
-    no solve is made.
+    infeasible without a solve. Infeasible instances get G = NaN, NaN
+    attack weights and no expression. A level other than 1, 2 or 3 raises
+    ValueError, also where no solve is made.
 
     A behavior with a local model, decided exactly where one side has at
     most two inputs (see _has_local_model), is reported without a solve:
@@ -464,11 +466,7 @@ def guessing_probability(
             coeffs=to_cg.T @ sol.dual_vector[:to_cg.shape[0]],
             offset=g - sol.dual_objective,
         )
-    weights = {
-        (a, bb): float(sol.primal_blocks[i][0, 0])
-        for i, (a, bb) in enumerate(OUTCOME_PAIRS)
-    }
-    return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
+    return _report(sol, g, defect, status, level, xstar, ystar, expr)
 
 
 def chsh_coefficients(mx: int = 2, my: int = 2) -> np.ndarray:
@@ -579,11 +577,7 @@ def bell_constrained_bound(
         expr = BellExpression(
             mx=mx, my=my, xstar=xstar, ystar=ystar, coeffs=coeffs, offset=offset,
         )
-    weights = {
-        (a, b): float(sol.primal_blocks[i][0, 0])
-        for i, (a, b) in enumerate(OUTCOME_PAIRS)
-    }
-    return _report(sol, g, defect, status, level, xstar, ystar, expr, weights)
+    return _report(sol, g, defect, status, level, xstar, ystar, expr)
 
 
 # the skew-symmetric basis E_s, +1 at (p, q) and -1 at (q, p) for p < q

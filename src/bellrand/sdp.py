@@ -21,10 +21,9 @@ The implementation is an infeasible-start path follower with Nesterov-Todd
 scaling (the symmetric form of the Newton direction) and a Mehrotra-style
 predictor-corrector, damped by a fraction-to-boundary factor. Each row is
 normalized to unit Frobenius norm over the blocks it is posed on. There is
-no rank check: the rows must be linearly independent. Unless the result is
-infeasible, the returned primal is projected onto {A(X) = b} through the
-Schur complement below at W = I. Everything is deterministic for fixed
-inputs.
+no rank check: the rows must be linearly independent. The returned primal
+is always projected onto {A(X) = b} through the Schur complement below at
+W = I. Everything is deterministic for fixed inputs.
 
 The Schur complement M_jk = sum_b <A_{j,b}, W_b A_{k,b} W_b> (W_b the
 Nesterov-Todd scaling of block b) is block-arrow. Own rows of different
@@ -48,11 +47,25 @@ call; only the Schur complement is assembled block by block. NPA
 relaxations are four blocks of one order, an operator-range bound is one
 block.
 
-A factorization or decomposition that fails (numpy's LinAlgError) ends the
-solve ``numerical_failure`` with its best iterate, never an exception; if
-the Gram factor of the final projection fails, that iterate is returned
-unprojected. The dual vector is never touched, so a bound read from it
-stays valid.
+The status says only how the iteration ended:
+
+- ``optimal``: both residuals, in original units, are at most _FEAS_TOL and
+  the gap and the residuals' objective bias are within _GAP_TOL of the
+  objectives;
+- ``max_iterations``: _MAX_ITERATIONS steps without that;
+- ``numerical_failure``: an iterate is non-finite or diverges (its score or
+  objective scale past 1e16), 25 iterations bring no better iterate, mu is
+  not positive, a step collapses (both step lengths below 1e-10), or a
+  factorization or decomposition fails (numpy's LinAlgError, never an
+  exception).
+
+Every solve returns from one place: the converged iterate, else the best
+one seen, with that iterate's own gap and residuals. The solver never calls
+an instance infeasible: there the dual runs off along a Farkas ray, and the
+caller tests the returned dual vector for it. If the Gram factor of the
+final projection fails, the iterate is returned unprojected and the status
+is ``numerical_failure``. The dual vector is never touched, so a bound read
+from it stays valid.
 
 scipy.sparse and scipy.linalg are reached as attributes of the bare
 ``scipy`` package where they are used, and scipy loads each subpackage at
@@ -367,7 +380,6 @@ class _Presolved:
         self.b_scale = max(1.0, float(np.linalg.norm(bn)))
         self.b_hat = bn / self.b_scale
         self.b_true = b
-        self.b_max = float(np.abs(b).max())
 
 
 def _step(pre: _Presolved, x, z, rp, rd, mu: float):
@@ -431,36 +443,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     def unvec(v):
         return _sym(v.reshape(k, n, n))
 
-    def finish(x_hat, y_hat, status, iters, gap, rp, rd):
-        if status != "infeasible":
-            # least-norm projection onto A(X) = b; the Gram matrix of the
-            # rows is the Schur complement at W = I. Without its factor the
-            # iterate stays unprojected; y, and so the bound, is untouched
-            try:
-                gram = _BlockSchur(pre, eye)
-            except np.linalg.LinAlgError:
-                status = "numerical_failure"
-            else:
-                for _ in range(2):
-                    resid = pre.s @ x_hat.ravel() - pre.b_hat
-                    x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
-        x = _sym(x_hat) * pre.b_scale
-        y = y_hat * pre.c_scale / pre.row_scale
-        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(pre.c, x))
-        dobj = float(y @ pre.b_true)
-        return SdpSolution(
-            primal_blocks=x,
-            dual_vector=y,
-            primal_objective=pobj,
-            dual_objective=dobj,
-            status=status,
-            iterations=iters,
-            gap=gap,
-            primal_residual=rp,
-            dual_residual=rd,
-            removed_rows=(),
-        )
-
     s_mat = pre.s
     b_hat = pre.b_hat
     c_hat = pre.c_hat
@@ -472,7 +454,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     status = "max_iterations"
     stall = 0
-    best = None  # (score, x, y, gap, rp, rd, optimal_flag)
+    best = None  # (score, x, y, gap, rp, rd): the converged iterate, else the best
 
     for it in range(1, _MAX_ITERATIONS + 1):
         rp = b_hat - s_mat @ x.ravel()
@@ -501,22 +483,16 @@ def solve(problem: SdpProblem) -> SdpSolution:
             and abs(gap_true) <= _GAP_TOL * obj_scale
             and bias_true <= 10.0 * _GAP_TOL * obj_scale
         )
-        if best is None or err < best[0]:
-            best = (err, x, y, gap_true, rp_true, rd_true, converged)
+        if converged or best is None or err < best[0]:
+            best = (err, x, y, gap_true, rp_true, rd_true)
             stall = 0
         else:
             stall += 1
         if converged:
             status = "optimal"
             break
-        # an unbounded dual with vanishing dual residual means no primal point
-        if rd_true <= 1e-7 and dobj_true < -1e8 * (1.0 + pre.b_max):
-            status = "infeasible"
-            break
-        if mu * unit_scale <= 1e-13 and rp_true > 1e-5 * (1.0 + pre.b_max):
-            status = "infeasible"
-            break
-        if not math.isfinite(err) or err > 1e16:
+        # non-finite or diverging: NaN fails both comparisons
+        if not (err <= 1e16 and obj_scale <= 1e16):
             status = "numerical_failure"
             break
         if stall > 25 or mu <= 0.0:
@@ -528,17 +504,37 @@ def solve(problem: SdpProblem) -> SdpSolution:
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
+        # a collapsed step leaves the iterate, and so the next step, as is
         if ap < 1e-10 and ad < 1e-10:
-            stall += 10
-            continue
+            status = "numerical_failure"
+            break
         x = _sym(x + ap * dx)
         z = _sym(z + ad * dz)
         y = y + ad * dy
 
-    if status == "optimal":
-        return finish(x, y, status, it, *best[3:6])
-    # fall back to the best iterate seen; it may already satisfy everything
-    if best[6]:
-        status = "optimal"
-    return finish(best[1], best[2], status, it, *best[3:6])
-
+    _, x_hat, y_hat, gap, rp, rd = best
+    # least-norm projection onto A(X) = b; the Gram matrix of the rows is
+    # the Schur complement at W = I. Without its factor the iterate stays
+    # unprojected; y, and so the bound, is untouched
+    try:
+        gram = _BlockSchur(pre, eye)
+    except np.linalg.LinAlgError:
+        status = "numerical_failure"
+    else:
+        for _ in range(2):
+            resid = s_mat @ x_hat.ravel() - b_hat
+            x_hat = x_hat - unvec(pre.st @ gram.solve(resid))
+    x = _sym(x_hat) * pre.b_scale
+    y = y_hat * pre.c_scale / pre.row_scale
+    return SdpSolution(
+        primal_blocks=x,
+        dual_vector=y,
+        primal_objective=sum(float(np.sum(c * xb)) for c, xb in zip(pre.c, x)),
+        dual_objective=float(y @ pre.b_true),
+        status=status,
+        iterations=it,
+        gap=gap,
+        primal_residual=rp,
+        dual_residual=rd,
+        removed_rows=(),
+    )

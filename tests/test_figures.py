@@ -95,6 +95,25 @@ def test_sweep_rows_without_chsh_violation_certify_nothing():
     assert checked
 
 
+def test_sweep_rows_stay_below_the_tomographic_rate():
+    # the state, purified to Eve and measured at the see-saw's settings, is
+    # one quantum realization of the behavior, so no device-independent
+    # bound certifies more than the tomographic rate at the same (v, theta)
+    (cfg,) = configs_of("tomography")
+    tomography = [
+        (float(row["v"]), float(row["theta"]), float(row["hmin"]))
+        for row in read_rows(ROOT / settings(cfg)["out"])
+    ]
+    checked = 0
+    for name, row in sweep_rows():
+        v, theta = float(row["v"]), float(row["theta"])
+        for tv, ttheta, hmin in tomography:
+            if abs(tv - v) <= 1e-9 and abs(ttheta - theta) <= 1e-9:
+                checked += 1
+                assert float(row["hmin"]) <= hmin + 1e-6, (name, row)
+    assert checked
+
+
 def test_tomography_rate_is_not_monotonic_in_entanglement():
     (cfg,) = configs_of("tomography")
     rows = read_rows(ROOT / settings(cfg)["out"])

@@ -197,6 +197,8 @@ def test_chsh_bound_interpolates():
 
 
 def test_chsh_bound_infeasible_value():
+    # found after a solve, so the report has the shape of one rejected
+    # before any: no attack weights are read off the infeasible primal
     for value in (2.8285, 3.0, -3.9):
         report = guessprob.bell_constrained_bound(
             guessprob.chsh_coefficients(), [value], 2, 2, level=2
@@ -204,6 +206,7 @@ def test_chsh_bound_infeasible_value():
         assert report.status == "infeasible"
         assert math.isnan(report.guessing_probability)
         assert report.bell_expression is None
+        assert all(math.isnan(w) for w in report.attack_weights.values())
 
 
 def test_chsh_bound_just_above_tsirelson_infeasible():
@@ -320,12 +323,14 @@ def chsh_box(s):
 
 @pytest.mark.parametrize("s", [3.0, 4.0])
 def test_superquantum_box_infeasible(s):
-    # CHSH value s > 2 sqrt(2) lies outside the level-2 set; the solve does
-    # not stop as infeasible itself, the Farkas ray test does
+    # CHSH value s > 2 sqrt(2) lies outside the level-2 set; the solver
+    # never calls an instance infeasible, the Farkas ray of its returned
+    # dual does
     report = guessprob.guessing_probability(chsh_box(s), level=2)
     assert report.status == "infeasible"
     assert math.isnan(report.guessing_probability)
     assert report.bell_expression is None
+    assert all(math.isnan(w) for w in report.attack_weights.values())
 
 
 def test_rounding_level_signalling_still_solved():
@@ -422,6 +427,7 @@ def test_dependent_operators_unequal_values_infeasible():
     assert report.status == "infeasible"
     assert math.isnan(report.guessing_probability)
     assert report.bell_expression is None
+    assert all(math.isnan(w) for w in report.attack_weights.values())
 
 
 def test_dual_combination_matches_direct_sum():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,11 +131,38 @@ def test_block_permutation_invariance():
             assert np.allclose(a.primal_blocks[i], b.primal_blocks[k], atol=1e-6)
 
 
-def test_negative_diagonal_is_infeasible():
-    # X >= 0 scalar cannot equal -1
+def test_negative_diagonal_diverges_to_a_farkas_ray():
+    # X >= 0 scalar cannot equal -1. The solver does not call that
+    # infeasible: the dual runs off along y > 0 and the divergence guard
+    # stops it at finite numbers, before they overflow to NaN
     problem = problem_of([np.array([[1.0]])], [[1.0]], [-1.0])
-    sol = sdp.solve(problem)
-    assert sol.status == "infeasible"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = sdp.solve(problem)
+    assert sol.status == "numerical_failure"
+    assert sol.iterations <= 10
+    assert np.all(np.isfinite(sol.dual_vector))
+    # the certificate reads the ray off the returned y
+    g, defect, status = guessprob._certified(problem, sol, 1.0)
+    assert status == "infeasible"
+    assert math.isnan(g) and defect == math.inf
+
+
+def test_collapsed_step_ends_the_solve(monkeypatch):
+    # both step lengths below 1e-10 leave the iterate as it is, so the
+    # same step would come again: the solve ends at once
+    real = sdp._step
+
+    def collapsed(*args):
+        _, _, dx, dy, dz = real(*args)
+        return 0.0, 0.0, dx, dy, dz
+
+    monkeypatch.setattr(sdp, "_step", collapsed)
+    sol = sdp.solve(trace_one_problem())
+    assert sol.status == "numerical_failure"
+    assert sol.iterations == 1
+    # the starting point, projected onto the rows
+    assert abs(np.trace(sol.primal_blocks[0]) - 1.0) <= 1e-12
 
 
 def test_iteration_cap_reported(monkeypatch):
