@@ -66,11 +66,11 @@ import numpy as np
 import scipy
 
 from . import npa, qstate
-from .qstate import Behavior, DensityMatrix, MeasurementSet, component_index, components
+from .qstate import Behavior, DensityMatrix, MeasurementSet, components
 from .sdp import SdpProblem, SdpSolution, solve
 
-# block order: a-major, -1 before +1
-OUTCOME_PAIRS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+# block order: that of the outcome axes of qstate.table
+OUTCOME_PAIRS = tuple(itertools.product(qstate.OUTCOMES, repeat=2))
 
 _QLAB = {(-1, -1): "q(--)", (-1, 1): "q(-+)", (1, -1): "q(+-)", (1, 1): "q(++)"}
 
@@ -106,6 +106,11 @@ class BellExpression:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
+    @property
+    def table(self) -> np.ndarray:
+        """The coefficients as the read-only view ``qstate.table``."""
+        return qstate.table(self.coeffs, self.mx, self.my)
+
     def value(self, b: Behavior) -> float:
         if (b.mx, b.my) != (self.mx, self.my):
             raise ValueError("scenario mismatch")
@@ -113,10 +118,8 @@ class BellExpression:
 
     def margin(self, b: Behavior) -> float:
         """min_ab [f.p + offset - p(a,b|x*,y*)]; >= 0 for feasible duals."""
-        val = self.value(b)
-        return min(
-            val - b.prob(a, bb, self.xstar, self.ystar) for a, bb in OUTCOME_PAIRS
-        )
+        guessed = b.table[:, :, self.xstar - 1, self.ystar - 1]
+        return float((self.value(b) - guessed).min())
 
 
 @dataclass(frozen=True)
@@ -173,14 +176,17 @@ def _collins_gisin(mx: int, my: int):
     xs, ys = range(1, mx + 1), range(1, my + 1)
     words = [npa.IDENTITY, *(((0, x),) for x in xs), *(((1, y),) for y in ys)]
     words += [((0, x), (1, y)) for x in xs for y in ys]
-    m = np.zeros((len(words), 4 * mx * my))
-    r = np.zeros((4 * mx * my, len(words)))
-    for (a, b, x, y) in components(mx, my):
-        # rows of the identity, A_x, B_y and A_x B_y
-        rows = [0, x, mx + y, mx + my + (x - 1) * my + y]
-        k = component_index(a, b, x, y, mx, my)
-        m[rows, k] = [1.0 / (mx * my), (a == 1) / my, (b == 1) / mx, a == b == 1]
-        r[k, rows] = [a == b == -1, a * (b == -1), b * (a == -1), a * b]
+    # M^T and R as tables over the components, one column per word
+    mt, r = (np.zeros((4 * mx * my, len(words))) for _ in range(2))
+    m_of, r_of = qstate.table(mt, mx, my), qstate.table(r, mx, my)
+    sign = np.array(qstate.OUTCOMES, dtype=float)
+    m_of[..., 0], r_of[0, 0, ..., 0] = 1.0 / (mx * my), 1.0
+    for x, y in itertools.product(range(mx), range(my)):
+        ax, by, axby = 1 + x, 1 + mx + y, 1 + mx + my + x * my + y
+        m_of[1, :, x, :, ax], r_of[:, 0, x, :, ax] = 1.0 / my, sign[:, None]
+        m_of[:, 1, :, y, by], r_of[0, :, :, y, by] = 1.0 / mx, sign[:, None]
+        m_of[1, 1, x, y, axby], r_of[:, :, x, y, axby] = 1.0, np.outer(sign, sign)
+    m = np.ascontiguousarray(mt.T)
     m.setflags(write=False)
     r.setflags(write=False)
     return tuple(words), m, r
@@ -224,9 +230,8 @@ def _npa_problem(layout: _Layout, shared, rhs, objective) -> SdpProblem:
 
 def _block_objective(layout: _Layout, mx: int, my: int, xstar: int, ystar: int):
     # block ab guesses p(a,b|x*,y*), in Collins-Gisin coordinates
-    return layout.from_cg[
-        [component_index(a, b, xstar, ystar, mx, my) for a, b in OUTCOME_PAIRS]
-    ]
+    guessed = qstate.table(layout.from_cg, mx, my)[:, :, xstar - 1, ystar - 1]
+    return guessed.reshape(len(OUTCOME_PAIRS), -1)
 
 
 def _check_generation(mx: int, my: int, xstar: int, ystar: int):
@@ -364,7 +369,7 @@ def _has_local_model(b: Behavior) -> bool:
     (I3322 on 3x3) and always answer False."""
     if min(b.mx, b.my) > 2 or b.probs.min() < 0.0:
         return False
-    p = b.probs.reshape(2, 2, b.mx, b.my)  # (a, b, x, y), -1 first
+    p = b.table
     if np.abs(p.sum(axis=(0, 1)) - 1.0).max() > qstate.NORMALIZATION_TOL:
         return False
     e = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
@@ -382,7 +387,7 @@ def _local_extremes(coeffs: np.ndarray, mx: int, my: int, xstar: int, ystar: int
     maximizing strategy gives at (x*, y*). Every Alice strategy is paired
     with Bob's best response, chosen input by input, so the search covers
     all 2^(mx+my) strategies."""
-    c = coeffs.reshape(2, 2, mx, my)
+    c = qstate.table(coeffs, mx, my)
     alice = np.array(list(itertools.product((0, 1), repeat=mx)))
     # g[s, b, y]: Bob's coefficients against Alice's strategy s
     g = c[alice, :, np.arange(mx)].sum(axis=1)
@@ -445,15 +450,16 @@ def guessing_probability(
     and defect. Every other behavior, 3x3 included, is solved."""
     npa.check_level(level)
     _check_generation(b.mx, b.my, xstar, ystar)
-    sums = b.probs.reshape(4, b.mx * b.my).sum(axis=0)
+    sums = b.table.sum(axis=(0, 1))
     signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
     if signaling > qstate.SIGNALING_INPUT_TOL:
         return _rejected(level, xstar, ystar)
     if _has_local_model(b):
         # Eve holds the deterministic strategy of each local-model term
-        return _local_report(b.mx, b.my, level, xstar, ystar, {
-            (a, bb): b.prob(a, bb, xstar, ystar) for a, bb in OUTCOME_PAIRS
-        })
+        guessed = b.table[:, :, xstar - 1, ystar - 1].ravel().tolist()
+        return _local_report(
+            b.mx, b.my, level, xstar, ystar, dict(zip(OUTCOME_PAIRS, guessed))
+        )
     problem = build_primal(b, level, xstar, ystar)
     sol = solve(problem)
     g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
@@ -474,17 +480,15 @@ def chsh_coefficients(mx: int = 2, my: int = 2) -> np.ndarray:
     if mx < 2 or my < 2:
         raise ValueError("CHSH needs at least two inputs per side")
     c = np.zeros(4 * mx * my)
-    for (x, y), sign in (((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), -1)):
-        for a, b in OUTCOME_PAIRS:
-            c[component_index(a, b, x, y, mx, my)] += sign * a * b
+    ab = np.outer(qstate.OUTCOMES, qstate.OUTCOMES)
+    qstate.table(c, mx, my)[:, :, :2, :2] = np.multiply.outer(ab, [[1, 1], [1, -1]])
     return c
 
 
 def ibeta_coefficients(beta: float, mx: int = 2, my: int = 2) -> np.ndarray:
     """CHSH + beta*<A1>, the marginal read off the y=1 correlations."""
     c = chsh_coefficients(mx, my)
-    for a, b in OUTCOME_PAIRS:
-        c[component_index(a, b, 1, 1, mx, my)] += beta * a
+    qstate.table(c, mx, my)[:, :, 0, 0] += beta * np.array(qstate.OUTCOMES)[:, None]
     return c
 
 
@@ -934,7 +938,6 @@ def report_to_text(report: GuessReport) -> str:
     lines.append(f"offset {expr.offset if expr else 0.0:.17g}")
     if expr is not None:
         lines.append("a,b,x,y,f")
-        for (a, b, x, y) in components(expr.mx, expr.my):
-            k = component_index(a, b, x, y, expr.mx, expr.my)
-            lines.append(f"{a},{b},{x},{y},{expr.coeffs[k]:.17g}")
+        for (a, b, x, y), f in zip(components(expr.mx, expr.my), expr.coeffs):
+            lines.append(f"{a},{b},{x},{y},{f:.17g}")
     return "\n".join(lines) + "\n"

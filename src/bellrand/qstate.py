@@ -11,12 +11,17 @@ Conventions:
   * inputs (measurement settings) are 1-based;
   * a planar angle phi maps to the +1 projector onto the Bloch vector
     (sin phi, 0, cos phi); the -1 projector is its antipode;
-  * behaviors are flat vectors indexed by (a, b, x, y), a-major.
+  * a behavior p(a,b|x,y), and every vector of Bell coefficients, is a
+    flat vector over (a, b, x, y), a-major. Only this module decodes it:
+    table(v, mx, my) is its (2, 2, mx, my) view, indexed
+    [ia, ib, x - 1, y - 1] with index 0 for outcome -1 (Behavior.table and
+    BellExpression.table), and other modules index that view.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,9 +102,10 @@ def projector(angle: float, outcome: int) -> np.ndarray:
 
 
 def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices: entry (2i+k, 2j+l) is the
-    single product a[i, j] * b[k, l], as in np.kron, without its overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """Kronecker product of 2x2 matrices, broadcast over leading axes: entry
+    (2i+k, 2j+l) is the single product a[i, j] * b[k, l], as in np.kron."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 @dataclass(frozen=True)
@@ -127,13 +133,6 @@ class MeasurementSet:
     def my(self) -> int:
         return len(self.bob_angles)
 
-    def projector(self, party: int, x: int, outcome: int) -> np.ndarray:
-        """Projector of input ``x`` (1-based) on party 0 (Alice) or 1 (Bob)."""
-        angles = self.alice_angles if party == 0 else self.bob_angles
-        if not 1 <= x <= len(angles):
-            raise ValueError(f"input {x} out of range for party {party}")
-        return projector(angles[x - 1], outcome)
-
 
 def canonical_settings() -> MeasurementSet:
     """Settings that certify two bits from the maximally entangled state.
@@ -148,20 +147,22 @@ def canonical_settings() -> MeasurementSet:
     )
 
 
+def table(flat: np.ndarray, mx: int, my: int) -> np.ndarray:
+    """The (2, 2, mx, my) view of a flat (a, b, x, y) vector, followed by
+    any further axes of ``flat``. Never a copy: read-only where ``flat`` is,
+    as in a Behavior or a BellExpression, and writing into it elsewhere."""
+    return flat.reshape((2, 2, mx, my) + flat.shape[1:])
+
+
 def component_index(a: int, b: int, x: int, y: int, mx: int, my: int) -> int:
-    """Flat storage index of p(a,b|x,y); -1 sorts before +1."""
-    ia = (a + 1) // 2
-    ib = (b + 1) // 2
-    return ((ia * 2 + ib) * mx + (x - 1)) * my + (y - 1)
+    """Flat storage index of p(a,b|x,y), its entry's place in ``table``."""
+    labels = ((a + 1) // 2, (b + 1) // 2, x - 1, y - 1)
+    return int(np.ravel_multi_index(labels, (2, 2, mx, my)))
 
 
 def components(mx: int, my: int):
     """All (a, b, x, y) labels in flat storage order."""
-    for a in OUTCOMES:
-        for b in OUTCOMES:
-            for x in range(1, mx + 1):
-                for y in range(1, my + 1):
-                    yield a, b, x, y
+    return itertools.product(OUTCOMES, OUTCOMES, range(1, mx + 1), range(1, my + 1))
 
 
 @dataclass(frozen=True)
@@ -173,12 +174,19 @@ class Behavior:
     probs: np.ndarray
 
     def __post_init__(self):
+        if self.mx < 1 or self.my < 1:
+            raise ValueError(f"each side needs an input, got {self.mx}x{self.my}")
         p = _as_real(self.probs, "behavior")
         if p.shape != (4 * self.mx * self.my,):
             raise ValueError(
                 f"behavior needs {4 * self.mx * self.my} entries, got {p.shape}"
             )
         object.__setattr__(self, "probs", _frozen(p))
+
+    @property
+    def table(self) -> np.ndarray:
+        """p(a,b|x,y) at [ia, ib, x - 1, y - 1], read-only (see ``table``)."""
+        return table(self.probs, self.mx, self.my)
 
     def validate(self, entry_tol: float = ENTRY_TOL,
                  norm_tol: float = NORMALIZATION_TOL) -> None:
@@ -191,51 +199,35 @@ class Behavior:
             )
         if p.min() < -entry_tol or p.max() > 1.0 + entry_tol:
             raise ValueError("behavior entries outside [0, 1]")
-        for x in range(1, self.mx + 1):
-            for y in range(1, self.my + 1):
-                s = sum(self.prob(a, b, x, y) for a in OUTCOMES for b in OUTCOMES)
-                if abs(s - 1.0) > norm_tol:
-                    raise ValueError(
-                        f"probabilities for x={x}, y={y} sum to {s!r}"
-                    )
+        t = self.table
+        sums = t[0, 0] + t[0, 1] + t[1, 0] + t[1, 1]
+        bad = np.argwhere(np.abs(sums - 1.0) > norm_tol)
+        if len(bad):
+            x, y = bad[0]
+            raise ValueError(
+                f"probabilities for x={x + 1}, y={y + 1} sum to {float(sums[x, y])!r}"
+            )
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.probs[component_index(a, b, x, y, self.mx, self.my)])
 
-    def correlator(self, x: int, y: int) -> float:
-        return sum(a * b * self.prob(a, b, x, y)
-                   for a in OUTCOMES for b in OUTCOMES)
-
-    def marginal_a(self, x: int, y: int = 1) -> float:
-        """<A_x>, evaluated from the y-th block (y=1 by default)."""
-        return sum(a * self.prob(a, b, x, y) for a in OUTCOMES for b in OUTCOMES)
-
-    def marginal_b(self, y: int, x: int = 1) -> float:
-        return sum(b * self.prob(a, b, x, y) for a in OUTCOMES for b in OUTCOMES)
-
     def no_signaling_defect(self) -> float:
         """Largest marginal discrepancy across the other side's inputs."""
-        worst = 0.0
-        for x in range(1, self.mx + 1):
-            vals = [self.marginal_a(x, y) for y in range(1, self.my + 1)]
-            worst = max(worst, max(vals) - min(vals))
-        for y in range(1, self.my + 1):
-            vals = [self.marginal_b(y, x) for x in range(1, self.mx + 1)]
-            worst = max(worst, max(vals) - min(vals))
-        return worst
+        p = self.table
+        # <A_x> and <B_y> as evaluated in each (x, y) block
+        alice = -p[0, 0] - p[0, 1] + p[1, 0] + p[1, 1]
+        bob = -p[0, 0] + p[0, 1] - p[1, 0] + p[1, 1]
+        return float(max(np.ptp(alice, axis=1).max(), np.ptp(bob, axis=0).max()))
 
 
 def behavior(state: DensityMatrix, meas: MeasurementSet) -> Behavior:
-    """Measured behavior p(a,b|x,y) = tr[rho (P_x^a x Q_y^b)]."""
-    rho = state.entries
-    mx, my = meas.mx, meas.my
-    pa = {(x, a): meas.projector(0, x, a) for x in range(1, mx + 1) for a in OUTCOMES}
-    pb = {(y, b): meas.projector(1, y, b) for y in range(1, my + 1) for b in OUTCOMES}
-    probs = np.empty(4 * mx * my)
-    for a, b, x, y in components(mx, my):
-        val = float(np.trace(rho @ kron2(pa[(x, a)], pb[(y, b)])))
-        probs[component_index(a, b, x, y, mx, my)] = val
-    out = Behavior(mx, my, probs)
+    """Measured behavior p(a,b|x,y) = tr[rho (P_x^a x Q_y^b)], in one stack."""
+    pa = np.array([[projector(t, a) for t in meas.alice_angles] for a in OUTCOMES])
+    pb = np.array([[projector(t, b) for t in meas.bob_angles] for b in OUTCOMES])
+    # P_x^a x Q_y^b at [ia, ib, x - 1, y - 1]
+    ops = kron2(pa[:, None, :, None], pb[None, :, None, :])
+    probs = np.trace(state.entries @ ops, axis1=-2, axis2=-1)
+    out = Behavior(meas.mx, meas.my, probs.ravel())
     out.validate()
     defect = out.no_signaling_defect()
     if defect > NO_SIGNALING_TOL:
@@ -247,13 +239,16 @@ def chsh_value(b: Behavior) -> float:
     """<A1B1> + <A1B2> + <A2B1> - <A2B2>; needs at least 2 inputs per side."""
     if b.mx < 2 or b.my < 2:
         raise ValueError("CHSH needs two inputs on each side")
-    return (b.correlator(1, 1) + b.correlator(1, 2)
-            + b.correlator(2, 1) - b.correlator(2, 2))
+    p = b.table
+    e = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
 def ibeta_value(b: Behavior, beta: float) -> float:
-    """CHSH plus beta times Alice's first-input marginal."""
-    return chsh_value(b) + float(beta) * b.marginal_a(1)
+    """CHSH plus beta times Alice's first-input marginal, read off the
+    x = y = 1 block."""
+    p = b.table[:, :, 0, 0]
+    return chsh_value(b) + float(beta) * float(-p[0, 0] - p[0, 1] + p[1, 0] + p[1, 1])
 
 
 def beta_coefficient(theta: float) -> float:
@@ -276,8 +271,8 @@ def behavior_to_csv(b: Behavior) -> str:
     """CSV rows a,b,x,y,p with enough digits for exact round trips."""
     buf = io.StringIO()
     buf.write("a,b,x,y,p\n")
-    for a, bb, x, y in components(b.mx, b.my):
-        buf.write(f"{a},{bb},{x},{y},{b.prob(a, bb, x, y):.17g}\n")
+    for (a, bb, x, y), p in zip(components(b.mx, b.my), b.probs):
+        buf.write(f"{a},{bb},{x},{y},{p:.17g}\n")
     return buf.getvalue()
 
 
@@ -286,9 +281,9 @@ def behavior_from_csv(text: str) -> Behavior:
     Entries may leave [0, 1] by 1e-9 and each (x, y) sum may miss one by
     1e-6, the rounding a file's values carry.
 
-    The a, b, x, y labels must be finite integral numbers (``1`` or ``1.0``).
-    Raises ValueError naming the first malformed row, or the first missing or
-    duplicated component.
+    The a, b, x, y labels must be finite integral numbers (``1`` or ``1.0``),
+    the inputs x and y at least 1. Raises ValueError naming the first
+    malformed row, or the first missing or duplicated component.
     """
     rows: dict[tuple[int, int, int, int], float] = {}
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -310,20 +305,18 @@ def behavior_from_csv(text: str) -> Behavior:
         a, b, x, y = map(int, labels)
         if a not in OUTCOMES or b not in OUTCOMES:
             raise ValueError(f"outcome labels must be -1/+1 in row {ln!r}")
+        if x < 1 or y < 1:
+            raise ValueError(f"input labels must be at least 1 in row {ln!r}")
         key = (a, b, x, y)
         if key in rows:
             raise ValueError(f"duplicate behavior row for (a,b,x,y)={key}")
         rows[key] = val
     mx = max(k[2] for k in rows)
     my = max(k[3] for k in rows)
-    probs = np.empty(4 * mx * my)
+    # each row's labels are among these, once: with none missing, none is left
     for a, b, x, y in components(mx, my):
         if (a, b, x, y) not in rows:
             raise ValueError(f"missing behavior row for (a,b,x,y)=({a},{b},{x},{y})")
-        probs[component_index(a, b, x, y, mx, my)] = rows[(a, b, x, y)]
-    if len(rows) != 4 * mx * my:
-        extra = sorted(set(rows) - {c for c in components(mx, my)})
-        raise ValueError(f"unexpected behavior rows {extra[:3]}")
-    out = Behavior(mx, my, probs)
+    out = Behavior(mx, my, [rows[key] for key in components(mx, my)])
     out.validate(entry_tol=1e-9, norm_tol=1e-6)
     return out

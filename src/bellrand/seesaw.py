@@ -43,7 +43,7 @@ _REFINE_XATOL = 1e-6
 _REFINE_FATOL = 1e-12
 _REFINE_CAP = 400
 # I, sigma_x, sigma_z: the planar part of the Pauli basis
-_PAULIS = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
+_PAULIS = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0])])
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,11 @@ def update_measurements(
     keeps its previous value. The result never increases f.p."""
     if (len(meas.alice_angles), len(meas.bob_angles)) != (f.mx, f.my):
         raise ValueError("measurement count does not match the Bell expression")
-    rho = state.entries
-    bloch = np.array(
-        [[np.trace(rho @ qstate.kron2(p, q)) for q in _PAULIS] for p in _PAULIS]
-    )
-    # rows: outcome -1 then +1; columns: weight 1, then the outcome itself
+    paulis = qstate.kron2(_PAULIS[:, None], _PAULIS[None, :])
+    bloch = np.trace(state.entries @ paulis, axis1=-2, axis2=-1)
+    # rows: the table's outcome index; columns: weight 1, then the outcome
     signs = np.array([[1.0, -1.0], [1.0, 1.0]])
-    coeffs = f.coeffs.reshape(2, 2, f.mx, f.my)
-    sums = np.einsum("abxy,ai,bj->xyij", coeffs, signs, signs)
+    sums = np.einsum("abxy,ai,bj->xyij", f.table, signs, signs)
     k = sums[:, :, [0, 1, 1]][:, :, :, [0, 1, 1]] * bloch / 4.0
     # a g_x below this is rounding noise of the terms that form it
     tie = 1e-14 * max(1.0, float(np.abs(k).sum()))

@@ -652,6 +652,64 @@ def test_ibeta_coefficients_match_helper(v, theta, beta):
     assert abs(float(coeffs @ b.probs) - ibeta_value(b, beta)) <= 1e-10
 
 
+def _assert_bracket(v, theta, level, meas, xstar, ystar):
+    # the state measured at the settings is one quantum realization of its
+    # behavior, so the tomographic primal value f = G - gap, an achievable
+    # attack, bounds every certified device-independent G from below
+    state = make_state(v, theta)
+    report = guessprob.guessing_probability(behavior(state, meas), level, xstar, ystar)
+    attack = guessprob.tomographic_guessing(
+        state, meas.alice_angles[xstar - 1], meas.bob_angles[ystar - 1]
+    )
+    f = attack.guessing_probability - attack.gap
+    assert report.guessing_probability >= f - 1e-9
+
+
+@st.composite
+def near_chsh_settings(draw, theta, mx, my):
+    """Each side's first two inputs within 0.5 of the CHSH-optimal pair,
+    where most behaviors are nonlocal, and a third input anywhere."""
+    chsh = chsh_optimal_settings(theta)
+
+    def side(base, n):
+        near = st.floats(min_value=-0.5, max_value=0.5)
+        return tuple(phi + draw(near) for phi in base) + (draw(angles),) * (n - 2)
+
+    return MeasurementSet(side(chsh.alice_angles, mx), side(chsh.bob_angles, my))
+
+
+# level 3 on 2x2 only
+@pytest.mark.parametrize("mx, my, level", [
+    (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2), (3, 3, 1), (3, 3, 2),
+])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    noise=st.floats(min_value=0.0, max_value=0.4),
+    tilt=st.floats(min_value=0.0, max_value=math.pi / 4),
+    data=st.data(),
+)
+def test_certified_bound_is_above_tomographic_attack(mx, my, level, noise, tilt, data):
+    # draws start from the simplest value, 0: here the pure maximally
+    # entangled state, which is nonlocal at the CHSH-optimal settings
+    v, theta = 1.0 - noise, math.pi / 4 - tilt
+    meas = data.draw(near_chsh_settings(theta, mx, my))
+    xstar, ystar = data.draw(st.integers(1, mx)), data.draw(st.integers(1, my))
+    _assert_bracket(v, theta, level, meas, xstar, ystar)
+
+
+# the level-2 see-saw optima at v = 1 (optimize: 3 starts, seed 0,
+# epsilon 1e-4, cap 30), where the certified G sits only 1.3e-4 above the
+# tomographic attack; random settings leave G far above it
+@pytest.mark.parametrize("theta, alice, bob", [
+    (math.pi / 4, (6.282953407730265, 1.5707964892460926),
+     (0.7855141798321508, 2.356078527572435)),
+    (math.pi / 8, (6.087915651732729, 2.0899408145260776),
+     (1.2391573319847902, 2.67035607948029)),
+])
+def test_certified_bound_is_above_tomographic_attack_at_see_saw_optima(theta, alice, bob):
+    _assert_bracket(1.0, theta, 2, MeasurementSet(alice, bob), 1, 1)
+
+
 def test_tomographic_mixed_state_guessed():
     report = guessprob.tomographic_guessing(make_state(0.0, 0.3), 0.7, 1.9)
     assert report.status == "optimal"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,42 @@ def test_behavior_is_normalized_and_nonsignaling(v, theta, a1, a2, b1, b2):
     assert beh.no_signaling_defect() < 1e-9
 
 
+def _random_state(rng, pure):
+    if pure:
+        vec = rng.standard_normal(4)
+        return qstate.DensityMatrix(np.outer(vec, vec) / (vec @ vec))
+    a = rng.standard_normal((4, 4))
+    m = a @ a.T
+    return qstate.DensityMatrix(m / np.trace(m))
+
+
+def test_behavior_is_the_per_component_trace_bit_for_bit():
+    # the stacked Born rule against one trace per component, read through
+    # the table view, on seeded real states and every scenario up to 4x4
+    rng = np.random.default_rng(11)
+    for k in range(160):
+        mx, my = rng.integers(1, 5, 2)
+        state = _random_state(rng, pure=k % 2 == 0)
+        meas = MeasurementSet(tuple(rng.uniform(0.0, 2.0 * math.pi, mx)),
+                              tuple(rng.uniform(0.0, 2.0 * math.pi, my)))
+        beh = behavior(state, meas)
+        for a, b, x, y in components(mx, my):
+            op = np.kron(projector(meas.alice_angles[x - 1], a),
+                         projector(meas.bob_angles[y - 1], b))
+            want = np.trace(state.entries @ op)
+            got = beh.table[(a + 1) // 2, (b + 1) // 2, x - 1, y - 1]
+            assert got.tobytes() == want.tobytes()
+            assert beh.prob(a, b, x, y) == got
+
+
+def test_table_is_a_read_only_view():
+    beh = behavior(make_state(0.9, 0.3), canonical_settings())
+    assert beh.table.shape == (2, 2, 2, 3)
+    assert np.shares_memory(beh.table, beh.probs)
+    with pytest.raises(ValueError):
+        beh.table[0, 0, 0, 0] = 0.5
+
+
 def test_component_index_is_a_bijection():
     seen = set()
     for key in components(2, 3):
@@ -203,3 +240,25 @@ def test_csv_unnormalized_rejected():
 def test_behavior_rejects_wrong_length():
     with pytest.raises(ValueError):
         Behavior(mx=2, my=2, probs=np.zeros(7))
+
+
+@pytest.mark.parametrize("mx, my, size", [(0, 3, 0), (2, 0, 0), (-1, -1, 4)])
+def test_behavior_rejects_a_side_without_inputs(mx, my, size):
+    # (-1, -1) with four entries passes the length test
+    with pytest.raises(ValueError, match="each side needs an input"):
+        Behavior(mx=mx, my=my, probs=np.zeros(size))
+
+
+@pytest.mark.parametrize("x, y", [(-1, -1), (0, 1), (1, 0)])
+def test_csv_input_label_below_one_is_named(x, y):
+    # every input label at -1 would make mx = my = -1 and leave the
+    # behavior's entries unset; a row at input 0 among valid ones is named too
+    if (x, y) == (-1, -1):
+        text = "".join(f"{a},{b},-1,-1,0.25\n" for a in (-1, 1) for b in (-1, 1))
+        row = "-1,-1,-1,-1,0.25"
+    else:
+        text = behavior_to_csv(behavior(make_state(1.0, 0.3), canonical_settings()))
+        row = f"1,1,{x},{y},0"
+        text += row + "\n"
+    with pytest.raises(ValueError, match=re.escape(f"at least 1 in row '{row}'")):
+        behavior_from_csv(text)

@@ -106,10 +106,8 @@ def test_update_exact_on_general_real_states(mx, my, rank):
     # one behavior with Bob measuring every grid angle gives f.p with Bob's
     # input y moved to each of them: swap input y's terms for the grid's
     grid = tuple(np.arange(720) * (2.0 * math.pi / 720))
-    swept = behavior(state, MeasurementSet(out.alice_angles, grid))
-    swept = swept.probs.reshape(2, 2, mx, len(grid))
-    coeffs = f.coeffs.reshape(2, 2, mx, my)
-    at = reached.probs.reshape(2, 2, mx, my)
+    swept = behavior(state, MeasurementSet(out.alice_angles, grid)).table
+    coeffs, at = f.table, reached.table
     for y in range(my):
         own = np.sum(coeffs[..., y] * at[..., y])
         moved = value - own + np.einsum("abx,abxg->g", coeffs[..., y], swept)
