@@ -4,14 +4,12 @@ from .analytic import PureStateResult, pure_state_alpha, pure_state_guessing
 from .guessprob import (
     BellExpression,
     GuessReport,
-    VerifyReport,
     bell_constrained_bound,
     chsh_coefficients,
     guessing_probability,
     ibeta_coefficients,
     tomographic_guessing,
     tomographic_program,
-    verify_bell_expression,
 )
 from .qstate import (
     Behavior,
@@ -40,7 +38,6 @@ __all__ = [
     "MeasurementSet",
     "OptResult",
     "PureStateResult",
-    "VerifyReport",
     "behavior",
     "behavior_from_csv",
     "behavior_to_csv",
@@ -62,5 +59,4 @@ __all__ = [
     "tomographic_optimize",
     "tomographic_program",
     "update_measurements",
-    "verify_bell_expression",
 ]

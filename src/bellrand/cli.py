@@ -260,7 +260,7 @@ def _sweep_point(packed):
         args.level, args.xstar, args.ystar,
     )
     row["hmin_chsh"] = rb.hmin if rb.status == "optimal" else math.nan
-    return idx, row
+    return row
 
 
 _SWEEP_COLUMNS = (
@@ -273,6 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vs = args.v_grid or (args.v,)
     thetas = args.theta_grid or (args.theta,)
     points = [(v, th) for th in thetas for v in vs]
+    # point idx is seeded --seed + idx; the pool and the loop keep task order
     tasks = [(idx, v, th, args) for idx, (v, th) in enumerate(points)]
     if args.jobs > 1:
         # concurrent.futures and multiprocessing load only for a pool
@@ -282,16 +283,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
     lines = [",".join(_SWEEP_COLUMNS)]
-    for _, row in results:
+    for row in results:
         cells = []
         for col in _SWEEP_COLUMNS:
             val = row[col]
             cells.append(_fmt(val) if isinstance(val, float) else str(val))
         lines.append(",".join(cells))
     _write(args.out, "\n".join(lines) + "\n")
-    bad = [r for _, r in results if r["status"] not in ("optimal",)]
+    bad = [r for r in results if r["status"] != "optimal"]
     return EXIT_SOLVER if bad else EXIT_OK
 
 

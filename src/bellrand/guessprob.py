@@ -17,11 +17,13 @@ feasibility repair term, so it upper-bounds the relaxation optimum (the safe
 direction for randomness bounds) even when the interior-point iteration
 terminates early. Extremal inputs (pure states, maximal Bell values) make
 the primal lose its interior, so the raw solver statuses are mapped to a
-certificate-health status here. Only the certificate calls a solved
-instance infeasible, from a Farkas ray of the returned dual; the solver
-itself reports just how its iteration ended. Attack weights are read off the
-solver's primal, which it returns projected onto the matching rows; an
-infeasible instance gets NaN weights instead.
+certificate-health status here. Every bound, and each end of an
+operator's range, is solved and certified in one place, _dual_bound. Only
+a certificate calls a solved instance infeasible: a Farkas ray of the
+returned dual, or, for a Bell value, the operator's certified range; the
+solver itself reports just how its iteration ended. Attack weights are
+read off the solver's primal, which it returns projected onto the matching
+rows; an infeasible instance gets NaN weights instead.
 
 Two variants share the machinery: full statistics (match the behavior's
 Collins-Gisin coordinates) and Bell-value constrained (match only the
@@ -66,8 +68,8 @@ import numpy as np
 import scipy
 
 from . import npa, qstate
-from .qstate import Behavior, DensityMatrix, MeasurementSet, components
-from .sdp import SdpProblem, SdpSolution, solve
+from .qstate import Behavior, DensityMatrix, components
+from .sdp import SdpProblem, solve
 
 # block order: that of the outcome axes of qstate.table
 OUTCOME_PAIRS = tuple(itertools.product(qstate.OUTCOMES, repeat=2))
@@ -115,11 +117,6 @@ class BellExpression:
         if (b.mx, b.my) != (self.mx, self.my):
             raise ValueError("scenario mismatch")
         return float(self.coeffs @ b.probs) + self.offset
-
-    def margin(self, b: Behavior) -> float:
-        """min_ab [f.p + offset - p(a,b|x*,y*)]; >= 0 for feasible duals."""
-        guessed = b.table[:, :, self.xstar - 1, self.ystar - 1]
-        return float((self.value(b) - guessed).min())
 
 
 @dataclass(frozen=True)
@@ -269,57 +266,59 @@ def _dual_combination(problem: SdpProblem, y: np.ndarray) -> np.ndarray:
     ]).reshape(k, n, n)
 
 
-def _dual_slack_defect(problem: SdpProblem, z: np.ndarray) -> float:
-    """Exact feasibility defect of a dual certificate with combination
-    z = A*(y): max over blocks of -lambda_min(z - C), clipped at zero."""
-    return max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
+def _dual_bound(problem: SdpProblem):
+    """Solve ``problem`` and read its dual certificate off the returned y:
+    z = A*(y), the defect max(0, -lambda_min(z - C)) over the blocks, and
+    the bound b.y + defect*trace_cap, with trace_cap the sum of the block
+    orders. Any y gives G <= that bound, since A*(y) + defect*I - C >= 0
+    and the diagonal moments, each at most one, keep the trace of a
+    feasible point at most trace_cap. Returns the solution, z, trace_cap,
+    the defect and the bound, unclipped."""
+    sol = solve(problem)
+    z = _dual_combination(problem, sol.dual_vector)
+    defect = max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
+    trace_cap = float(sum(problem.block_orders))
+    return sol, z, trace_cap, defect, sol.dual_objective + defect * trace_cap
 
 
 @lru_cache(maxsize=32)
 def _operator_range(op: bytes, level: int, mx: int, my: int):
     """Certified enclosure of one Bell operator, given as the bytes of its
-    float64 Collins-Gisin coordinates, over the level-l moment set; cached,
-    since a sweep bounds the same operator at every point.
-
-    Single normalized moment block; diagonal moments are bounded by one, so
-    the block trace is at most dim and the dual certificate bounds apply."""
+    float64 Collins-Gisin coordinates, over the level-l moment set: each
+    end is the bound of a single normalized moment block (see _dual_bound).
+    Cached, since a sweep bounds the same operator at every point."""
     op = np.frombuffer(op)
     layout = _moment_layout(level, mx, my)
-    dim = layout.structure.dim
-    bounds = []
-    for sign in (1.0, -1.0):
-        problem = _npa_problem(
-            layout, np.eye(1, len(op)), [1.0], [sign * np.asarray(op)]
-        )
-        sol = solve(problem)
-        defect = _dual_slack_defect(
-            problem, _dual_combination(problem, sol.dual_vector)
-        )
-        bounds.append(sign * (sol.dual_objective + defect * dim))
-    return bounds[1], bounds[0]
+    hi, lo = (
+        sign * _dual_bound(
+            _npa_problem(layout, np.eye(1, len(op)), [1.0], [sign * op])
+        )[-1]
+        for sign in (1.0, -1.0)
+    )
+    return lo, hi
 
 
-def _certified(problem: SdpProblem, sol: SdpSolution, trace_cap: float):
-    """Certified guessing-probability value and certificate-health status;
-    the only place where a solved instance is called infeasible.
+def _certified(problem: SdpProblem):
+    """Solve ``problem`` and certify its guessing probability (see
+    _dual_bound): the solution, the certified value, the defect and the
+    certificate-health status. A solved instance is called infeasible by
+    one of two certificates: here, by a Farkas ray of the returned dual,
+    and, for a Bell value, by the operator's certified range (see
+    bell_constrained_bound).
 
-    Any y gives G <= b.y + defect*trace_cap since A*(y) + defect*I - C >= 0
-    and the primal optimum has trace at most trace_cap. A solve that did not
-    end optimal is first tested for a Farkas ray of primal infeasibility:
-    with yhat = y/|y|, any feasible X satisfies b.yhat = <A*(yhat), X> >=
-    lambda_min tr X, so A*(yhat) >= -eps together with b.yhat well below
-    -eps*trace_cap rules every feasible point out.
+    A solve that did not end optimal is first tested for a Farkas ray of
+    primal infeasibility: with yhat = y/|y|, any feasible X satisfies
+    b.yhat = <A*(yhat), X> >= lambda_min tr X, so A*(yhat) >= -eps together
+    with b.yhat well below -eps*trace_cap rules every feasible point out.
     """
+    sol, z, trace_cap, defect, gcert = _dual_bound(problem)
     y = sol.dual_vector
-    z = _dual_combination(problem, y)
     norm = float(np.linalg.norm(y))
     if sol.status != "optimal" and 0.0 < norm < math.inf:
         eps = max(0.0, -float(np.linalg.eigvalsh(z).min())) / norm
         gain = float(problem.rhs @ y[:problem.rhs.size]) / norm
         if gain < -(10.0 * eps * trace_cap + 1e-7):
-            return math.nan, math.inf, "infeasible"
-    defect = _dual_slack_defect(problem, z)
-    gcert = sol.dual_objective + defect * trace_cap
+            return sol, math.nan, math.inf, "infeasible"
     # the feasible set pins the optimum inside [1/4, 1] (guessed components
     # are bounded by the identity moments, which sum to one), so clipping
     # keeps the certificate a valid upper bound
@@ -331,30 +330,27 @@ def _certified(problem: SdpProblem, sol: SdpSolution, trace_cap: float):
         <= _CERT_GAP_TOL * (1.0 + abs(sol.dual_objective))
     )
     status = "optimal" if (sol.status == "optimal" or healthy) else sol.status
-    return gcert, defect, status
+    return sol, gcert, defect, status
 
 
-def _report(sol, g, defect, status, level, xstar, ystar, expr):
-    """Report of a solved instance. An infeasible one reads no attack
-    weights off its primal, which then matches no behavior."""
-    weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
-    if status != "infeasible":
-        weights = {
-            ab: float(sol.primal_blocks[i][0, 0]) for i, ab in enumerate(OUTCOME_PAIRS)
-        }
+def _report(sol, g, defect, status, level, scenario, coeffs, base):
+    """Report of a solved instance in ``scenario`` = (mx, my, x*, y*). Its
+    Bell expression is coeffs.p + base, lifted by the repair g - b.y. An
+    infeasible one has no expression and reads no attack weights off its
+    primal, which then matches no behavior."""
+    mx, my, xstar, ystar = scenario
+    weights = dict(zip(OUTCOME_PAIRS, sol.primal_blocks[:, 0, 0].tolist()))
+    if status == "infeasible":
+        weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
+    expr = None
+    if math.isfinite(g):
+        offset = base + (g - sol.dual_objective)
+        expr = BellExpression(mx, my, xstar, ystar, coeffs, offset)
     return GuessReport(
-        guessing_probability=g,
-        hmin=_hmin(g),
-        level=level,
-        xstar=xstar,
-        ystar=ystar,
-        status=status,
-        attack_weights=_clean_weights(weights),
-        bell_expression=expr,
-        iterations=sol.iterations,
-        gap=sol.gap,
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
+        guessing_probability=g, hmin=_hmin(g), level=level, xstar=xstar,
+        ystar=ystar, status=status, attack_weights=_clean_weights(weights),
+        bell_expression=expr, iterations=sol.iterations, gap=sol.gap,
+        primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
         certificate_defect=defect,
     )
 
@@ -460,19 +456,13 @@ def guessing_probability(
         return _local_report(
             b.mx, b.my, level, xstar, ystar, dict(zip(OUTCOME_PAIRS, guessed))
         )
-    problem = build_primal(b, level, xstar, ystar)
-    sol = solve(problem)
-    g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
-    expr = None
-    if math.isfinite(g):
-        # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
-        to_cg = _moment_layout(level, b.mx, b.my).to_cg
-        expr = BellExpression(
-            mx=b.mx, my=b.my, xstar=xstar, ystar=ystar,
-            coeffs=to_cg.T @ sol.dual_vector[:to_cg.shape[0]],
-            offset=g - sol.dual_objective,
-        )
-    return _report(sol, g, defect, status, level, xstar, ystar, expr)
+    sol, g, defect, status = _certified(build_primal(b, level, xstar, ystar))
+    # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
+    to_cg = _moment_layout(level, b.mx, b.my).to_cg
+    return _report(
+        sol, g, defect, status, level, (b.mx, b.my, xstar, ystar),
+        to_cg.T @ sol.dual_vector[:to_cg.shape[0]], 0.0,
+    )
 
 
 def chsh_coefficients(mx: int = 2, my: int = 2) -> np.ndarray:
@@ -556,12 +546,10 @@ def bell_constrained_bound(
             weights[at_hi] += t
             return _local_report(mx, my, level, xstar, ystar, weights)
     layout = _moment_layout(level, mx, my)
-    problem = _npa_problem(
+    sol, g, defect, status = _certified(_npa_problem(
         layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
         _block_objective(layout, mx, my, xstar, ystar),
-    )
-    sol = solve(problem)
-    g, defect, status = _certified(problem, sol, float(sum(problem.block_orders)))
+    ))
     if sol.status != "optimal" and status != "infeasible":
         # a diverged solve on a value outside the relaxation's reach is an
         # infeasible instance, also when its certificate passes the coarse
@@ -573,15 +561,11 @@ def bell_constrained_bound(
             if val > hi + tol or val < lo - tol:
                 g, defect, status = math.nan, math.inf, "infeasible"
                 break
-    nops = len(ops)
-    expr = None
-    if math.isfinite(g):
-        coeffs = sol.dual_vector[:nops] @ exprs[ops]
-        offset = float(sol.dual_vector[nops]) + (g - sol.dual_objective)
-        expr = BellExpression(
-            mx=mx, my=my, xstar=xstar, ystar=ystar, coeffs=coeffs, offset=offset,
-        )
-    return _report(sol, g, defect, status, level, xstar, ystar, expr)
+    y = sol.dual_vector
+    return _report(
+        sol, g, defect, status, level, (mx, my, xstar, ystar),
+        y[:len(ops)] @ exprs[ops], float(y[len(ops)]),
+    )
 
 
 # the skew-symmetric basis E_s, +1 at (p, q) and -1 at (q, p) for p < q
@@ -883,42 +867,6 @@ def tomographic_guessing(
     state at many angles, build tomographic_program(state) once and pass
     the angle pairs to its batch."""
     return tomographic_program(state)(alice_angle, bob_angle)
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    samples: int
-    worst_margin: float
-    violations: int
-
-
-def verify_bell_expression(
-    f: BellExpression, samples: int = 100, seed: int = 0
-) -> VerifyReport:
-    """Spot-check dual feasibility: sample random states (every fourth one
-    pure) and planar measurements, evaluate the margin on each behavior."""
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = 0
-    for k in range(samples):
-        if k % 4 == 0:
-            vec = rng.standard_normal(4)
-            m = np.outer(vec, vec) / (vec @ vec)
-        else:
-            a = rng.standard_normal((4, 4))
-            m = a @ a.T
-            m /= np.trace(m)
-        state = DensityMatrix(m)
-        meas = MeasurementSet(
-            tuple(rng.uniform(0.0, 2.0 * math.pi, f.mx)),
-            tuple(rng.uniform(0.0, 2.0 * math.pi, f.my)),
-        )
-        b = qstate.behavior(state, meas)
-        margin = f.margin(b)
-        worst = min(worst, margin)
-        if margin < -1e-6:
-            violations += 1
-    return VerifyReport(samples=samples, worst_margin=worst, violations=violations)
 
 
 def report_to_text(report: GuessReport) -> str:

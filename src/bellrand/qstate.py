@@ -283,14 +283,14 @@ def behavior_from_csv(text: str) -> Behavior:
 
     The a, b, x, y labels must be finite integral numbers (``1`` or ``1.0``),
     the inputs x and y at least 1. Raises ValueError naming the first
-    malformed row, or the first missing or duplicated component.
+    malformed row, or the first missing or duplicated component, and on a
+    file with no rows, header or not.
     """
     rows: dict[tuple[int, int, int, int], float] = {}
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty behavior CSV")
-    start = 1 if lines[0].lower().replace(" ", "").startswith("a,b,x,y") else 0
-    for ln in lines[start:]:
+    if lines and lines[0].lower().replace(" ", "").startswith("a,b,x,y"):
+        lines = lines[1:]
+    for ln in lines:
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 5:
             raise ValueError(f"bad behavior row {ln!r}")
@@ -311,6 +311,8 @@ def behavior_from_csv(text: str) -> Behavior:
         if key in rows:
             raise ValueError(f"duplicate behavior row for (a,b,x,y)={key}")
         rows[key] = val
+    if not rows:
+        raise ValueError("behavior CSV has no rows")
     mx = max(k[2] for k in rows)
     my = max(k[3] for k in rows)
     # each row's labels are among these, once: with none missing, none is left

@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,3 +22,29 @@ def failing_gram_factor(monkeypatch):
         return real(pre, gfac)
 
     monkeypatch.setattr(sdp, "_BlockSchur", schur)
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """perfbench/checks.py, the benchmark's output checks. They are computed
+    apart from bellrand: its certificate check tests a Bell expression on
+    Born-rule behaviors of complex states measured in all three Bloch
+    directions."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def quantum_samples(checks):
+    """quantum_samples(mx, my): 100 random quantum behaviors of the scenario,
+    drawn once per session, to test certificates on."""
+
+    @functools.cache
+    def draw(mx, my):
+        rng = np.random.default_rng([mx, my])
+        return checks.random_quantum_behaviors(rng, mx, my, 100)
+
+    return draw

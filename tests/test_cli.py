@@ -123,6 +123,13 @@ def test_certify_generation_checked_against_measured_settings(capsys):
     assert "generation" in capsys.readouterr().err
 
 
+def test_certify_header_only_file(tmp_path, capsys):
+    src = tmp_path / "behavior.csv"
+    src.write_text("a,b,x,y,p\n")
+    assert cli.main(["certify", "--behavior", str(src)]) == 1
+    assert "behavior CSV has no rows" in capsys.readouterr().err
+
+
 def test_certify_missing_file(tmp_path):
     code = cli.main(["certify", "--behavior", str(tmp_path / "nope.csv")])
     assert code == 1

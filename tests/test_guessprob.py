@@ -222,9 +222,34 @@ def test_chsh_bound_just_above_tsirelson_infeasible():
         assert math.isnan(report.guessing_probability)
 
 
-def test_operator_range_solved_once_per_operator(monkeypatch):
-    # the Tsirelson bound's solve stalls, so its operator range is checked;
-    # a second identical bound reads that range from the cache
+def _chsh_bound(value):
+    return lambda: guessprob.bell_constrained_bound(
+        guessprob.chsh_coefficients(), [value], 2, 2, level=2
+    )
+
+
+@pytest.mark.parametrize("bound, counts", [
+    (_chsh_bound(1.5), [0]),
+    (_chsh_bound(2.5), [1]),
+    (_chsh_bound(3.0), [1]),
+    (_chsh_bound(TSIRELSON), [3, 1]),
+    (_chsh_bound(2.82843), [3]),
+    (lambda: guessprob.bell_constrained_bound(
+        np.vstack([guessprob.ibeta_coefficients(0.0), guessprob.chsh_coefficients()]),
+        [2.5, 2.6], 2, 2, level=2,
+    ), [0]),
+    (lambda: guessprob.guessing_probability(
+        behavior(make_state(0.6, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    ), [0]),
+    (lambda: guessprob.guessing_probability(
+        behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
+    ), [1]),
+], ids=["chsh-local", "chsh-2.5", "chsh-farkas", "tsirelson", "chsh-2.82843",
+        "dependent-inconsistent", "full-local", "full-interior"])
+def test_solves_per_bound(monkeypatch, bound, counts):
+    # a bound solves its program once, and none where it is decided without
+    # a solve; the two solves of a Bell operator's range come only after a
+    # solve that did not end optimal, and a repeat reads them from the cache
     guessprob._operator_range.cache_clear()
     solves = []
 
@@ -233,15 +258,13 @@ def test_operator_range_solved_once_per_operator(monkeypatch):
         return sdp.solve(problem)
 
     monkeypatch.setattr(guessprob, "solve", counting)
-    texts, counts = [], []
-    for _ in range(2):
-        texts.append(guessprob.report_to_text(guessprob.bell_constrained_bound(
-            guessprob.chsh_coefficients(), [TSIRELSON], 2, 2, level=2
-        )))
-        counts.append(len(solves))
-    # the bound's solve and the two range solves, then the bound's solve alone
-    assert counts == [3, 4]
-    assert texts[0] == texts[1]
+    texts, made = [], []
+    for _ in counts:
+        before = len(solves)
+        texts.append(guessprob.report_to_text(bound()))
+        made.append(len(solves) - before)
+    assert made == counts
+    assert len(set(texts)) == 1
 
 
 def test_stacked_operators_not_looser(interior_behavior):
@@ -341,16 +364,13 @@ def test_rounding_level_signalling_still_solved():
     assert abs(report.bell_expression.value(b) - report.guessing_probability) <= 1e-6
 
 
-def test_certificate_2x3_at_generation_pair_two_three():
+def test_certificate_2x3_at_generation_pair_two_three(checks, quantum_samples):
     b = behavior(make_state(0.9, math.pi / 8), seesaw.initial_settings(2, 3))
     report = guessprob.guessing_probability(b, level=2, xstar=2, ystar=3)
     assert report.status == "optimal"
     check_report_invariants(report, b)
-    verdict = guessprob.verify_bell_expression(
-        report.bell_expression, samples=100, seed=0
-    )
-    assert verdict.violations == 0
-    assert verdict.worst_margin >= -1e-6
+    point = {"mx": 2, "my": 3, "xstar": 2, "ystar": 3}
+    assert checks.check_bound(point, report, b.probs, quantum_samples(2, 3)) == []
 
 
 @pytest.fixture
@@ -591,11 +611,7 @@ def test_local_criterion_matches_linear_program(mx, my):
         if local:
             # the level-1 relaxation, the loosest, gives G = 1 up to rounding
             fired += 1
-            problem = guessprob.build_primal(b, 1, 1, 1)
-            sol = sdp.solve(problem)
-            g, _, status = guessprob._certified(
-                problem, sol, float(sum(problem.block_orders))
-            )
+            _, g, _, status = guessprob._certified(guessprob.build_primal(b, 1, 1, 1))
             assert status == "optimal" and g >= 1.0 - 1e-7
     assert 100 <= fired <= 180
 
@@ -890,28 +906,15 @@ def test_tomographic_step_cap(monkeypatch, cap):
     assert cli.main(argv) == 2
 
 
-def test_verify_expression_from_solve(phi_plus_report):
-    verdict = guessprob.verify_bell_expression(
-        phi_plus_report.bell_expression, samples=100, seed=0
-    )
-    assert verdict.samples == 100
-    assert verdict.worst_margin >= -1e-6
-    assert verdict.violations == 0
-
-
-def test_verify_expression_constant_one():
-    # f = 1 dominates every probability, margin 1 - max p
-    f = guessprob.BellExpression(2, 2, 1, 1, np.zeros(16), offset=1.0)
-    verdict = guessprob.verify_bell_expression(f, samples=40, seed=3)
-    assert verdict.violations == 0
-    assert 0.0 <= verdict.worst_margin <= 0.75 + 1e-12
-
-
-def test_verify_expression_zero_fails_everywhere():
-    f = guessprob.BellExpression(2, 2, 1, 1, np.zeros(16), offset=0.0)
-    verdict = guessprob.verify_bell_expression(f, samples=40, seed=3)
-    assert verdict.violations == 40
-    assert verdict.worst_margin <= -0.25
+def test_verify_expression_from_solve(
+    checks, quantum_samples, phi_plus_behavior, phi_plus_report
+):
+    # the benchmark's sampler draws complex states and measurements in all
+    # three Bloch directions, apart from bellrand
+    point = {"mx": 2, "my": 2, "xstar": 1, "ystar": 1}
+    assert checks.check_bound(
+        point, phi_plus_report, phi_plus_behavior.probs, quantum_samples(2, 2)
+    ) == []
 
 
 def test_bell_expression_validation():

@@ -205,6 +205,12 @@ def test_csv_duplicate_row_rejected():
         behavior_from_csv(text + extra + "\n")
 
 
+@pytest.mark.parametrize("text", ["", "a,b,x,y,p\n", "a,b,x,y,p\n\n"])
+def test_csv_without_rows_rejected(text):
+    with pytest.raises(ValueError, match="behavior CSV has no rows"):
+        behavior_from_csv(text)
+
+
 def _relabel_first_row(text, column, label):
     lines = text.splitlines()
     parts = lines[1].split(",")

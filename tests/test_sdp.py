@@ -142,8 +142,9 @@ def test_negative_diagonal_diverges_to_a_farkas_ray():
     assert sol.status == "numerical_failure"
     assert sol.iterations <= 10
     assert np.all(np.isfinite(sol.dual_vector))
-    # the certificate reads the ray off the returned y
-    g, defect, status = guessprob._certified(problem, sol, 1.0)
+    # the certificate solves again and reads the ray off the returned y,
+    # with trace cap 1, the order of the one block
+    _, g, defect, status = guessprob._certified(problem)
     assert status == "infeasible"
     assert math.isnan(g) and defect == math.inf
 
