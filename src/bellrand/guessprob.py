@@ -272,13 +272,13 @@ def _dual_bound(problem: SdpProblem):
     the bound b.y + defect*trace_cap, with trace_cap the sum of the block
     orders. Any y gives G <= that bound, since A*(y) + defect*I - C >= 0
     and the diagonal moments, each at most one, keep the trace of a
-    feasible point at most trace_cap. Returns the solution, z, trace_cap,
-    the defect and the bound, unclipped."""
+    feasible point at most trace_cap. Returns the solution, z, the defect
+    and the bound, unclipped."""
     sol = solve(problem)
     z = _dual_combination(problem, sol.dual_vector)
     defect = max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
     trace_cap = float(sum(problem.block_orders))
-    return sol, z, trace_cap, defect, sol.dual_objective + defect * trace_cap
+    return sol, z, defect, sol.dual_objective + defect * trace_cap
 
 
 @lru_cache(maxsize=32)
@@ -311,10 +311,11 @@ def _certified(problem: SdpProblem):
     b.yhat = <A*(yhat), X> >= lambda_min tr X, so A*(yhat) >= -eps together
     with b.yhat well below -eps*trace_cap rules every feasible point out.
     """
-    sol, z, trace_cap, defect, gcert = _dual_bound(problem)
+    sol, z, defect, gcert = _dual_bound(problem)
     y = sol.dual_vector
     norm = float(np.linalg.norm(y))
     if sol.status != "optimal" and 0.0 < norm < math.inf:
+        trace_cap = float(sum(problem.block_orders))
         eps = max(0.0, -float(np.linalg.eigvalsh(z).min())) / norm
         gain = float(problem.rhs @ y[:problem.rhs.size]) / norm
         if gain < -(10.0 * eps * trace_cap + 1e-7):
@@ -339,18 +340,26 @@ def _report(sol, g, defect, status, level, scenario, coeffs, base):
     infeasible one has no expression and reads no attack weights off its
     primal, which then matches no behavior."""
     mx, my, xstar, ystar = scenario
-    weights = dict(zip(OUTCOME_PAIRS, sol.primal_blocks[:, 0, 0].tolist()))
-    if status == "infeasible":
-        weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
+    weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
+    if status != "infeasible":
+        weights = dict(zip(OUTCOME_PAIRS, sol.primal_blocks[:, 0, 0].tolist()))
     expr = None
     if math.isfinite(g):
         offset = base + (g - sol.dual_objective)
         expr = BellExpression(mx, my, xstar, ystar, coeffs, offset)
     return GuessReport(
-        guessing_probability=g, hmin=_hmin(g), level=level, xstar=xstar,
-        ystar=ystar, status=status, attack_weights=_clean_weights(weights),
-        bell_expression=expr, iterations=sol.iterations, gap=sol.gap,
-        primal_residual=sol.primal_residual, dual_residual=sol.dual_residual,
+        guessing_probability=g,
+        hmin=_hmin(g),
+        level=level,
+        xstar=xstar,
+        ystar=ystar,
+        status=status,
+        attack_weights=_clean_weights(weights),
+        bell_expression=expr,
+        iterations=sol.iterations,
+        gap=sol.gap,
+        primal_residual=sol.primal_residual,
+        dual_residual=sol.dual_residual,
         certificate_defect=defect,
     )
 

@@ -25,7 +25,12 @@ def test_criterion_1_chsh_only_endpoint():
     report = guessprob.bell_constrained_bound(
         guessprob.chsh_coefficients(), [TSIRELSON], 2, 2, level=2
     )
-    RECORDED.append((report, None))
+    # phi+ under the CHSH-optimal settings reaches the Tsirelson value
+    phi_plus = qstate.behavior(
+        qstate.make_state(1.0, math.pi / 4),
+        qstate.chsh_optimal_settings(math.pi / 4),
+    )
+    RECORDED.append((report, phi_plus))
     ok = report.status == "optimal" and abs(report.hmin - 1.22845) <= 2e-3
     _verdict(
         1,
@@ -179,7 +184,7 @@ def test_criterion_7_constraint_ordering():
         chsh = guessprob.bell_constrained_bound(
             guessprob.chsh_coefficients(), [qstate.chsh_value(b)], 2, 2, level=2
         )
-        RECORDED.extend([(full, b), (tilted, None), (chsh, None)])
+        RECORDED.extend([(full, b), (tilted, b), (chsh, b)])
         # operator-constrained bounds never beat the full-statistics bound
         if not (
             full.hmin >= tilted.hmin - 1e-6
@@ -198,9 +203,10 @@ def test_criterion_7_constraint_ordering():
 
 
 def test_criterion_8_duality_and_certificates(checks, quantum_samples):
-    # every solved instance with a behavior: f.p + offset = G within 1e-6,
-    # and f.p' + offset >= p'(a,b|x*,y*) - 1e-6 on 100 quantum behaviors p'
-    # per scenario, drawn apart from bellrand (perfbench/checks.py)
+    # every solved instance with a behavior, Bell-value bounds included (each
+    # recorded with the behavior its value came from): f.p + offset = G
+    # within 1e-6, and f.p' + offset >= p'(a,b|x*,y*) - 1e-6 on 100 quantum
+    # behaviors p' per scenario, drawn apart from bellrand (perfbench/checks.py)
     faults, checked = [], 0
     for rep, b in RECORDED:
         if rep.status == "optimal" and b is not None:
