@@ -1,6 +1,5 @@
 """Certified randomness bounds for two-qubit Bell experiments."""
 
-from .analytic import PureStateResult, pure_state_alpha, pure_state_guessing
 from .guessprob import (
     BellExpression,
     GuessReport,
@@ -37,7 +36,6 @@ __all__ = [
     "GuessReport",
     "MeasurementSet",
     "OptResult",
-    "PureStateResult",
     "behavior",
     "behavior_from_csv",
     "behavior_to_csv",
@@ -53,8 +51,6 @@ __all__ = [
     "make_state",
     "optimize",
     "projector",
-    "pure_state_alpha",
-    "pure_state_guessing",
     "tomographic_guessing",
     "tomographic_optimize",
     "tomographic_program",

@@ -28,8 +28,9 @@ import sys
 
 import numpy as np
 
-from . import qstate, seesaw
+from . import npa, qstate, seesaw
 from .guessprob import (
+    _hmin,
     bell_constrained_bound,
     chsh_coefficients,
     guessing_probability,
@@ -47,9 +48,8 @@ EXIT_SOLVER = 2
 def validate(args: argparse.Namespace):
     """Reject settings no solve can use, before any solve. Only the options
     that the chosen subcommand declares are in ``args``; each is checked
-    when it is there."""
-    if "level" in args and args.level not in (1, 2, 3):
-        raise ValueError("level must be 1, 2, or 3")
+    when it is there. The level and the generation pair are the library's
+    to check: every bound checks both before any solve."""
     if "v" in args and not 0.0 <= args.v <= 1.0:
         raise ValueError("v must lie in [0, 1]")
     # same slack as qstate.make_state, so pi/4 itself passes
@@ -62,12 +62,6 @@ def validate(args: argparse.Namespace):
             raise ValueError(f"{key.replace('_', '-')} must be >= 1")
     if "mx" in args and (args.mx < 1 or args.my < 1):
         raise ValueError("scenario needs at least one input per side")
-    # certify checks the generation pair against the behavior it measures
-    if "xstar" in args and "behavior" not in args:
-        if not (1 <= args.xstar <= args.mx):
-            raise ValueError("xstar outside scenario")
-        if not (1 <= args.ystar <= args.my):
-            raise ValueError("ystar outside scenario")
     if "v_grid" in args:
         for key in ("v_grid", "theta_grid"):
             if getattr(args, key) == ():
@@ -158,7 +152,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    # the generation pair is checked against the behavior's own scenario
+    # the bound checks the generation pair against the behavior's own scenario
     if args.behavior:
         with open(args.behavior) as fh:
             b = qstate.behavior_from_csv(fh.read())
@@ -167,8 +161,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         meas = MeasurementSet(args.alice or base.alice_angles,
                               args.bob or base.bob_angles)
         b = qstate.behavior(qstate.make_state(args.v, args.theta), meas)
-    if not (1 <= args.xstar <= b.mx and 1 <= args.ystar <= b.my):
-        raise ValueError("generation setting outside the behavior's scenario")
     report = guessing_probability(b, args.level, args.xstar, args.ystar)
     _write(args.out, report_to_text(report))
     return EXIT_OK if report.status == "optimal" else EXIT_SOLVER
@@ -226,8 +218,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         rows = ["start,iteration,g,hmin"]
         for s_idx, traj in enumerate(res.start_trajectories):
             for it, g in enumerate(traj):
-                h = -math.log2(min(max(g, 0.25), 1.0))
-                rows.append(f"{s_idx},{it},{_fmt(g)},{_fmt(h)}")
+                rows.append(f"{s_idx},{it},{_fmt(g)},{_fmt(_hmin(g))}")
         _write(args.trace, "\n".join(rows) + "\n")
     return EXIT_OK if rep.status == "optimal" else EXIT_SOLVER
 
@@ -359,7 +350,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     io.add_argument("--config", type=str)
     state.add_argument("--v", type=float, default=1.0)
     state.add_argument("--theta", type=float, default=math.pi / 4)
-    scenario.add_argument("--level", type=int, choices=(1, 2, 3), default=2)
+    scenario.add_argument("--level", type=int, choices=npa.LEVELS, default=2)
     scenario.add_argument("--mx", type=int, default=2)
     scenario.add_argument("--my", type=int, default=2)
     scenario.add_argument("--xstar", type=int, default=1)

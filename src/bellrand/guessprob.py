@@ -8,9 +8,10 @@ Eve's guessing probability for the generation pair (x*, y*) is bounded by
 where the unnormalized sub-behaviors p~_ab are represented by moment-matrix
 blocks, one per outcome pair. The matching sum_ab p~_ab = p is posed as
 the (1+mx)(1+my) linearly independent Collins-Gisin rows M p, and signalling
-behaviors are rejected before any solve. The dual multipliers y of these
-rows form a Bell expression f = M^T y with f.p' >= G[p'] for every quantum
-behavior p'; that certificate is what this module reports.
+or unnormalized behaviors are rejected before any solve. The dual
+multipliers y of these rows form a Bell expression f = M^T y with
+f.p' >= G[p'] for every quantum behavior p'; that certificate is what this
+module reports.
 
 The reported G is the certificate value b.y plus an exactly-measured dual
 feasibility repair term, so it upper-bounds the relaxation optimum (the safe
@@ -272,13 +273,13 @@ def _dual_bound(problem: SdpProblem):
     the bound b.y + defect*trace_cap, with trace_cap the sum of the block
     orders. Any y gives G <= that bound, since A*(y) + defect*I - C >= 0
     and the diagonal moments, each at most one, keep the trace of a
-    feasible point at most trace_cap. Returns the solution, z, the defect
-    and the bound, unclipped."""
+    feasible point at most trace_cap. Returns the solution, z, the defect,
+    trace_cap and the bound, unclipped."""
     sol = solve(problem)
     z = _dual_combination(problem, sol.dual_vector)
     defect = max(0.0, -float(np.linalg.eigvalsh(z - problem.objective).min()))
     trace_cap = float(sum(problem.block_orders))
-    return sol, z, defect, sol.dual_objective + defect * trace_cap
+    return sol, z, defect, trace_cap, sol.dual_objective + defect * trace_cap
 
 
 @lru_cache(maxsize=32)
@@ -311,11 +312,10 @@ def _certified(problem: SdpProblem):
     b.yhat = <A*(yhat), X> >= lambda_min tr X, so A*(yhat) >= -eps together
     with b.yhat well below -eps*trace_cap rules every feasible point out.
     """
-    sol, z, defect, gcert = _dual_bound(problem)
+    sol, z, defect, trace_cap, gcert = _dual_bound(problem)
     y = sol.dual_vector
     norm = float(np.linalg.norm(y))
     if sol.status != "optimal" and 0.0 < norm < math.inf:
-        trace_cap = float(sum(problem.block_orders))
         eps = max(0.0, -float(np.linalg.eigvalsh(z).min())) / norm
         gain = float(problem.rhs @ y[:problem.rhs.size]) / norm
         if gain < -(10.0 * eps * trace_cap + 1e-7):
@@ -443,10 +443,11 @@ def guessing_probability(
     """Bound Eve's guessing probability from the full behavior, matched in
     its Collins-Gisin coordinates M p; the Bell expression is f = M^T y.
     A behavior whose marginals or normalizations depend on the other
-    party's input by more than ``qstate.SIGNALING_INPUT_TOL`` is reported
-    infeasible without a solve. Infeasible instances get G = NaN, NaN
-    attack weights and no expression. A level other than 1, 2 or 3 raises
-    ValueError, also where no solve is made.
+    party's input by more than ``qstate.SIGNALING_INPUT_TOL``, or one with
+    a normalization farther than that from one, is reported infeasible
+    without a solve. Infeasible instances get G = NaN, NaN attack weights
+    and no expression. A non-finite entry, or a level other than 1, 2 or
+    3, raises ValueError, also where no solve is made.
 
     A behavior with a local model, decided exactly where one side has at
     most two inputs (see _has_local_model), is reported without a solve:
@@ -455,9 +456,13 @@ def guessing_probability(
     and defect. Every other behavior, 3x3 included, is solved."""
     npa.check_level(level)
     _check_generation(b.mx, b.my, xstar, ystar)
+    # at infinite tolerances validate tests only that every entry is finite
+    b.validate(entry_tol=math.inf, norm_tol=math.inf)
     sums = b.table.sum(axis=(0, 1))
-    signaling = max(b.no_signaling_defect(), float(np.ptp(sums)))
-    if signaling > qstate.SIGNALING_INPUT_TOL:
+    off = max(
+        b.no_signaling_defect(), float(np.ptp(sums)), float(np.abs(sums - 1.0).max())
+    )
+    if off > qstate.SIGNALING_INPUT_TOL:
         return _rejected(level, xstar, ystar)
     if _has_local_model(b):
         # Eve holds the deterministic strategy of each local-model term

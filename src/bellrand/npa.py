@@ -26,6 +26,9 @@ Monomial = tuple[Letter, ...]
 
 IDENTITY: Monomial = ()
 
+# the relaxation levels the hierarchy builds
+LEVELS = (1, 2, 3)
+
 
 def reduce(word: Sequence[Letter]) -> Monomial:
     """Canonical form of a word: Alice block first, adjacent repeats collapsed."""
@@ -56,7 +59,7 @@ def moment_word(word: Sequence[Letter]) -> Monomial:
 
 def check_level(level: int):
     """Reject a relaxation level the hierarchy does not build."""
-    if level not in (1, 2, 3):
+    if level not in LEVELS:
         raise ValueError(f"level must be 1, 2 or 3, got {level}")
 
 

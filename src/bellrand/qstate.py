@@ -64,6 +64,9 @@ class DensityMatrix:
         m = _as_real(self.entries, "density matrix")
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+        # NaN fails every comparison below
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.T)) > HERMITIAN_TOL:
             raise ValueError("density matrix must be symmetric")
         if abs(np.trace(m) - 1.0) > TRACE_TOL:

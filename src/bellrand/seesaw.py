@@ -153,6 +153,8 @@ def optimize(
         raise ValueError("epsilon must be positive")
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     rng = np.random.default_rng(seed)
     starts = [initial_settings(mx, my)]
     for _ in range(n_starts - 1):

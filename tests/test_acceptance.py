@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from bellrand import analytic, guessprob, qstate, sdp, seesaw
+from bellrand import guessprob, qstate, sdp, seesaw
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -87,12 +87,12 @@ def test_criterion_3_werner_threshold():
     )
 
 
-def test_criterion_4_analytic_tomographic_agreement():
+def test_criterion_4_analytic_tomographic_agreement(checks):
     worst = 0.0
     for theta in (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
         _, _, report = seesaw.tomographic_optimize(qstate.make_state(1.0, theta))
         RECORDED.append((report, None))
-        target = analytic.pure_state_guessing(theta).guessing_probability
+        target = checks.pure_state_g(theta)
         worst = max(worst, abs(report.guessing_probability - target))
     ok = worst <= 1e-9
     _verdict(

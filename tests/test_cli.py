@@ -370,6 +370,39 @@ def test_tomography_capped_map_point_exits_solver(monkeypatch, tmp_path):
     assert len(map_rows) == 1 + 9
 
 
+def failing_solve(*args, **kwargs):
+    raise AssertionError("solver called before the inputs were checked")
+
+
+# a small see-saw, so that a rule not checked at the first bound shows up
+# as the failing solve of a later one, not as a long run
+BOUNDS = [
+    ["certify"],
+    ["bellbound", "--value", "2.6"],
+    ["optimize", "--starts", "1"],
+    ["sweep", "--v-grid", "0.9", "--starts", "1"],
+]
+
+
+@pytest.mark.parametrize("sub", BOUNDS, ids=lambda sub: sub[0])
+def test_config_level_checked_by_the_library(monkeypatch, capsys, tmp_path, sub):
+    # argparse checks --level's choices on the command line only; a config
+    # value reaches the first bound, which rejects it before any solve
+    monkeypatch.setattr(guessprob, "solve", failing_solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 4\n")
+    assert cli.main(sub + ["--config", str(cfg)]) == 1
+    assert "level must be 1, 2 or 3, got 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", BOUNDS, ids=lambda sub: sub[0])
+def test_generation_pair_checked_by_the_library(monkeypatch, capsys, sub):
+    # certify's default settings have two inputs per side, as --mx/--my do
+    monkeypatch.setattr(guessprob, "solve", failing_solve)
+    assert cli.main(sub + ["--xstar", "3"]) == 1
+    assert "generation setting (3,1) outside scenario (2,2)" in capsys.readouterr().err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# solver settings\nlevel = 1\nv = 0.9\n")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from bellrand import analytic, cli
+from bellrand import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 FIGURES = ROOT / "figures"
@@ -114,7 +114,7 @@ def test_sweep_rows_stay_below_the_tomographic_rate():
     assert checked
 
 
-def test_tomography_rate_is_not_monotonic_in_entanglement():
+def test_tomography_rate_is_not_monotonic_in_entanglement(checks):
     (cfg,) = configs_of("tomography")
     rows = read_rows(ROOT / settings(cfg)["out"])
     assert all(row["status"] == "optimal" for row in rows)
@@ -124,7 +124,7 @@ def test_tomography_rate_is_not_monotonic_in_entanglement():
             (float(row["theta"]), float(row["hmin"]))
         )
     for theta, hmin in curves[1.0]:
-        assert abs(hmin - analytic.pure_state_guessing(theta).hmin) <= 1e-9
+        assert abs(hmin - checks.pure_state_hmin(theta)) <= 1e-9
     for v, curve in curves.items():
         hmins = [h for _, h in sorted(curve)]
         # the dip: both the product state and the maximally entangled one

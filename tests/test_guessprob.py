@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,42 @@ def test_unequal_normalizations_infeasible():
     report = guessprob.guessing_probability(b, level=2)
     assert report.status == "infeasible"
     assert report.bell_expression is None
+
+
+def scaled_behavior(scale):
+    # every (x, y) block sums to ``scale``: no-signalling, equal normalizations
+    b = behavior(make_state(0.99, math.pi / 8), chsh_optimal_settings(math.pi / 8))
+    return qstate.Behavior(2, 2, scale * b.probs)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.5, 1 + 1e-6])
+def test_unnormalized_behavior_infeasible_without_solve(monkeypatch, scale):
+    monkeypatch.setattr(guessprob, "solve", no_solve)
+    report = guessprob.guessing_probability(scaled_behavior(scale), level=2)
+    assert report.status == "infeasible"
+    assert math.isnan(report.guessing_probability)
+    assert report.bell_expression is None
+
+
+def test_rounding_level_normalization_still_solved():
+    exact = guessprob.guessing_probability(scaled_behavior(1.0), level=2)
+    report = guessprob.guessing_probability(scaled_behavior(1 + 5e-8), level=2)
+    assert report.status == "optimal"
+    assert abs(report.guessing_probability - exact.guessing_probability) <= 1e-6
+
+
+@pytest.mark.parametrize("at, label", [
+    (component_index(-1, 1, 2, 1, 2, 2), "(-1,1,2,1)"), (slice(None), "(-1,-1,1,1)"),
+], ids=["one", "all"])
+def test_non_finite_behavior_entry_named(monkeypatch, at, label):
+    # NaN fails every comparison of the signalling and locality tests
+    monkeypatch.setattr(guessprob, "solve", no_solve)
+    p = scaled_behavior(1.0).probs.copy()
+    p[at] = math.nan
+    with pytest.raises(ValueError, match=re.escape(
+        f"behavior entry for (a,b,x,y)={label} is not finite"
+    )):
+        guessprob.guessing_probability(qstate.Behavior(2, 2, p), level=2)
 
 
 def chsh_box(s):

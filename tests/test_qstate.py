@@ -73,6 +73,16 @@ def test_make_state_validates_range():
         make_state(-0.1, 0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(4) / 4.0
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="density matrix entries must be finite"):
+        qstate.DensityMatrix(m)
+    with pytest.raises(ValueError, match="density matrix entries must be finite"):
+        qstate.DensityMatrix(np.full((4, 4), bad))
+
+
 def test_kron2_is_np_kron_bit_for_bit():
     rng = np.random.default_rng(7)
     for a, b in rng.standard_normal((2000, 2, 2, 2)):

@@ -14,7 +14,7 @@ from scipy.optimize import minimize
 
 import bellrand
 import bellrand.cli
-from bellrand import analytic, guessprob, qstate, seesaw
+from bellrand import guessprob, qstate, seesaw
 from bellrand.guessprob import BellExpression
 from bellrand.qstate import MeasurementSet, behavior, chsh_value, make_state
 
@@ -121,6 +121,8 @@ def test_optimize_parameter_validation():
             seesaw.optimize(state, epsilon=epsilon)
     with pytest.raises(ValueError, match="n_starts"):
         seesaw.optimize(state, n_starts=0)
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        seesaw.optimize(state, max_iterations=0)
     with pytest.raises(ValueError, match="grid_size"):
         seesaw.tomographic_optimize(state, grid_size=4)
 
@@ -305,11 +307,11 @@ def test_tomographic_optimize_decomposes_the_state_once(monkeypatch, v):
 @pytest.mark.parametrize("grid_size,theta", [
     (8, 23 * math.pi / 128), (12, 13 * math.pi / 64),
 ])
-def test_tomographic_optimize_finds_pure_state_optimum(grid_size, theta):
+def test_tomographic_optimize_finds_pure_state_optimum(checks, grid_size, theta):
     # the theta on each grid whose best grid point alone led the simplex
     # search to a local optimum, 4.4e-2 (grid 8) and 2.7e-2 (grid 12) high
     _, _, report = seesaw.tomographic_optimize(make_state(1.0, theta), grid_size)
-    target = analytic.pure_state_guessing(theta).guessing_probability
+    target = checks.pure_state_g(theta)
     assert abs(report.guessing_probability - target) <= 1e-6
 
 
