@@ -3,12 +3,12 @@
 from .guessprob import (
     BellExpression,
     GuessReport,
+    TomographicProgram,
     bell_constrained_bound,
     chsh_coefficients,
     guessing_probability,
     ibeta_coefficients,
     tomographic_guessing,
-    tomographic_program,
 )
 from .qstate import (
     Behavior,
@@ -36,6 +36,7 @@ __all__ = [
     "GuessReport",
     "MeasurementSet",
     "OptResult",
+    "TomographicProgram",
     "behavior",
     "behavior_from_csv",
     "behavior_to_csv",
@@ -53,6 +54,5 @@ __all__ = [
     "projector",
     "tomographic_guessing",
     "tomographic_optimize",
-    "tomographic_program",
     "update_measurements",
 ]

@@ -30,13 +30,13 @@ import numpy as np
 
 from . import npa, qstate, seesaw
 from .guessprob import (
+    TomographicProgram,
     _hmin,
     bell_constrained_bound,
     chsh_coefficients,
     guessing_probability,
     ibeta_coefficients,
     report_to_text,
-    tomographic_program,
 )
 from .qstate import MeasurementSet
 
@@ -321,11 +321,11 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         )
     map_path = args.angle_map
     if map_path:
-        evaluate = tomographic_program(qstate.make_state(args.v, args.theta))
+        program = TomographicProgram(qstate.make_state(args.v, args.theta))
         angles = np.arange(args.map_grid) * math.pi / args.map_grid
         pairs = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
         rows = ["alpha1,beta1,hmin"]
-        for (alpha, beta), rep in zip(pairs, evaluate.batch(pairs)):
+        for (alpha, beta), rep in zip(pairs, program.batch(pairs)):
             if rep.status != "optimal":
                 worst = rep.status
             rows.append(f"{_fmt(alpha)},{_fmt(beta)},{_fmt(rep.hmin)}")

@@ -94,8 +94,6 @@ class BellExpression:
 
     mx: int
     my: int
-    xstar: int
-    ystar: int
     coeffs: np.ndarray
     offset: float = 0.0
 
@@ -122,6 +120,29 @@ class BellExpression:
 
 @dataclass(frozen=True)
 class GuessReport:
+    """One bound on Eve's guessing probability, made by _guess_report.
+
+    guessing_probability is the certified G and hmin = -log2 G, both NaN
+    for an infeasible instance; level, xstar and ystar name the program and
+    the generation pair; attack_weights holds Eve's weight on each guessed
+    outcome pair (a, b), entries below 1e-9 in magnitude set to zero.
+    The other fields depend on how the report was made:
+
+    - solved NPA relaxation: status is the certificate's health,
+      bell_expression the certificate f (None when G is NaN), iterations,
+      gap and the two residuals the solver's, and certificate_defect the
+      dual defect added into G;
+    - decided without a solve (a local behavior or Bell value, G = 1 with
+      f = 0 and offset 1; or a signalling, unnormalized or inconsistent
+      instance, infeasible with NaN weights, no expression and infinite
+      gap, residuals and defect): iterations 0, and otherwise zeros;
+    - tomographic (TomographicProgram): level is 0, xstar = ystar = 1 and
+      there is no bell_expression; iterations counts the ascent steps, gap
+      is G - f with f the primal value, the residuals are 0, and
+      certificate_defect is the defect added into G (all 0 for a pure
+      state, solved in closed form).
+    """
+
     guessing_probability: float
     hmin: float
     level: int
@@ -143,8 +164,30 @@ def _hmin(g: float) -> float:
     return -math.log2(min(max(g, 0.25), 1.0)) + 0.0
 
 
-def _clean_weights(raw: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    return {k: (0.0 if abs(v) < 1e-9 else v) for k, v in raw.items()}
+def _guess_report(
+    g, status, weights, level=0, xstar=1, ystar=1, expr=None, iterations=0,
+    gap=0.0, primal_residual=0.0, dual_residual=0.0, defect=0.0,
+) -> GuessReport:
+    """The report of certified value g, with ``weights`` given in
+    OUTCOME_PAIRS order; the solve fields default to those of a report
+    made without a solve."""
+    return GuessReport(
+        guessing_probability=g,
+        hmin=_hmin(g),
+        level=level,
+        xstar=xstar,
+        ystar=ystar,
+        status=status,
+        attack_weights={
+            k: (0.0 if abs(w) < 1e-9 else w) for k, w in zip(OUTCOME_PAIRS, weights)
+        },
+        bell_expression=expr,
+        iterations=iterations,
+        gap=gap,
+        primal_residual=primal_residual,
+        dual_residual=dual_residual,
+        certificate_defect=defect,
+    )
 
 
 class _Layout(NamedTuple):
@@ -340,27 +383,15 @@ def _report(sol, g, defect, status, level, scenario, coeffs, base):
     infeasible one has no expression and reads no attack weights off its
     primal, which then matches no behavior."""
     mx, my, xstar, ystar = scenario
-    weights = dict.fromkeys(OUTCOME_PAIRS, math.nan)
+    weights = [math.nan] * len(OUTCOME_PAIRS)
     if status != "infeasible":
-        weights = dict(zip(OUTCOME_PAIRS, sol.primal_blocks[:, 0, 0].tolist()))
+        weights = sol.primal_blocks[:, 0, 0].tolist()
     expr = None
     if math.isfinite(g):
-        offset = base + (g - sol.dual_objective)
-        expr = BellExpression(mx, my, xstar, ystar, coeffs, offset)
-    return GuessReport(
-        guessing_probability=g,
-        hmin=_hmin(g),
-        level=level,
-        xstar=xstar,
-        ystar=ystar,
-        status=status,
-        attack_weights=_clean_weights(weights),
-        bell_expression=expr,
-        iterations=sol.iterations,
-        gap=sol.gap,
-        primal_residual=sol.primal_residual,
-        dual_residual=sol.dual_residual,
-        certificate_defect=defect,
+        expr = BellExpression(mx, my, coeffs, base + (g - sol.dual_objective))
+    return _guess_report(
+        g, status, weights, level, xstar, ystar, expr, sol.iterations, sol.gap,
+        sol.primal_residual, sol.dual_residual, defect,
     )
 
 
@@ -410,27 +441,16 @@ def _local_report(mx, my, level, xstar, ystar, weights) -> GuessReport:
     the deterministic strategy and guesses perfectly, so G = 1, with
     ``weights`` the probabilities of her guesses. f = 0 with offset 1 is a
     valid certificate on every behavior, so nothing is solved."""
-    return GuessReport(
-        guessing_probability=1.0, hmin=_hmin(1.0), level=level, xstar=xstar,
-        ystar=ystar, status="optimal", attack_weights=_clean_weights(weights),
-        bell_expression=BellExpression(
-            mx=mx, my=my, xstar=xstar, ystar=ystar,
-            coeffs=np.zeros(4 * mx * my), offset=1.0,
-        ),
-        iterations=0, gap=0.0, primal_residual=0.0, dual_residual=0.0,
-        certificate_defect=0.0,
-    )
+    expr = BellExpression(mx, my, np.zeros(4 * mx * my), 1.0)
+    return _guess_report(1.0, "optimal", weights, level, xstar, ystar, expr)
 
 
 def _rejected(level: int, xstar: int, ystar: int) -> GuessReport:
     """Report for an instance found infeasible before any solve."""
     nan, inf = math.nan, math.inf
-    return GuessReport(
-        guessing_probability=nan, hmin=nan, level=level, xstar=xstar,
-        ystar=ystar, status="infeasible",
-        attack_weights=dict.fromkeys(OUTCOME_PAIRS, nan), bell_expression=None,
-        iterations=0, gap=inf, primal_residual=inf, dual_residual=inf,
-        certificate_defect=inf,
+    return _guess_report(
+        nan, "infeasible", [nan] * len(OUTCOME_PAIRS), level, xstar, ystar,
+        gap=inf, primal_residual=inf, dual_residual=inf, defect=inf,
     )
 
 
@@ -467,9 +487,7 @@ def guessing_probability(
     if _has_local_model(b):
         # Eve holds the deterministic strategy of each local-model term
         guessed = b.table[:, :, xstar - 1, ystar - 1].ravel().tolist()
-        return _local_report(
-            b.mx, b.my, level, xstar, ystar, dict(zip(OUTCOME_PAIRS, guessed))
-        )
+        return _local_report(b.mx, b.my, level, xstar, ystar, guessed)
     sol, g, defect, status = _certified(build_primal(b, level, xstar, ystar))
     # f = M^T y: f.p' = y.(M p') for every no-signaling behavior p'
     to_cg = _moment_layout(level, b.mx, b.my).to_cg
@@ -558,7 +576,7 @@ def bell_constrained_bound(
             weights = dict.fromkeys(OUTCOME_PAIRS, 0.0)
             weights[at_lo] += 1.0 - t
             weights[at_hi] += t
-            return _local_report(mx, my, level, xstar, ystar, weights)
+            return _local_report(mx, my, level, xstar, ystar, weights.values())
     layout = _moment_layout(level, mx, my)
     sol, g, defect, status = _certified(_npa_problem(
         layout, rows[keep[1:] + [0]], np.append(values[ops], 1.0),
@@ -766,78 +784,12 @@ def _discriminate(v: np.ndarray, start: np.ndarray):
 
 
 class TomographicProgram:
-    """The tomographic program of one state, evaluated at angle pairs (see
-    tomographic_program). ``program(alice_angle, bob_angle)`` is one
-    pair's report, and ``program.batch(pairs)`` gives one report per pair
-    of a list from one evaluation of the whole stack. A pair's report does
-    not depend on the batch it is evaluated in."""
-
-    def __init__(self, state: DensityMatrix):
-        rho = state.entries
-        evals, evecs = np.linalg.eigh(rho)
-        keep = evals > 1e-12
-        self._pure = bool(keep.sum() == 1)
-        if self._pure:
-            psi = evecs[:, keep]
-            self._lam = float((psi.T @ rho @ psi)[0, 0])
-            self._psi = psi[:, 0]
-        else:
-            self._root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-
-    def __call__(self, alice_angle: float, bob_angle: float) -> GuessReport:
-        return self.batch([(alice_angle, bob_angle)])[0]
-
-    def batch(self, pairs) -> list[GuessReport]:
-        if not pairs:
-            return []
-        basis = _product_basis(pairs)
-        if self._pure:
-            return self._pure_reports(basis)
-        return self._mixed_reports(basis)
-
-    def _pure_reports(self, basis: np.ndarray) -> list[GuessReport]:
-        # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
-        # program over a simplex, maximized at its best vertex; the dual
-        # y = max_ab p_ab is feasible as it stands, so the defect is zero
-        p = (self._psi @ basis) ** 2
-        best = p.argmax(axis=1)
-        g = np.clip(self._lam * p[np.arange(len(p)), best], 0.25, 1.0)
-        return [
-            GuessReport(
-                guessing_probability=gb, hmin=_hmin(gb), level=0, xstar=1, ystar=1,
-                status="optimal",
-                attack_weights={
-                    k: self._lam if i == kb else 0.0
-                    for i, k in enumerate(OUTCOME_PAIRS)
-                },
-                bell_expression=None, iterations=0, gap=0.0, primal_residual=0.0,
-                dual_residual=0.0, certificate_defect=0.0,
-            )
-            for gb, kb in zip(g.tolist(), best.tolist())
-        ]
-
-    def _mixed_reports(self, basis: np.ndarray) -> list[GuessReport]:
-        cert, steps, status = _discriminate(self._root @ basis, basis)
-        weights = np.sum((self._root @ cert.m) ** 2, axis=1).tolist()
-        rows = zip(cert.g, cert.f, cert.defect, steps, status, weights)
-        return [
-            GuessReport(
-                guessing_probability=g, hmin=_hmin(g), level=0, xstar=1, ystar=1,
-                status=st,
-                attack_weights=_clean_weights(dict(zip(OUTCOME_PAIRS, w))),
-                bell_expression=None, iterations=n, gap=g - f, primal_residual=0.0,
-                dual_residual=0.0, certificate_defect=defect,
-            )
-            for g, f, defect, n, st, w in rows
-        ]
-
-
-def tomographic_program(state: DensityMatrix) -> TomographicProgram:
-    """The tomographic program of one state, as a function of the angles:
-    ``(alice_angle, bob_angle) -> GuessReport``, the guessing probability
-    when Eve is constrained by the state itself, maximize
-    sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho; its
-    ``batch(pairs)`` evaluates a list of angle pairs at once.
+    """The tomographic program of one state: the guessing probability when
+    Eve is constrained by the state itself, maximize
+    sum_ab <rho~_ab, pi_a x pi_b> over PSD blocks summing to rho, as a
+    function of the two measurement angles. ``batch(pairs)`` gives one
+    report per (alice_angle, bob_angle) of a list, from one evaluation of
+    the whole stack; a pair's report does not depend on its batch.
 
     Each pi_a x pi_b projects onto a product unit vector e_ab. Writing the
     blocks as rho~_ab = sqrt(rho) M_ab sqrt(rho) turns the program into
@@ -859,16 +811,54 @@ def tomographic_program(state: DensityMatrix) -> TomographicProgram:
     When rho's support (eigenvalues above 1e-12) has rank one, a pure
     state rho = lambda |psi><psi|, the blocks are weights x_ab >= 0 summing
     to lambda and the optimum is G = lambda * max_ab (psi.e_ab)^2,
-    returned exactly: 0 iterations, zero gap, residuals and defect, and all
-    attack weight on the maximizing pair. Level is reported as 0 and there
-    is no behavior-space Bell expression (the certificate is an operator).
+    returned exactly: f = G, 0 iterations, zero gap, residuals and defect,
+    and all attack weight on the maximizing pair. Level is reported as 0
+    and there is no behavior-space Bell expression (the certificate is an
+    operator).
 
     What depends on the state alone is computed here, once: the
     eigendecomposition of rho, the rank test, and psi and lambda for a
-    pure state or sqrt(rho) for a mixed one. An evaluation builds the
-    product bases of its pairs and evaluates the closed form, or runs the
-    ascent on all of them in lockstep; one pair is the batch of one."""
-    return TomographicProgram(state)
+    pure state or sqrt(rho) for a mixed one. A batch builds the product
+    bases of its pairs and evaluates the closed form, or runs the ascent on
+    all of them in lockstep."""
+
+    def __init__(self, state: DensityMatrix):
+        rho = state.entries
+        evals, evecs = np.linalg.eigh(rho)
+        keep = evals > 1e-12
+        self._pure = bool(keep.sum() == 1)
+        if self._pure:
+            psi = evecs[:, keep]
+            self._lam = float((psi.T @ rho @ psi)[0, 0])
+            self._psi = psi[:, 0]
+            # the attack weights when each outcome pair is the best
+            self._one_hot = (self._lam * np.eye(len(OUTCOME_PAIRS))).tolist()
+        else:
+            self._root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+    def batch(self, pairs) -> list[GuessReport]:
+        if not pairs:
+            return []
+        basis = _product_basis(pairs)
+        if self._pure:
+            n = len(pairs)
+            # four 1x1 blocks x_ab >= 0 with sum_ab x_ab = lambda: a linear
+            # program over a simplex, maximized at its best vertex; the dual
+            # y = max_ab p_ab is feasible as it stands, so the defect is zero
+            p = (self._psi @ basis) ** 2
+            best = p.argmax(axis=1)
+            g = np.clip(self._lam * p[np.arange(n), best], 0.25, 1.0).tolist()
+            f, defect, steps, status = g, [0.0] * n, [0] * n, ["optimal"] * n
+            weights = [self._one_hot[k] for k in best.tolist()]
+        else:
+            cert, steps, status = _discriminate(self._root @ basis, basis)
+            g, f, defect = cert.g, cert.f, cert.defect
+            weights = np.sum((self._root @ cert.m) ** 2, axis=1).tolist()
+        rows = zip(g, f, defect, steps, status, weights)
+        return [
+            _guess_report(gb, st, w, iterations=k, gap=gb - fb, defect=d)
+            for gb, fb, d, k, st, w in rows
+        ]
 
 
 def tomographic_guessing(
@@ -876,11 +866,11 @@ def tomographic_guessing(
     alice_angle: float,
     bob_angle: float,
 ) -> GuessReport:
-    """The tomographic program of ``state`` (see tomographic_program) at one
-    pair of angles. It decomposes the state on every call; to evaluate one
-    state at many angles, build tomographic_program(state) once and pass
-    the angle pairs to its batch."""
-    return tomographic_program(state)(alice_angle, bob_angle)
+    """The tomographic program of ``state`` (see TomographicProgram) at one
+    pair of angles, the batch of one. It decomposes the state on every
+    call; to evaluate one state at many angles, build
+    TomographicProgram(state) once and pass the angle pairs to its batch."""
+    return TomographicProgram(state).batch([(alice_angle, bob_angle)])[0]
 
 
 def report_to_text(report: GuessReport) -> str:

@@ -157,12 +157,6 @@ def table(flat: np.ndarray, mx: int, my: int) -> np.ndarray:
     return flat.reshape((2, 2, mx, my) + flat.shape[1:])
 
 
-def component_index(a: int, b: int, x: int, y: int, mx: int, my: int) -> int:
-    """Flat storage index of p(a,b|x,y), its entry's place in ``table``."""
-    labels = ((a + 1) // 2, (b + 1) // 2, x - 1, y - 1)
-    return int(np.ravel_multi_index(labels, (2, 2, mx, my)))
-
-
 def components(mx: int, my: int):
     """All (a, b, x, y) labels in flat storage order."""
     return itertools.product(OUTCOMES, OUTCOMES, range(1, mx + 1), range(1, my + 1))
@@ -210,9 +204,6 @@ class Behavior:
             raise ValueError(
                 f"probabilities for x={x + 1}, y={y + 1} sum to {float(sums[x, y])!r}"
             )
-
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.probs[component_index(a, b, x, y, self.mx, self.my)])
 
     def no_signaling_defect(self) -> float:
         """Largest marginal discrepancy across the other side's inputs."""

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .guessprob import BellExpression, GuessReport, guessing_probability, tomographic_program
+from .guessprob import (
+    BellExpression,
+    GuessReport,
+    TomographicProgram,
+    guessing_probability,
+)
 # the one-call form stays importable from here, where perfbench/tracing.py
 # looks it up by name
 from .guessprob import tomographic_guessing  # noqa: F401
@@ -300,22 +305,24 @@ def tomographic_optimize(
     then refine each of the _REFINE_STARTS best grid points with a simplex
     search (_simplex_search) and keep the lowest endpoint, ties going to
     grid order. The returned report is the one computed when the search
-    evaluated its endpoint. The state is decomposed once, by
-    tomographic_program, and each angle pair is evaluated once: a simplex
-    vertex at a pair already seen reuses its report.
+    evaluated its endpoint. The state is decomposed once, into
+    TomographicProgram(state), and every evaluation is a call of its
+    batch(pairs), each angle pair evaluated once: a simplex vertex at a
+    pair already seen reuses its report. tomographic_guessing(state, alpha,
+    beta) is the one-pair form, which decomposes the state at each call.
 
-    The grid is one batch of the program. The refines run in lockstep:
-    each round, the pairs that the running searches wait for and that have
-    not been evaluated yet form one batch, and then each search is sent its
-    value. A pair's report does not depend on its batch, so every search
-    takes the path it takes alone, and the result is that of running the
-    refines one after another."""
+    The grid is one batch. The refines run in lockstep: each round, the
+    pairs that the running searches wait for and that have not been
+    evaluated yet form one batch, and then each search is sent its value.
+    A pair's report does not depend on its batch, so every search takes the
+    path it takes alone, and the result is that of running the refines one
+    after another."""
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
     angles = np.arange(grid_size) * math.pi / grid_size
-    evaluate = tomographic_program(state)
+    program = TomographicProgram(state)
     grid = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
-    reports = dict(zip(grid, evaluate.batch(grid)))
+    reports = dict(zip(grid, program.batch(grid)))
     values = [reports[pair].guessing_probability for pair in grid]
     # sorted is stable: equal values keep grid order
     starts = sorted(range(len(grid)), key=values.__getitem__)[:_REFINE_STARTS]
@@ -324,7 +331,7 @@ def tomographic_optimize(
     ends = [None] * len(searches)
     while waiting:
         new = [x for x in dict.fromkeys(waiting.values()) if x not in reports]
-        reports.update(zip(new, evaluate.batch(new)))
+        reports.update(zip(new, program.batch(new)))
         for i, x in list(waiting.items()):
             try:
                 waiting[i] = searches[i].send(reports[x].guessing_probability)

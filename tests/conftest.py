@@ -1,12 +1,13 @@
 import functools
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellrand import sdp
+from bellrand import guessprob, sdp, seesaw
 
 
 @pytest.fixture
@@ -22,6 +23,16 @@ def failing_gram_factor(monkeypatch):
         return real(pre, gfac)
 
     monkeypatch.setattr(sdp, "_BlockSchur", schur)
+
+
+@pytest.fixture
+def failing_seesaw_bound(monkeypatch):
+    """Make every bound the see-saw asks for come back numerical_failure,
+    so that no start certifies a value."""
+    failed = guessprob._guess_report(
+        math.nan, "numerical_failure", [math.nan] * len(guessprob.OUTCOME_PAIRS)
+    )
+    monkeypatch.setattr(seesaw, "guessing_probability", lambda *args: failed)
 
 
 @pytest.fixture(scope="session")

@@ -42,8 +42,9 @@ def test_certify_from_behavior_file(tmp_path):
 def test_certify_signalling_behavior_file(tmp_path):
     b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
     p = b.probs.copy()
-    p[qstate.component_index(1, 1, 1, 1, 2, 2)] += 1e-3
-    p[qstate.component_index(1, -1, 1, 1, 2, 2)] -= 1e-3
+    # p(+,+|1,1) up and p(+,-|1,1) down: Bob's marginal at x = 1 moves
+    qstate.table(p, 2, 2)[1, 1, 0, 0] += 1e-3
+    qstate.table(p, 2, 2)[1, 0, 0, 0] -= 1e-3
     src = tmp_path / "behavior.csv"
     out = tmp_path / "report.txt"
     src.write_text(behavior_to_csv(qstate.Behavior(2, 2, p)))
@@ -268,6 +269,24 @@ def test_sweep_row_survives_failed_gram_factor(failing_gram_factor, capsys):
     assert code == (0 if fields["status"] == "optimal" else 2)
 
 
+def test_optimize_without_a_certified_start_exits_2(failing_seesaw_bound, capsys):
+    assert cli.main(["optimize", "--level", "1", "--starts", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "every start failed to certify a bound\n"
+
+
+def test_sweep_row_without_a_certified_start_fails(failing_seesaw_bound, capsys):
+    code = cli.main(["sweep", "--v-grid", "0.9", "--theta-grid", "0.4",
+                     "--level", "1", "--starts", "2", "--jobs", "1"])
+    assert code == 2
+    header, row = capsys.readouterr().out.strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["v"], fields["theta"]) == ("0.9", "0.4")
+    failed = {"hmin": "nan", "starts": "0", "converged": "False", "status": "failed"}
+    assert {key: fields[key] for key in failed} == failed
+
+
 def test_sweep_rejects_empty_grid(capsys):
     assert cli.main(["sweep", "--v-grid", ""]) == 1
     assert "v-grid is empty" in capsys.readouterr().err
@@ -297,7 +316,7 @@ def test_iteration_and_map_counts_validated_before_any_solve(
 
     monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
     monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
-    monkeypatch.setattr(cli, "tomographic_program", no_solve)
+    monkeypatch.setattr(cli, "TomographicProgram", no_solve)
     amap = str(tmp_path / "map.csv")
     for grid in ("0", "-3"):
         assert cli.main(["tomography", "--v", "0.9", "--grid-size", "8",
@@ -531,7 +550,7 @@ def test_every_listed_option_is_read(monkeypatch, tmp_path):
                         lambda *a: (0.0, 0.5, _STUB_REPORT))
     monkeypatch.setattr(cli, "guessing_probability", lambda *a: _STUB_REPORT)
     monkeypatch.setattr(cli, "bell_constrained_bound", lambda *a: _STUB_REPORT)
-    monkeypatch.setattr(cli, "tomographic_program", lambda state: SimpleNamespace(
+    monkeypatch.setattr(cli, "TomographicProgram", lambda state: SimpleNamespace(
         batch=lambda pairs: [_STUB_REPORT] * len(pairs)
     ))
     src = tmp_path / "behavior.csv"

@@ -16,7 +16,6 @@ from bellrand.qstate import (
     canonical_settings,
     chsh_optimal_settings,
     chsh_value,
-    component_index,
     components,
     ibeta_value,
     make_state,
@@ -29,11 +28,16 @@ visibilities = st.floats(min_value=0.0, max_value=1.0)
 thetas = st.floats(min_value=0.0, max_value=math.pi / 4)
 
 
+def entry(a, b, x, y):
+    """The index of p(a,b|x,y) in ``qstate.table``."""
+    return (a + 1) // 2, (b + 1) // 2, x - 1, y - 1
+
+
 def check_report_invariants(report, b):
     # solved instances obey the guessing-report contract
     g = report.guessing_probability
     assert 0.25 - 1e-8 <= g <= 1.0 + 1e-8
-    best = max(b.prob(a, bb, report.xstar, report.ystar) for a, bb in OUTCOME_PAIRS)
+    best = b.table[:, :, report.xstar - 1, report.ystar - 1].max()
     assert g >= best - 1e-7
     weights = report.attack_weights
     assert abs(sum(weights.values()) - 1.0) <= 1e-7
@@ -74,9 +78,9 @@ def test_primal_structure_level_two(phi_plus_behavior):
     # the 9 Collins-Gisin rows come first: normalization, Alice's and Bob's
     # +1 marginals, then p(+,+|x,y), each one entry in every block
     cg = [1.0]
-    cg += [b.prob(1, 1, x, 1) + b.prob(1, -1, x, 1) for x in (1, 2)]
-    cg += [b.prob(1, 1, 1, y) + b.prob(-1, 1, 1, y) for y in (1, 2)]
-    cg += [b.prob(1, 1, x, y) for x in (1, 2) for y in (1, 2)]
+    cg += [b.table[entry(1, 1, x, 1)] + b.table[entry(1, -1, x, 1)] for x in (1, 2)]
+    cg += [b.table[entry(1, 1, 1, y)] + b.table[entry(-1, 1, 1, y)] for y in (1, 2)]
+    cg += [b.table[entry(1, 1, x, y)] for x in (1, 2) for y in (1, 2)]
     assert np.allclose(problem.rhs, cg, rtol=0.0, atol=1e-12)
     # each shared row reads one upper-triangle entry, the same in every block
     shared = np.triu(problem.shared.toarray().reshape(-1, 13, 13))
@@ -294,8 +298,8 @@ def signalling_behavior(shift=1e-3):
     # normalized but makes Bob's y = 1 marginal depend on x by 2 * shift
     b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
     p = b.probs.copy()
-    p[component_index(1, 1, 1, 1, 2, 2)] += shift
-    p[component_index(1, -1, 1, 1, 2, 2)] -= shift
+    qstate.table(p, 2, 2)[entry(1, 1, 1, 1)] += shift
+    qstate.table(p, 2, 2)[entry(1, -1, 1, 1)] -= shift
     return qstate.Behavior(2, 2, p)
 
 
@@ -305,8 +309,8 @@ def signalling_behavior_2x3():
     b = behavior(make_state(0.9, math.pi / 8), seesaw.initial_settings(2, 3))
     p = b.probs.copy()
     for y, shift in ((2, 1e-3), (3, -1e-3)):
-        p[component_index(1, 1, 1, y, 2, 3)] += shift
-        p[component_index(-1, 1, 1, y, 2, 3)] -= shift
+        qstate.table(p, 2, 3)[entry(1, 1, 1, y)] += shift
+        qstate.table(p, 2, 3)[entry(-1, 1, 1, y)] -= shift
     return qstate.Behavior(2, 3, p)
 
 
@@ -326,8 +330,8 @@ def test_unequal_normalizations_infeasible():
     # moves, but the (1,1) block sums to 1 + 1e-3
     b = behavior(make_state(0.9, math.pi / 4), chsh_optimal_settings(math.pi / 4))
     p = b.probs.copy()
-    p[component_index(1, 1, 1, 1, 2, 2)] += 5e-4
-    p[component_index(-1, -1, 1, 1, 2, 2)] += 5e-4
+    qstate.table(p, 2, 2)[entry(1, 1, 1, 1)] += 5e-4
+    qstate.table(p, 2, 2)[entry(-1, -1, 1, 1)] += 5e-4
     b = qstate.Behavior(2, 2, p)
     assert b.no_signaling_defect() <= 1e-15
     report = guessprob.guessing_probability(b, level=2)
@@ -358,13 +362,13 @@ def test_rounding_level_normalization_still_solved():
 
 
 @pytest.mark.parametrize("at, label", [
-    (component_index(-1, 1, 2, 1, 2, 2), "(-1,1,2,1)"), (slice(None), "(-1,-1,1,1)"),
+    (entry(-1, 1, 2, 1), "(-1,1,2,1)"), (..., "(-1,-1,1,1)"),
 ], ids=["one", "all"])
 def test_non_finite_behavior_entry_named(monkeypatch, at, label):
     # NaN fails every comparison of the signalling and locality tests
     monkeypatch.setattr(guessprob, "solve", no_solve)
     p = scaled_behavior(1.0).probs.copy()
-    p[at] = math.nan
+    qstate.table(p, 2, 2)[at] = math.nan
     with pytest.raises(ValueError, match=re.escape(
         f"behavior entry for (a,b,x,y)={label} is not finite"
     )):
@@ -374,11 +378,11 @@ def test_non_finite_behavior_entry_named(monkeypatch, at, label):
 def chsh_box(s):
     # the no-signalling box E_xy = +-s/4 (minus at (2,2)) with zero
     # marginals: CHSH value s
-    p = np.zeros(16)
-    for a, b, x, y in components(2, 2):
-        e = -s / 4 if (x, y) == (2, 2) else s / 4
-        p[component_index(a, b, x, y, 2, 2)] = (1 + a * b * e) / 4
-    return qstate.Behavior(2, 2, p)
+    p = [
+        (1 + a * b * (-s / 4 if (x, y) == (2, 2) else s / 4)) / 4
+        for a, b, x, y in components(2, 2)
+    ]
+    return qstate.Behavior(2, 2, np.array(p))
 
 
 @pytest.mark.parametrize("s", [3.0, 4.0])
@@ -526,7 +530,7 @@ def check_local_report(report, mx, my, level, xstar, ystar, weights):
     assert report.attack_weights == weights
     assert abs(sum(weights.values()) - 1.0) <= 1e-12
     expr = report.bell_expression
-    assert (expr.mx, expr.my, expr.xstar, expr.ystar) == (mx, my, xstar, ystar)
+    assert (expr.mx, expr.my) == (mx, my)
     assert np.all(expr.coeffs == 0.0) and expr.offset == 1.0
     assert report.iterations == 0
     assert report.gap == report.primal_residual == report.dual_residual == 0.0
@@ -546,7 +550,7 @@ def no_solve(*args, **kwargs):
 def test_local_behavior_closed_form(monkeypatch, b, xstar, ystar):
     monkeypatch.setattr(guessprob, "solve", no_solve)
     report = guessprob.guessing_probability(b, level=2, xstar=xstar, ystar=ystar)
-    weights = {(a, bb): b.prob(a, bb, xstar, ystar) for a, bb in OUTCOME_PAIRS}
+    weights = {k: b.table[entry(*k, xstar, ystar)] for k in OUTCOME_PAIRS}
     check_local_report(report, b.mx, b.my, 2, xstar, ystar, {
         k: (0.0 if abs(w) < 1e-9 else w) for k, w in weights.items()
     })
@@ -668,8 +672,8 @@ def test_boundary_instances_reach_the_solver(monkeypatch):
     assert guessprob._has_local_model(chsh_box(2.0))
     # a negative entry: 1e-12 moved from p(+,-|1,1) = 0 to p(+,+|1,1)
     negative = deterministic.probs.copy()
-    negative[component_index(1, 1, 1, 1, 2, 2)] += 1e-12
-    negative[component_index(1, -1, 1, 1, 2, 2)] -= 1e-12
+    qstate.table(negative, 2, 2)[entry(1, 1, 1, 1)] += 1e-12
+    qstate.table(negative, 2, 2)[entry(1, -1, 1, 1)] -= 1e-12
     assert negative.min() < 0.0
     cases = [
         # separable, but 3x3 has facets beyond CHSH
@@ -872,39 +876,27 @@ def _rank_two_state():
     return qstate.DensityMatrix((np.outer(phi, phi) + np.outer(e01, e01)) / 2.0)
 
 
-@pytest.mark.parametrize("state,rank", [
+@pytest.mark.parametrize("state, rank", [
     (make_state(1.0, 0.3), 1), (_rank_two_state(), 2), (make_state(0.9, 0.3), 4),
-], ids=["pure", "rank-two", "full-rank"])
-def test_tomographic_program_matches_one_call_form(state, rank):
-    assert np.sum(np.linalg.eigvalsh(state.entries) > 1e-12) == rank
-    evaluate = guessprob.tomographic_program(state)
-    rng = np.random.default_rng(18)
-    for alpha, beta in rng.uniform(0.0, math.pi, (6, 2)):
-        assert evaluate(alpha, beta) == guessprob.tomographic_guessing(
-            state, alpha, beta
-        )
-
-
-@pytest.mark.parametrize("state", [
-    make_state(1.0, 0.3), _rank_two_state(), make_state(0.9, 0.3),
-    make_state(0.999, math.pi / 8),
+    (make_state(0.999, math.pi / 8), 4),
 ], ids=["pure", "rank-two", "full-rank", "near-pure"])
-def test_tomographic_batch_matches_one_pair_calls(monkeypatch, state):
+def test_tomographic_batch_matches_one_pair_calls(monkeypatch, state, rank):
     # a pair's report does not depend on the batch it is evaluated in: the
     # tomographic refine follows last-bit differences in G
-    evaluate = guessprob.tomographic_program(state)
+    assert np.sum(np.linalg.eigvalsh(state.entries) > 1e-12) == rank
+    program = guessprob.TomographicProgram(state)
     pairs = [tuple(p) for p in np.random.default_rng(20).uniform(0.0, math.pi, (16, 2))]
-    single = [evaluate(alpha, beta) for alpha, beta in pairs]
-    assert evaluate.batch(pairs) == single
-    assert evaluate.batch(pairs[::-1]) == single[::-1]
-    assert evaluate.batch(pairs[:7]) + evaluate.batch(pairs[7:]) == single
+    single = [guessprob.tomographic_guessing(state, *pair) for pair in pairs]
+    assert program.batch(pairs) == single
+    assert program.batch(pairs[::-1]) == single[::-1]
+    assert program.batch(pairs[:7]) + program.batch(pairs[7:]) == single
     # at cap 2 some full-rank pairs stop capped and some converge; at cap 5
     # the near-pure pairs mix capped, converged and polished certificates,
     # each written into its own row of the batch
     for cap in (1, 2, 5):
         monkeypatch.setattr(guessprob, "_ASCENT_MAX_STEPS", cap)
-        capped = [evaluate(alpha, beta) for alpha, beta in pairs]
-        assert evaluate.batch(pairs) == capped
+        capped = [guessprob.tomographic_guessing(state, *pair) for pair in pairs]
+        assert program.batch(pairs) == capped
 
 
 # G of the interior-point solve these instances had before the
@@ -956,8 +948,8 @@ def test_verify_expression_from_solve(
 
 def test_bell_expression_validation():
     with pytest.raises(ValueError, match="coefficients"):
-        guessprob.BellExpression(2, 2, 1, 1, np.zeros(7))
-    f = guessprob.BellExpression(2, 2, 1, 1, np.zeros(16))
+        guessprob.BellExpression(2, 2, np.zeros(7))
+    f = guessprob.BellExpression(2, 2, np.zeros(16))
     b = behavior(make_state(0.5, 0.2), canonical_settings())
     with pytest.raises(ValueError, match="scenario"):
         f.value(b)
@@ -979,8 +971,7 @@ def test_report_text_round_trip(phi_plus_report):
     expr = phi_plus_report.bell_expression
     for row in table:
         a, bb, x, y, f = row.split(",")
-        k = component_index(int(a), int(bb), int(x), int(y), 2, 2)
-        assert float(f) == expr.coeffs[k]
+        assert float(f) == expr.table[entry(int(a), int(bb), int(x), int(y))]
 
 
 @settings(max_examples=15, deadline=None)

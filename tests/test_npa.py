@@ -140,8 +140,8 @@ def test_collins_gisin_map_reproduces_probabilities():
         pa = proj[(0, x, 1)] if a == 1 else np.eye(4) - proj[(0, x, 1)]
         pb = proj[(1, y, 1)] if b == 1 else np.eye(4) - proj[(1, y, 1)]
         want = float(np.trace(rho @ pa @ pb))
-        got = from_cg[qstate.component_index(a, b, x, y, 2, 2)] @ moments
-        assert abs(got - want) < 1e-10
+        row = qstate.table(from_cg, 2, 2)[(a + 1) // 2, (b + 1) // 2, x - 1, y - 1]
+        assert abs(row @ moments - want) < 1e-10
 
 
 def test_moment_matrix_of_realization_is_psd():

@@ -17,7 +17,6 @@ from bellrand.qstate import (
     canonical_settings,
     chsh_optimal_settings,
     chsh_value,
-    component_index,
     components,
     ibeta_value,
     make_state,
@@ -107,7 +106,8 @@ def test_behavior_matches_trace_oracle(v, theta, a1, b1, b2):
     for a, b, x, y in components(2, 2):
         want = _oracle_prob(state, meas.alice_angles[x - 1],
                             meas.bob_angles[y - 1], a, b)
-        assert abs(beh.prob(a, b, x, y) - want) < 1e-10
+        got = beh.table[(a + 1) // 2, (b + 1) // 2, x - 1, y - 1]
+        assert abs(got - want) < 1e-10
 
 
 @given(v=visibilities, theta=thetas, a1=angles, a2=angles, b1=angles, b2=angles)
@@ -115,7 +115,7 @@ def test_behavior_is_normalized_and_nonsignaling(v, theta, a1, a2, b1, b2):
     beh = behavior(make_state(v, theta), MeasurementSet((a1, a2), (b1, b2)))
     for x in (1, 2):
         for y in (1, 2):
-            total = sum(beh.prob(a, b, x, y) for a in (1, -1) for b in (1, -1))
+            total = beh.table[:, :, x - 1, y - 1].sum()
             assert abs(total - 1.0) < 1e-9
     assert beh.no_signaling_defect() < 1e-9
 
@@ -145,7 +145,6 @@ def test_behavior_is_the_per_component_trace_bit_for_bit():
             want = np.trace(state.entries @ op)
             got = beh.table[(a + 1) // 2, (b + 1) // 2, x - 1, y - 1]
             assert got.tobytes() == want.tobytes()
-            assert beh.prob(a, b, x, y) == got
 
 
 def test_table_is_a_read_only_view():
@@ -154,15 +153,6 @@ def test_table_is_a_read_only_view():
     assert np.shares_memory(beh.table, beh.probs)
     with pytest.raises(ValueError):
         beh.table[0, 0, 0, 0] = 0.5
-
-
-def test_component_index_is_a_bijection():
-    seen = set()
-    for key in components(2, 3):
-        idx = component_index(*key, 2, 3)
-        assert 0 <= idx < 24
-        seen.add(idx)
-    assert len(seen) == 24
 
 
 def test_chsh_tsirelson_at_optimal_settings():

@@ -24,12 +24,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def minus_chsh():
-    return BellExpression(2, 2, 1, 1, -guessprob.chsh_coefficients())
+    return BellExpression(2, 2, -guessprob.chsh_coefficients())
 
 
 def random_instance(seed, coeff_scale=1.0):
     rng = np.random.default_rng(seed)
-    f = BellExpression(2, 2, 1, 1, rng.uniform(-coeff_scale, coeff_scale, 16))
+    f = BellExpression(2, 2, rng.uniform(-coeff_scale, coeff_scale, 16))
     state = make_state(rng.uniform(0.0, 1.0), rng.uniform(0.0, math.pi / 4))
     meas = MeasurementSet(
         tuple(rng.uniform(0.0, 2.0 * math.pi, 2)),
@@ -52,7 +52,7 @@ def test_update_recovers_tsirelson_angles():
 
 
 def test_update_zero_expression_keeps_angles():
-    f = BellExpression(2, 2, 1, 1, np.zeros(16))
+    f = BellExpression(2, 2, np.zeros(16))
     meas = MeasurementSet((0.3, 1.1), (0.7, 2.9))
     out = seesaw.update_measurements(f, make_state(0.8, 0.5), meas)
     assert out.alice_angles == meas.alice_angles
@@ -94,7 +94,7 @@ def test_update_exact_on_general_real_states(mx, my, rank):
     rng = np.random.default_rng([mx, my, rank])
     a = rng.normal(size=(4, rank))
     state = qstate.DensityMatrix(a @ a.T / np.sum(a * a))
-    f = BellExpression(mx, my, 1, 1, rng.uniform(-1.0, 1.0, 4 * mx * my))
+    f = BellExpression(mx, my, rng.uniform(-1.0, 1.0, 4 * mx * my))
     meas = MeasurementSet(
         tuple(rng.uniform(0.0, 2.0 * math.pi, mx)),
         tuple(rng.uniform(0.0, 2.0 * math.pi, my)),
@@ -125,6 +125,11 @@ def test_optimize_parameter_validation():
         seesaw.optimize(state, max_iterations=0)
     with pytest.raises(ValueError, match="grid_size"):
         seesaw.tomographic_optimize(state, grid_size=4)
+
+
+def test_optimize_without_a_certified_start_raises(failing_seesaw_bound):
+    with pytest.raises(RuntimeError, match="every start failed to certify a bound"):
+        seesaw.optimize(make_state(0.9, math.pi / 4), level=1, n_starts=2)
 
 
 def test_optimize_local_state_stops_immediately():
@@ -331,12 +336,11 @@ def _refine_one_at_a_time(state, grid_size):
     """tomographic_optimize's search with one-pair evaluations and the
     refines run one after another; returns its result and the number of
     distinct pairs evaluated."""
-    evaluate = guessprob.tomographic_program(state)
     reports = {}
 
     def g(x):
         if x not in reports:
-            reports[x] = evaluate(*x)
+            reports[x] = guessprob.tomographic_guessing(state, *x)
         return reports[x].guessing_probability
 
     angles = np.arange(grid_size) * math.pi / grid_size
@@ -355,7 +359,7 @@ def _refine_one_at_a_time(state, grid_size):
 def test_tomographic_lockstep_matches_one_refine_at_a_time(monkeypatch, v, grid_size):
     state = make_state(v, math.pi / 8)
     expected, distinct = _refine_one_at_a_time(state, grid_size)
-    program = guessprob.tomographic_program(state)
+    program = guessprob.TomographicProgram(state)
     evaluate = program.batch
     evaluated = []
 
@@ -364,7 +368,7 @@ def test_tomographic_lockstep_matches_one_refine_at_a_time(monkeypatch, v, grid_
         return evaluate(pairs)
 
     monkeypatch.setattr(program, "batch", batch)
-    monkeypatch.setattr(seesaw, "tomographic_program", lambda _: program)
+    monkeypatch.setattr(seesaw, "TomographicProgram", lambda _: program)
     assert seesaw.tomographic_optimize(state, grid_size) == expected
     assert len(evaluated) == len(set(evaluated)) == distinct
 
@@ -394,10 +398,10 @@ def _replay(f, x0):
 
 def test_nelder_mead_replays_scipy_on_the_tomographic_refine():
     state = make_state(0.999, math.pi / 8)
-    evaluate = guessprob.tomographic_program(state)
+    program = guessprob.TomographicProgram(state)
 
     def g(x):
-        return evaluate(float(x[0]), float(x[1])).guessing_probability
+        return program.batch([(float(x[0]), float(x[1]))])[0].guessing_probability
 
     angles = np.arange(8) * math.pi / 8
     grid = [(float(a), float(b)) for a in angles for b in angles]
@@ -516,3 +520,10 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         tracer.remove()
     # and puts every original back
     assert seesaw.tomographic_guessing is guessprob.tomographic_guessing
+
+
+def test_star_import_gives_every_public_name():
+    namespace = {}
+    exec("from bellrand import *", namespace)
+    for name in bellrand.__all__:
+        assert namespace[name] is getattr(bellrand, name), name
