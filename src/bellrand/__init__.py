@@ -17,11 +17,9 @@ from .qstate import (
     behavior,
     behavior_from_csv,
     behavior_to_csv,
-    beta_coefficient,
     canonical_settings,
     chsh_optimal_settings,
     chsh_value,
-    ibeta_value,
     make_state,
     projector,
 )
@@ -41,14 +39,12 @@ __all__ = [
     "behavior_from_csv",
     "behavior_to_csv",
     "bell_constrained_bound",
-    "beta_coefficient",
     "canonical_settings",
     "chsh_coefficients",
     "chsh_optimal_settings",
     "chsh_value",
     "guessing_probability",
     "ibeta_coefficients",
-    "ibeta_value",
     "make_state",
     "optimize",
     "projector",

@@ -9,8 +9,12 @@ takes only the groups it reads, so a flag it does not read is a usage error.
 Configuration comes from those defaults, then a flat key=value file given
 with --config, then command-line flags, later sources winning. A config
 value goes through its flag's own parser; a config key that no subcommand
-knows is an input error; keys of other subcommands are ignored. All grids,
-counts and output directories are validated before any solve. Identical
+knows is an input error; keys of other subcommands are ignored. Each value
+is checked by the function that reads it, before any solve and before any
+output is written: v and theta, grid values included, by qstate.make_state,
+the search settings by seesaw.optimize, the scenario by the settings and
+the bounds; validate checks only what no library function reads. A value
+that the subcommand does not read is not checked. Identical
 configuration (including seed) run at the same BLAS thread count produces
 byte-identical output files; a different thread count can change the last
 digits.
@@ -46,32 +50,16 @@ EXIT_SOLVER = 2
 
 
 def validate(args: argparse.Namespace):
-    """Reject settings no solve can use, before any solve. Only the options
-    that the chosen subcommand declares are in ``args``; each is checked
-    when it is there. The level and the generation pair are the library's
-    to check: every bound checks both before any solve."""
-    if "v" in args and not 0.0 <= args.v <= 1.0:
-        raise ValueError("v must lie in [0, 1]")
-    # same slack as qstate.make_state, so pi/4 itself passes
-    if "theta" in args and not 0.0 <= args.theta <= math.pi / 4 + 1e-12:
-        raise ValueError("theta must lie in [0, pi/4]")
-    if "epsilon" in args and not args.epsilon > 0.0:  # NaN fails every comparison
-        raise ValueError("epsilon must be > 0")
-    for key in ("starts", "jobs", "max_iterations", "map_grid"):
+    """Reject, before any work, the settings that no library function
+    reads: an empty grid, --jobs, --map-grid and the output paths. Only
+    the options that the chosen subcommand declares are in ``args``; each
+    is checked when it is there."""
+    for key in ("jobs", "map_grid"):
         if key in args and getattr(args, key) < 1:
             raise ValueError(f"{key.replace('_', '-')} must be >= 1")
-    if "mx" in args and (args.mx < 1 or args.my < 1):
-        raise ValueError("scenario needs at least one input per side")
-    if "v_grid" in args:
-        for key in ("v_grid", "theta_grid"):
-            if getattr(args, key) == ():
-                raise ValueError(f"{key.replace('_', '-')} is empty")
-        for v in args.v_grid or ():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"v-grid value {v} outside [0, 1]")
-        for theta in args.theta_grid or ():
-            if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-                raise ValueError(f"theta-grid value {theta} outside [0, pi/4]")
+    for key in ("v_grid", "theta_grid"):
+        if key in args and getattr(args, key) == ():
+            raise ValueError(f"{key.replace('_', '-')} is empty")
     # outputs are written after the work: a path that cannot be opened
     # would lose all of it
     for key in ("out", "trace", "angle_map"):
@@ -193,14 +181,10 @@ def cmd_bellbound(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     state = qstate.make_state(args.v, args.theta)
-    try:
-        res = seesaw.optimize(
-            state, args.mx, args.my, args.level, args.xstar, args.ystar,
-            args.epsilon, args.starts, args.seed, args.max_iterations,
-        )
-    except RuntimeError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_SOLVER
+    res = seesaw.optimize(
+        state, args.mx, args.my, args.level, args.xstar, args.ystar,
+        args.epsilon, args.starts, args.seed, args.max_iterations,
+    )
     rep = res.best_report
     lines = [
         f"hmin {rep.hmin:.12g}",
@@ -224,34 +208,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _sweep_point(packed):
-    idx, v, theta, args = packed
-    state = qstate.make_state(v, theta)
+    idx, v, theta, state, args = packed
     chsh_meas = qstate.chsh_optimal_settings(theta)
     chsh = qstate.chsh_value(qstate.behavior(state, chsh_meas))
-    row: dict[str, object] = {
-        "v": v, "theta": theta, "mx": args.mx, "my": args.my, "level": args.level,
-        "chsh": chsh,
-    }
-    try:
-        res = seesaw.optimize(
-            state, args.mx, args.my, args.level, args.xstar, args.ystar,
-            args.epsilon, args.starts, args.seed + idx, args.max_iterations,
-        )
-        row["hmin"] = res.best_report.hmin
-        row["starts"] = res.starts_used
-        row["converged"] = res.converged
-        row["status"] = res.best_report.status
-    except RuntimeError:
-        row["hmin"] = math.nan
-        row["starts"] = 0
-        row["converged"] = False
-        row["status"] = "failed"
-    rb = bell_constrained_bound(
-        chsh_coefficients(args.mx, args.my), chsh, args.mx, args.my,
-        args.level, args.xstar, args.ystar,
+    # the CHSH-only bound's scenario is checked before the search's solves
+    coeffs = chsh_coefficients(args.mx, args.my)
+    res = seesaw.optimize(
+        state, args.mx, args.my, args.level, args.xstar, args.ystar,
+        args.epsilon, args.starts, args.seed + idx, args.max_iterations,
     )
-    row["hmin_chsh"] = rb.hmin if rb.status == "optimal" else math.nan
-    return row
+    rb = bell_constrained_bound(
+        coeffs, chsh, args.mx, args.my, args.level, args.xstar, args.ystar,
+    )
+    return {
+        "v": v, "theta": theta, "mx": args.mx, "my": args.my, "level": args.level,
+        "hmin": res.best_report.hmin, "chsh": chsh,
+        "hmin_chsh": rb.hmin if rb.status == "optimal" else math.nan,
+        "starts": res.starts_used, "converged": res.converged,
+        "status": res.best_report.status,
+    }
 
 
 _SWEEP_COLUMNS = (
@@ -264,8 +239,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     vs = args.v_grid or (args.v,)
     thetas = args.theta_grid or (args.theta,)
     points = [(v, th) for th in thetas for v in vs]
+    # every point's state is built, and so checked, before any solve;
     # point idx is seeded --seed + idx; the pool and the loop keep task order
-    tasks = [(idx, v, th, args) for idx, (v, th) in enumerate(points)]
+    tasks = [
+        (idx, v, th, qstate.make_state(v, th), args)
+        for idx, (v, th) in enumerate(points)
+    ]
     if args.jobs > 1:
         # concurrent.futures and multiprocessing load only for a pool
         from concurrent.futures import ProcessPoolExecutor
@@ -299,11 +278,15 @@ plot "{csv}" using {using} with linespoints
 def cmd_tomography(args: argparse.Namespace) -> int:
     vs = args.v_grid or (args.v,)
     thetas = args.theta_grid or (args.theta,)
-    points = [(v, th) for v in vs for th in thetas]
+    # every state is built, and so checked, before any solve, the angle
+    # map's included, though its rows are written last
+    points = [(v, th, qstate.make_state(v, th)) for v in vs for th in thetas]
+    map_path = args.angle_map
+    if map_path:
+        program = TomographicProgram(qstate.make_state(args.v, args.theta))
     lines = ["v,theta,level,alpha,beta,hmin,status"]
     worst = "optimal"
-    for v, th in points:
-        state = qstate.make_state(v, th)
+    for v, th, state in points:
         alpha, beta, rep = seesaw.tomographic_optimize(state, args.grid_size)
         if rep.status != "optimal":
             worst = rep.status
@@ -319,9 +302,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
                 csv=os.path.basename(args.out), xlabel="theta", using="2:6"
             ),
         )
-    map_path = args.angle_map
     if map_path:
-        program = TomographicProgram(qstate.make_state(args.v, args.theta))
         angles = np.arange(args.map_grid) * math.pi / args.map_grid
         pairs = [(float(alpha), float(beta)) for alpha in angles for beta in angles]
         rows = ["alpha1,beta1,hmin"]

@@ -466,8 +466,9 @@ def guessing_probability(
     party's input by more than ``qstate.SIGNALING_INPUT_TOL``, or one with
     a normalization farther than that from one, is reported infeasible
     without a solve. Infeasible instances get G = NaN, NaN attack weights
-    and no expression. A non-finite entry, or a level other than 1, 2 or
-    3, raises ValueError, also where no solve is made.
+    and no expression. A level other than 1, 2 or 3 raises ValueError,
+    also where no solve is made; a non-finite entry raises where the
+    Behavior is built.
 
     A behavior with a local model, decided exactly where one side has at
     most two inputs (see _has_local_model), is reported without a solve:
@@ -476,8 +477,6 @@ def guessing_probability(
     and defect. Every other behavior, 3x3 included, is solved."""
     npa.check_level(level)
     _check_generation(b.mx, b.my, xstar, ystar)
-    # at infinite tolerances validate tests only that every entry is finite
-    b.validate(entry_tol=math.inf, norm_tol=math.inf)
     sums = b.table.sum(axis=(0, 1))
     off = max(
         b.no_signaling_defect(), float(np.ptp(sums)), float(np.abs(sums - 1.0).max())

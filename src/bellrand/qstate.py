@@ -178,6 +178,13 @@ class Behavior:
             raise ValueError(
                 f"behavior needs {4 * self.mx * self.my} entries, got {p.shape}"
             )
+        # NaN fails every comparison of the tests made on a behavior
+        finite = np.isfinite(p)
+        if not finite.all():
+            a, b, x, y = list(components(self.mx, self.my))[int(np.argmin(finite))]
+            raise ValueError(
+                f"behavior entry for (a,b,x,y)=({a},{b},{x},{y}) is not finite"
+            )
         object.__setattr__(self, "probs", _frozen(p))
 
     @property
@@ -188,12 +195,6 @@ class Behavior:
     def validate(self, entry_tol: float = ENTRY_TOL,
                  norm_tol: float = NORMALIZATION_TOL) -> None:
         p = self.probs
-        finite = np.isfinite(p)
-        if not finite.all():
-            a, b, x, y = list(components(self.mx, self.my))[int(np.argmin(finite))]
-            raise ValueError(
-                f"behavior entry for (a,b,x,y)=({a},{b},{x},{y}) is not finite"
-            )
         if p.min() < -entry_tol or p.max() > 1.0 + entry_tol:
             raise ValueError("behavior entries outside [0, 1]")
         t = self.table
@@ -236,19 +237,6 @@ def chsh_value(b: Behavior) -> float:
     p = b.table
     e = p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1]
     return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
-
-
-def ibeta_value(b: Behavior, beta: float) -> float:
-    """CHSH plus beta times Alice's first-input marginal, read off the
-    x = y = 1 block."""
-    p = b.table[:, :, 0, 0]
-    return chsh_value(b) + float(beta) * float(-p[0, 0] - p[0, 1] + p[1, 0] + p[1, 1])
-
-
-def beta_coefficient(theta: float) -> float:
-    """Marginal weight that tilts CHSH toward the partially entangled state."""
-    s = math.sin(2.0 * theta)
-    return 2.0 * math.cos(2.0 * theta) / math.sqrt(1.0 + s * s)
 
 
 def chsh_optimal_settings(theta: float) -> MeasurementSet:

@@ -121,7 +121,8 @@ def initial_settings(mx: int, my: int) -> MeasurementSet:
     base = qstate.canonical_settings()
 
     def fit(angles, n):
-        angles = list(angles[:n])
+        # below one input, no angle: MeasurementSet rejects the side
+        angles = list(angles[:max(n, 0)])
         extra = n - len(angles)
         angles += [math.pi * (k + 1) / (extra + 1) for k in range(extra)]
         return tuple(angles)
@@ -153,7 +154,13 @@ def optimize(
     certified report together with the settings it was certified at, so
     best_meas reproduces best_report even when a start ends on its
     iteration cap or on a failed solve. starts_used counts the starts that
-    produced at least one certified value."""
+    produced at least one certified value. A search in which no start
+    certifies a value returns the first start's failed report at that
+    start's settings, with starts_used 0, converged False and empty
+    trajectories.
+
+    epsilon, n_starts and max_iterations, and through the start settings
+    mx and my, are checked before any solve."""
     if not epsilon > 0.0:  # NaN fails every comparison
         raise ValueError("epsilon must be positive")
     if n_starts < 1:
@@ -196,13 +203,15 @@ def optimize(
             meas = update_measurements(rep.bell_expression, state, meas)
         all_traj.append(tuple(traj))
         if certified is None:
+            # kept only while no start certifies: the first start's failed
+            # solve, at its initial settings
+            if best is None:
+                best = (rep, meas, (), False)
             continue
-        starts_used += 1
         report, at = certified
-        if best is None or report.guessing_probability < best[0].guessing_probability:
+        if not starts_used or report.guessing_probability < best[0].guessing_probability:
             best = (report, at, tuple(traj), converged)
-    if best is None:
-        raise RuntimeError("every start failed to certify a bound")
+        starts_used += 1
     report, meas, traj, converged = best
     return OptResult(
         best_meas=meas,

@@ -175,11 +175,13 @@ def test_criterion_7_constraint_ordering():
             qstate.make_state(v, theta), qstate.chsh_optimal_settings(theta)
         )
         full = guessprob.guessing_probability(b, level=2)
-        beta = qstate.beta_coefficient(theta)
+        # the marginal weight that tilts CHSH toward the state at theta
+        s = math.sin(2.0 * theta)
+        tilted_op = guessprob.ibeta_coefficients(
+            2.0 * math.cos(2.0 * theta) / math.sqrt(1.0 + s * s)
+        )
         tilted = guessprob.bell_constrained_bound(
-            guessprob.ibeta_coefficients(beta),
-            [qstate.ibeta_value(b, beta)],
-            2, 2, level=2,
+            tilted_op, [tilted_op @ b.probs], 2, 2, level=2
         )
         chsh = guessprob.bell_constrained_bound(
             guessprob.chsh_coefficients(), [qstate.chsh_value(b)], 2, 2, level=2

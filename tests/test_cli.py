@@ -213,7 +213,7 @@ def test_optimize_rejects_bad_epsilon(capsys):
     assert "epsilon" in capsys.readouterr().err
     # NaN passes an `epsilon <= 0` test and would never stop a start early
     assert cli.main(["optimize", "--level", "1", "--epsilon", "nan"]) == 1
-    assert capsys.readouterr().err == "error: epsilon must be > 0\n"
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
 
 
 def test_sweep_deterministic_and_parallel(tmp_path):
@@ -270,10 +270,15 @@ def test_sweep_row_survives_failed_gram_factor(failing_gram_factor, capsys):
 
 
 def test_optimize_without_a_certified_start_exits_2(failing_seesaw_bound, capsys):
+    # the report of the first start's failed solve, at its initial settings
     assert cli.main(["optimize", "--level", "1", "--starts", "2"]) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "every start failed to certify a bound\n"
+    assert err == ""
+    assert out.splitlines() == [
+        "hmin nan", "G nan", "level 0", "status numerical_failure",
+        "starts_used 0", "converged False", "iterations 0",
+        "alice 0,1.57079632679", "bob 0.785398163397,2.35619449019",
+    ]
 
 
 def test_sweep_row_without_a_certified_start_fails(failing_seesaw_bound, capsys):
@@ -283,7 +288,10 @@ def test_sweep_row_without_a_certified_start_fails(failing_seesaw_bound, capsys)
     header, row = capsys.readouterr().out.strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert (fields["v"], fields["theta"]) == ("0.9", "0.4")
-    failed = {"hmin": "nan", "starts": "0", "converged": "False", "status": "failed"}
+    failed = {
+        "hmin": "nan", "starts": "0", "converged": "False",
+        "status": "numerical_failure",
+    }
     assert {key: fields[key] for key in failed} == failed
 
 
@@ -292,31 +300,33 @@ def test_sweep_rejects_empty_grid(capsys):
     assert "v-grid is empty" in capsys.readouterr().err
 
 
-def test_grids_validated_before_any_solve(monkeypatch, capsys):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver called before the grid was validated")
+def failing_solve(*args, **kwargs):
+    raise AssertionError("solver called before the inputs were checked")
 
-    monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
-    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
+
+@pytest.fixture
+def solves_fail(monkeypatch):
+    """Make every solve a command can reach fail the test: the see-saw's
+    bounds, the CHSH-only bound of a sweep row and the tomographic batches."""
+    monkeypatch.setattr(cli.seesaw, "guessing_probability", failing_solve)
+    monkeypatch.setattr(cli, "bell_constrained_bound", failing_solve)
+    monkeypatch.setattr(guessprob.TomographicProgram, "batch", failing_solve)
+
+
+def test_grids_validated_before_any_solve(solves_fail, capsys):
     assert cli.main(["sweep", "--v-grid", "0.9,1.5", "--theta-grid", "0.5",
                      "--level", "2", "--starts", "2"]) == 1
-    assert "v-grid value 1.5" in capsys.readouterr().err
+    assert "visibility v=1.5 outside [0, 1]" in capsys.readouterr().err
     assert cli.main(["tomography", "--v-grid", "0.9", "--theta-grid", "0.3,0.9",
                      "--grid-size", "8"]) == 1
-    assert "theta-grid value 0.9" in capsys.readouterr().err
+    assert "theta=0.9 outside [0, pi/4]" in capsys.readouterr().err
     assert cli.main(["sweep", "--v-grid", "0.9", "--theta-grid", "nan"]) == 1
-    assert "theta-grid value nan" in capsys.readouterr().err
+    assert "theta=nan outside [0, pi/4]" in capsys.readouterr().err
 
 
 def test_iteration_and_map_counts_validated_before_any_solve(
-    monkeypatch, capsys, tmp_path
+    solves_fail, capsys, tmp_path
 ):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solver called before the settings were validated")
-
-    monkeypatch.setattr(cli.seesaw, "optimize", no_solve)
-    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
-    monkeypatch.setattr(cli, "TomographicProgram", no_solve)
     amap = str(tmp_path / "map.csv")
     for grid in ("0", "-3"):
         assert cli.main(["tomography", "--v", "0.9", "--grid-size", "8",
@@ -324,7 +334,25 @@ def test_iteration_and_map_counts_validated_before_any_solve(
         assert "map-grid must be >= 1" in capsys.readouterr().err
     for sub in (["optimize"], ["sweep", "--v-grid", "0.9"]):
         assert cli.main(sub + ["--level", "1", "--max-iterations", "0"]) == 1
-        assert "max-iterations must be >= 1" in capsys.readouterr().err
+        assert "max_iterations must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_with_an_invalid_last_point_solves_nothing(solves_fail, capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--v-grid", "0.8,0.9,1.2", "--theta-grid", "0.5",
+                     "--level", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: visibility v=1.2 outside [0, 1]\n"
+    assert not out.exists()
+
+
+def test_sweep_workers_check_the_search_settings(capsys, tmp_path):
+    # each worker's optimize checks epsilon at its entry, before any solve
+    out = tmp_path / "bad.csv"
+    assert cli.main(["sweep", "--v-grid", "0.9", "--theta-grid", "0.5",
+                     "--level", "1", "--epsilon", "0", "--jobs", "2",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: epsilon must be positive\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub,flag", [
@@ -387,10 +415,6 @@ def test_tomography_capped_map_point_exits_solver(monkeypatch, tmp_path):
     map_rows = amap.read_text().strip().splitlines()
     assert map_rows[0] == "alpha1,beta1,hmin"
     assert len(map_rows) == 1 + 9
-
-
-def failing_solve(*args, **kwargs):
-    raise AssertionError("solver called before the inputs were checked")
 
 
 # a small see-saw, so that a rule not checked at the first bound shows up
@@ -575,18 +599,25 @@ def test_every_listed_option_is_read(monkeypatch, tmp_path):
 
 def test_v_out_of_range(capsys):
     assert cli.main(["certify", "--v", "1.5", "--level", "1"]) == 1
-    assert "v must lie" in capsys.readouterr().err
+    assert "visibility v=1.5 outside [0, 1]" in capsys.readouterr().err
 
 
-def test_tomography_theta_out_of_range_before_any_work(monkeypatch, capsys, tmp_path):
+def test_tomography_theta_out_of_range_before_any_work(solves_fail, capsys, tmp_path):
     # --theta only places the angle map, written after the rows
-    def no_solve(*args, **kwargs):
-        raise AssertionError("grid work started before --theta was validated")
-
-    monkeypatch.setattr(cli.seesaw, "tomographic_optimize", no_solve)
     out, amap = tmp_path / "o.csv", tmp_path / "m.csv"
     assert cli.main(["tomography", "--v-grid", "0.9", "--theta-grid", "0.3",
                      "--grid-size", "8", "--theta", "2", "--angle-map", str(amap),
                      "--out", str(out)]) == 1
-    assert "theta must lie in [0, pi/4]" in capsys.readouterr().err
+    assert "theta=2.0 outside [0, pi/4]" in capsys.readouterr().err
     assert not out.exists() and not amap.exists()
+
+
+def test_a_value_that_is_not_read_is_not_checked(capsys, tmp_path):
+    # a --behavior file fixes the state, and without --angle-map, --theta
+    # places nothing when --theta-grid is given
+    src = tmp_path / "behavior.csv"
+    src.write_text(interior_csv())
+    assert cli.main(["certify", "--behavior", str(src), "--v", "5", "--level", "1"]) == 0
+    assert cli.main(["tomography", "--v-grid", "0.9", "--theta-grid", "0.3",
+                     "--grid-size", "8", "--theta", "2"]) == 0
+    assert capsys.readouterr().err == ""

@@ -17,7 +17,6 @@ from bellrand.qstate import (
     chsh_optimal_settings,
     chsh_value,
     components,
-    ibeta_value,
     make_state,
 )
 
@@ -276,7 +275,7 @@ def test_stacked_operators_not_looser(interior_behavior):
     beta = 0.5
     chsh = guessprob.chsh_coefficients()
     ibeta = guessprob.ibeta_coefficients(beta)
-    vals = [chsh_value(interior_behavior), ibeta_value(interior_behavior, beta)]
+    vals = [chsh_value(interior_behavior), ibeta @ interior_behavior.probs]
     single = guessprob.bell_constrained_bound(chsh, [vals[0]], 2, 2, level=2)
     both = guessprob.bell_constrained_bound(
         np.vstack([chsh, ibeta]), vals, 2, 2, level=2
@@ -364,15 +363,15 @@ def test_rounding_level_normalization_still_solved():
 @pytest.mark.parametrize("at, label", [
     (entry(-1, 1, 2, 1), "(-1,1,2,1)"), (..., "(-1,-1,1,1)"),
 ], ids=["one", "all"])
-def test_non_finite_behavior_entry_named(monkeypatch, at, label):
-    # NaN fails every comparison of the signalling and locality tests
-    monkeypatch.setattr(guessprob, "solve", no_solve)
+def test_non_finite_behavior_entry_named(at, label):
+    # NaN fails every comparison of the signalling and locality tests, so
+    # no bound ever sees one: the Behavior is not built
     p = scaled_behavior(1.0).probs.copy()
     qstate.table(p, 2, 2)[at] = math.nan
     with pytest.raises(ValueError, match=re.escape(
         f"behavior entry for (a,b,x,y)={label} is not finite"
     )):
-        guessprob.guessing_probability(qstate.Behavior(2, 2, p), level=2)
+        qstate.Behavior(2, 2, p)
 
 
 def chsh_box(s):
@@ -704,9 +703,13 @@ def test_chsh_coefficients_match_correlator_form():
 @settings(max_examples=25, deadline=None)
 @given(v=visibilities, theta=thetas, beta=st.floats(min_value=-2, max_value=2))
 def test_ibeta_coefficients_match_helper(v, theta, beta):
+    # CHSH + beta <A1>, with <A1> read off the x = y = 1 block
     b = behavior(make_state(v, theta), canonical_settings())
     coeffs = guessprob.ibeta_coefficients(beta, 2, 3)
-    assert abs(float(coeffs @ b.probs) - ibeta_value(b, beta)) <= 1e-10
+    p = b.table[:, :, 0, 0]
+    marginal = -p[0, 0] - p[0, 1] + p[1, 0] + p[1, 1]
+    expected = chsh_value(b) + beta * marginal
+    assert abs(float(coeffs @ b.probs) - expected) <= 1e-10
 
 
 def _assert_bracket(v, theta, level, meas, xstar, ystar):

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellrand import qstate
+from bellrand.guessprob import ibeta_coefficients
 from bellrand.qstate import (
     Behavior,
     MeasurementSet,
     behavior,
     behavior_from_csv,
     behavior_to_csv,
-    beta_coefficient,
     canonical_settings,
     chsh_optimal_settings,
     chsh_value,
     components,
-    ibeta_value,
     make_state,
     projector,
 )
@@ -167,15 +166,9 @@ def test_chsh_optimal_settings_value_formula(v, theta):
     assert abs(chsh_value(beh) - 2.0 * v * math.sqrt(1.0 + s * s)) < 1e-9
 
 
-def test_beta_coefficient_values():
-    assert abs(beta_coefficient(math.pi / 4)) < 1e-12
-    assert abs(beta_coefficient(0.0) - 2.0) < 1e-12
-    assert abs(beta_coefficient(math.pi / 8) - 2.0 / math.sqrt(3.0)) < 1e-12
-
-
 def test_ibeta_reduces_to_chsh_at_zero_beta():
     beh = behavior(make_state(0.8, math.pi / 8), chsh_optimal_settings(math.pi / 8))
-    assert abs(ibeta_value(beh, 0.0) - chsh_value(beh)) < 1e-12
+    assert abs(ibeta_coefficients(0.0) @ beh.probs - chsh_value(beh)) < 1e-12
 
 
 def test_canonical_settings_shape():

@@ -127,9 +127,13 @@ def test_optimize_parameter_validation():
         seesaw.tomographic_optimize(state, grid_size=4)
 
 
-def test_optimize_without_a_certified_start_raises(failing_seesaw_bound):
-    with pytest.raises(RuntimeError, match="every start failed to certify a bound"):
-        seesaw.optimize(make_state(0.9, math.pi / 4), level=1, n_starts=2)
+def test_optimize_without_a_certified_start_reports_the_first(failing_seesaw_bound):
+    result = seesaw.optimize(make_state(0.9, math.pi / 4), level=1, n_starts=2)
+    assert result.starts_used == 0 and not result.converged
+    assert result.best_meas == seesaw.initial_settings(2, 2)
+    assert result.best_report.status == "numerical_failure"
+    assert result.trajectory == ()
+    assert result.start_trajectories == ((), ())
 
 
 def test_optimize_local_state_stops_immediately():
